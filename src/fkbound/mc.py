@@ -1,18 +1,23 @@
 """Monte Carlo verification engine for the exponential path functionals.
 
-Paths are never materialised as an ensemble: each path m owns a
-counter-based random stream keyed by (seed, m), so its increments are a
-deterministic function of the seed and the path index alone.  Worker
-threads fill disjoint slices of a per-path action array and every reduction
-runs over that array in fixed index order, which makes all estimates
-bit-identical regardless of the worker count.
+Each path m owns a counter-based Philox stream keyed by (seed, m) (Salmon
+et al., SC'11), so its draws depend on the seed and the path index alone.
+One path engine serves every sampler: each worker re-keys one bit generator
+to (seed, m) per path, draws the path's whole normal block in one call into
+a batch buffer (a fixed element budget over the block size), and the
+sampler evaluates the batch at once.  Weighted action sums still run one
+path at a time, and every reduction over paths runs in index order, so no
+result depends on the worker count or the batch size.
 
-Draw order within a path is part of the reproducibility contract:
+Draw order within a path is part of the reproducibility contract; one
+block of 2N rows draws exactly the two N-row draws listed, in order:
 
 * single action:     grid increments (N, d), then midpoint-bridge noise (N, d)
 * self-pair action:  grid increments (N, d)
 * cross-pair action: grid increments of X (N, d), then of Y (N, d)
 * bipolaron action:  grid increments of X (N, d), then of Y (N, d)
+* affine action (martingale check): grid increments (N, d)
+* quadratic action (oscillator): grid increments (N, 1), then bridge noise (N, 1)
 
 Time discretisation: the single action uses midpoint times with the path
 value sampled from the Brownian bridge between grid nodes (exact midpoint
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,8 +74,8 @@ class PathEnsemble:
     def __post_init__(self):
         if self.paths < 1 or self.steps < 1:
             raise DomainError("ensemble needs at least one path and one step")
-        if not self.horizon > 0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if self.dim < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dim}")
         if not 0 <= int(self.seed) < 2 ** 64:
@@ -114,10 +119,12 @@ class ActionSpec:
             raise DomainError(f"theta must lie in [0, 2], got {self.theta}")
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if not self.T > 0:
-            raise DomainError(f"horizon must be positive, got {self.T}")
-        if self.epsilon < 0:
-            raise DomainError(f"epsilon must be nonnegative, got {self.epsilon}")
+        if not 0 < self.T < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.T}")
+        if not 0 <= self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not math.isfinite(self.offset):
+            raise DomainError(f"offset must be finite, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -140,52 +147,94 @@ class McEstimate:
     infinite_paths: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "log_mean": self.log_mean,
-            "stderr_log": self.stderr_log,
-            "action_mean": self.action_mean,
-            "action_stderr": self.action_stderr,
-            "paths": self.paths,
-            "steps": self.steps,
-            "seed": self.seed,
-            "infinite_paths": self.infinite_paths,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
-# per-path samplers
+# path engine
 # ---------------------------------------------------------------------------
+
+# Doubles in one batch of drawn normals, divided by one path's (rows x d) block
+# to give the batch size; larger batches measured no faster.
+_BATCH_ELEMENTS = 1 << 14
+
+
+def _run(sampler, ensemble: PathEnsemble, threads: int = 1,
+         paths: range = None) -> np.ndarray:
+    """Per-path outputs of ``sampler``, shape (outputs, len(paths)).
+
+    A sampler's ``rows`` is the length of the (rows, d) normal block each
+    path draws; it maps a (B, rows, d) batch to B outputs or to an
+    (outputs, B) array.  Batches go to ``threads`` workers in contiguous
+    runs; the result depends on neither the worker count nor the batch size.
+    """
+    paths = range(ensemble.paths) if paths is None else paths
+    block = (sampler.rows, ensemble.dim)
+    size = min(len(paths), max(1, _BATCH_ELEMENTS // (block[0] * block[1])))
+    batches = [paths[i:i + size] for i in range(0, len(paths), size)]
+
+    def work(run: list) -> list:
+        # One Philox per worker (state assignment is not thread-safe), re-keyed
+        # per path to the state PathEnsemble.generator(m) starts from: key
+        # (seed, m), counter 0, empty buffer.  Building a generator per path
+        # would also pay for an entropy-seeded SeedSequence it then discards.
+        key = np.array([ensemble.seed, 0], dtype=np.uint64)
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        bitgen = Philox(key=key)
+        rng = Generator(bitgen)
+        z = np.empty((size,) + block)
+        out = []
+        for batch in run:
+            for k, m in enumerate(batch):
+                key[1] = m
+                bitgen.state = state
+                rng.standard_normal(out=z[k])
+            out.append(sampler(z[:len(batch)]))
+        return out
+
+    if threads <= 1:
+        parts = work(batches)
+    else:
+        n = -(-len(batches) // threads)
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            runs = ex.map(work, [batches[i:i + n] for i in range(0, len(batches), n)])
+            parts = [part for run in runs for part in run]
+    return np.concatenate(parts, axis=-1).reshape(-1, len(paths))
+
+
+def _bridge_midpoints(z: np.ndarray, sq: float) -> np.ndarray:
+    """Grid-midpoint path values from (2N, d) normal blocks: increments / sq, then bridge noise."""
+    n = z.shape[1] // 2
+    inc = sq * z[:, :n]
+    return np.cumsum(inc, axis=1) - 0.5 * inc + (0.5 * sq) * z[:, n:]
+
 
 class _SingleSampler:
-    def __init__(self, spec: ActionSpec, steps: int):
+    """Midpoint-rule single action, one output row per starting offset."""
+
+    def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
         dt = spec.T / steps
-        self.dt = dt
+        self.rows = 2 * steps
         self.sq = math.sqrt(dt)
-        self.steps = steps
-        self.dim = spec.d
-        tmid = (np.arange(steps) + 0.5) * dt
-        self.fw = np.asarray(evaluate(spec.f, tmid), dtype=float) * dt
+        self.fw = np.asarray(evaluate(spec.f, (np.arange(steps) + 0.5) * dt), dtype=float) * dt
         self.eps2 = spec.epsilon ** 2
         self.theta = spec.theta
-        self.offset = spec.offset
+        self.offsets = offsets
 
-    def draw_mids(self, rng: Generator) -> np.ndarray:
-        inc = self.sq * rng.standard_normal((self.steps, self.dim))
-        bridge = rng.standard_normal((self.steps, self.dim))
-        x = np.cumsum(inc, axis=0)
-        return x - 0.5 * inc + (0.5 * self.sq) * bridge
-
-    def eval_mids(self, mids: np.ndarray, offset: float) -> float:
-        r2 = np.einsum("ij,ij->i", mids, mids)
-        if offset != 0.0:
-            r2 = r2 + 2.0 * offset * mids[:, 0] + offset * offset
-        r2 = r2 + self.eps2
-        with np.errstate(divide="ignore"):
-            vals = r2 ** (-self.theta / 2.0)
-        return float(np.dot(self.fw, vals))
-
-    def __call__(self, rng: Generator) -> float:
-        return self.eval_mids(self.draw_mids(rng), self.offset)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        mids = _bridge_midpoints(z, self.sq)
+        r2 = np.einsum("bij,bij->bi", mids, mids)
+        out = np.empty((len(self.offsets), len(z)))
+        for row, offset in zip(out, self.offsets):
+            r2o = r2 if offset == 0.0 else r2 + 2.0 * offset * mids[:, :, 0] + offset * offset
+            with np.errstate(divide="ignore"):
+                vals = (r2o + self.eps2) ** (-self.theta / 2.0)
+            # one dot per path: a batched product would sum in another order
+            row[:] = [np.dot(self.fw, v) for v in vals]
+        return out
 
 
 class _PairSampler:
@@ -194,20 +243,16 @@ class _PairSampler:
     def __init__(self, spec: ActionSpec, steps: int):
         dt = spec.T / steps
         self.sq = math.sqrt(dt)
-        self.steps = steps
-        self.dim = spec.d
+        parts = 1 if spec.kind == "self_double" else 2
+        self.rows, self.block = parts * steps, (parts, steps, spec.d)
         self.kind = spec.kind
         self.theta = spec.theta
         self.eps2 = spec.epsilon ** 2
         self.offset = spec.offset
         self.iu, self.ju = np.tril_indices(steps, -1)
-        gaps = (self.iu - self.ju) * dt
-        base = np.asarray(evaluate(spec.f, gaps), dtype=float) * dt * dt
+        self.w = np.asarray(evaluate(spec.f, (self.iu - self.ju) * dt), dtype=float) * dt * dt
         if spec.kind == "bipolaron":
-            self.w_self = base
-            self.w_cross = 2.0 * base
-        else:
-            self.w = base
+            self.w_cross = 2.0 * self.w
 
     def _pair_pow(self, diff2: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -222,27 +267,54 @@ class _PairSampler:
     def _cross_distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d = x[self.iu] - y[self.ju]
         if self.offset != 0.0:
-            d = d.copy()
             d[:, 0] += self.offset
         return np.einsum("ij,ij->i", d, d)
 
-    def __call__(self, rng: Generator) -> float:
-        x = np.cumsum(self.sq * rng.standard_normal((self.steps, self.dim)), axis=0)
+    def _action(self, x: np.ndarray, y: np.ndarray = None) -> float:
         if self.kind == "self_double":
             return float(np.dot(self.w, self._pair_pow(self._self_distances(x))))
-        y = np.cumsum(self.sq * rng.standard_normal((self.steps, self.dim)), axis=0)
         if self.kind == "cross_double":
             return float(np.dot(self.w, self._pair_pow(self._cross_distances(x, y))))
         # bipolaron: cross term plus both self terms, shared coupling profile
         total = float(np.dot(self.w_cross, self._pair_pow(self._cross_distances(x, y))))
-        total += float(np.dot(self.w_self, self._pair_pow(self._self_distances(x))))
-        total += float(np.dot(self.w_self, self._pair_pow(self._self_distances(y))))
+        total += float(np.dot(self.w, self._pair_pow(self._self_distances(x))))
+        total += float(np.dot(self.w, self._pair_pow(self._self_distances(y))))
         return total
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        # X from a block's first N rows, Y from the next N.  Path by path:
+        # batch-wide node arrays, held between the O(N^2) temporaries,
+        # fragmented the heap and raised peak RSS by 3 MB at N = 1024.
+        return np.array([self._action(*(self.sq * b.reshape(self.block)).cumsum(axis=1)) for b in z])
+
+
+class _AffineSampler:
+    """lam * X_T^(1), capped at ``truncation`` unless it is None."""
+
+    def __init__(self, lam: float, ensemble: PathEnsemble, truncation: float = None):
+        self.rows, self.sq = ensemble.steps, math.sqrt(ensemble.dt)
+        self.lam, self.truncation = lam, truncation
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        x1 = (self.sq * z[:, :, 0]).sum(axis=1)
+        return self.lam * (x1 if self.truncation is None else np.minimum(x1, self.truncation))
+
+
+class _QuadraticSampler:
+    """-(w^2/2) int_0^T X_t^2 dt, midpoint rule with bridge-sampled midpoints."""
+
+    def __init__(self, omega: float, ensemble: PathEnsemble):
+        self.rows, self.sq = 2 * ensemble.steps, math.sqrt(ensemble.dt)
+        self.coeff = -0.5 * omega * omega * ensemble.dt
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        mids = _bridge_midpoints(z, self.sq)
+        return self.coeff * np.sum(mids * mids, axis=(1, 2))
 
 
 def _make_sampler(spec: ActionSpec, steps: int):
     if spec.kind == "single":
-        return _SingleSampler(spec, steps)
+        return _SingleSampler(spec, steps, (spec.offset,))
     return _PairSampler(spec, steps)
 
 
@@ -252,25 +324,7 @@ def sample_action(spec: ActionSpec, ensemble: PathEnsemble, m: int) -> float:
         raise DomainError("spec and ensemble disagree on (T, d)")
     if not 0 <= m < ensemble.paths:
         raise DomainError(f"path index {m} outside ensemble of {ensemble.paths}")
-    sampler = _make_sampler(spec, ensemble.steps)
-    return sampler(ensemble.generator(m))
-
-
-def _fill_actions(sampler, ensemble: PathEnsemble, out: np.ndarray,
-                  threads: int) -> None:
-    M = ensemble.paths
-
-    def work(m0: int, m1: int) -> None:
-        for m in range(m0, m1):
-            out[m] = sampler(ensemble.generator(m))
-
-    if threads <= 1:
-        work(0, M)
-        return
-    chunk = max(64, M // (threads * 8))
-    ranges = [(m0, min(m0 + chunk, M)) for m0 in range(0, M, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        list(ex.map(lambda r: work(*r), ranges))
+    return float(_run(_make_sampler(spec, ensemble.steps), ensemble, paths=range(m, m + 1))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +371,7 @@ def estimate(spec: ActionSpec, paths: int, steps: int, seed: int,
         raise DomainError(f"need at least 16 steps, got {steps}")
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps,
                             horizon=spec.T, dim=spec.d)
-    sampler = _make_sampler(spec, steps)
-    actions = np.empty(paths)
-    _fill_actions(sampler, ensemble, actions, threads)
+    actions = _run(_make_sampler(spec, steps), ensemble, threads)[0]
     return summarize_actions(actions, seed, steps)
 
 
@@ -337,14 +389,7 @@ class MaximalityRow:
     ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "log_mean": self.log_mean,
-            "stderr_log": self.stderr_log,
-            "gap_from_origin": self.gap_from_origin,
-            "gap_stderr": self.gap_stderr,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
@@ -360,33 +405,15 @@ def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
     radii = [float(r) for r in offsets]
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps,
                             horizon=spec.T, dim=spec.d)
-    sampler = _SingleSampler(spec, steps)
     all_r = [0.0] + radii
-    acts = np.empty((len(all_r), paths))
-
-    def work(m0: int, m1: int) -> None:
-        for m in range(m0, m1):
-            mids = sampler.draw_mids(ensemble.generator(m))
-            for k, r in enumerate(all_r):
-                acts[k, m] = sampler.eval_mids(mids, r)
-
-    if threads <= 1:
-        work(0, paths)
-    else:
-        chunk = max(64, paths // (threads * 8))
-        ranges = [(m0, min(m0 + chunk, paths)) for m0 in range(0, paths, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(lambda rg: work(*rg), ranges))
-
+    acts = _run(_SingleSampler(spec, steps, all_r), ensemble, threads)
     ests = [summarize_actions(acts[k], seed, steps) for k in range(len(all_r))]
     B = int(math.isqrt(paths))
     bs = paths // B
     rows = []
     mx = acts.max(axis=1, keepdims=True)
-    logs_b = np.empty((len(all_r), B))
-    for k in range(len(all_r)):
-        w = np.exp(acts[k, : B * bs] - mx[k])
-        logs_b[k] = np.log(w.reshape(B, bs).mean(axis=1)) + mx[k]
+    w = np.exp(acts[:, : B * bs] - mx)
+    logs_b = np.log(w.reshape(len(all_r), B, bs).mean(axis=2)) + mx
     for k, r in enumerate(radii, start=1):
         gaps = logs_b[0] - logs_b[k]
         gap = ests[0].log_mean - ests[k].log_mean
@@ -425,17 +452,8 @@ class MartingaleCheck:
     strictly_below_3se: bool
 
     def as_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "T": self.T,
-            "truncation": self.truncation,
-            "log_mean": self.log_mean,
-            "stderr_log": self.stderr_log,
-            "log_ceiling": self.log_ceiling,
-            "gap": self.gap,
-            "equality_within_3se": self.equality_within_3se,
-            "strictly_below_3se": self.strictly_below_3se,
-        }
+        out = asdict(self)
+        return {"lambda": out.pop("lam"), **out}
 
 
 def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
@@ -447,14 +465,7 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
     strictly below it.
     """
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=d)
-    sq = math.sqrt(ensemble.dt)
-    actions = np.empty(paths)
-    for m in range(paths):
-        inc = sq * ensemble.generator(m).standard_normal((steps, d))
-        x1 = float(inc[:, 0].sum())
-        if truncation is not None:
-            x1 = min(x1, truncation)
-        actions[m] = lam * x1
+    actions = _run(_AffineSampler(lam, ensemble, truncation), ensemble)[0]
     est = summarize_actions(actions, seed, steps)
     ceiling = lam * lam * T / 2.0
     gap = ceiling - est.log_mean

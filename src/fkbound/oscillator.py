@@ -24,14 +24,14 @@ not cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, StepSizeFailure, VerificationError
-from .mc import McEstimate, PathEnsemble, summarize_actions
+from .mc import McEstimate, PathEnsemble, _QuadraticSampler, _run, summarize_actions
 
 __all__ = [
     "OscillatorConfig",
@@ -113,11 +113,7 @@ class OscillatorExpectation:
     residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "closed_form": self.closed_form,
-            "reconstructed": self.reconstructed,
-            "residual": self.residual,
-        }
+        return asdict(self)
 
 
 def _log_cosh(x: float) -> float:
@@ -168,24 +164,17 @@ def mc_crosscheck(cfg: OscillatorConfig, paths: int, steps: int,
     """Monte Carlo estimate of E[exp(S_T)] against the closed form.
 
     One-dimensional paths, midpoint rule with bridge-sampled midpoints
-    (same scheme as the singular single action).  Restricted to w T <= 4,
-    where the exponential moment is comfortably estimable.
+    (same scheme and draw order as the singular single action), run as the
+    quadratic sampler of the batched path engine in ``mc``: bit-identical
+    for given (omega, T, paths, steps, seed) whatever the batch size.
+    Restricted to w T <= 4, where the exponential moment is comfortably
+    estimable.
     """
     w, T = cfg.omega, cfg.T
     if w * T > 4.0:
         raise DomainError(f"crosscheck restricted to omega*T <= 4, got {w * T}")
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=1)
-    dt = ensemble.dt
-    sq = math.sqrt(dt)
-    coeff = -0.5 * w * w * dt
-    actions = np.empty(paths)
-    for m in range(paths):
-        rng = ensemble.generator(m)
-        inc = sq * rng.standard_normal((steps, 1))
-        bridge = rng.standard_normal((steps, 1))
-        x = np.cumsum(inc, axis=0)
-        mids = x - 0.5 * inc + (0.5 * sq) * bridge
-        actions[m] = coeff * float(np.sum(mids * mids))
+    actions = _run(_QuadraticSampler(w, ensemble), ensemble)[0]
     est = summarize_actions(actions, seed, steps)
     closed = -0.5 * _log_cosh(w * T)
     return OscillatorMcReport(estimate=est, closed_form=closed,

@@ -104,6 +104,16 @@ def test_simulate_missing_model_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [["--epsilon", "nan"], ["--offset", "inf"], ["--T", "inf"]])
+def test_simulate_non_finite_input_exit_2(extra, capsys):
+    code, out, err = run_cli(["simulate", "--model", "hydrogen", "--alpha", "0.5",
+                              "--T", "1", "--paths", "100", "--steps", "16",
+                              "--seed", "1", *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_model_show_energy(capsys):
     code, out, _ = run_cli(["model", "--name", "polaron", "--alpha", "1.0", "show"],
                            capsys)

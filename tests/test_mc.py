@@ -49,6 +49,39 @@ def test_increment_moments():
     assert abs(total.var() - 1.0) <= 0.01
 
 
+class _RawBlocks:
+    """Engine sampler that returns each path's drawn (5, 3) block, flattened."""
+
+    rows = 5
+
+    def __call__(self, z):
+        return z.reshape(len(z), -1).T.copy()
+
+
+@pytest.mark.parametrize("seed", [0, 77, 2 ** 64 - 1])
+def test_engine_stream_equals_path_generator(seed, monkeypatch):
+    # 15 normals per path leave the previous path's Philox buffer part used,
+    # so every path after the first in a batch checks the re-keying
+    ens = mc.PathEnsemble(seed=seed, paths=40, steps=5, horizon=1.0, dim=3)
+    expected = np.stack([ens.generator(m).standard_normal((5, 3)).ravel()
+                         for m in range(40)], axis=1)
+    for batch in (40, 7):  # one batch; six batches, split over three workers
+        monkeypatch.setattr(mc, "_BATCH_ELEMENTS", batch * 15)
+        for threads in (1, 3):
+            assert np.array_equal(mc._run(_RawBlocks(), ens, threads), expected)
+    for m in (0, 1, 17, 39):
+        single = mc._run(_RawBlocks(), ens, paths=range(m, m + 1))
+        assert np.array_equal(single[:, 0], expected[:, m])
+
+
+@pytest.mark.parametrize("kind", ["single", "self_double", "cross_double", "bipolaron"])
+def test_sample_action_agrees_with_estimate(kind):
+    spec = mc.ActionSpec(kind, ExpDecay(0.4, 1.0), 1.0, 3, 1.0, offset=0.2, epsilon=0.01)
+    ens = mc.PathEnsemble(seed=5, paths=100, steps=16, horizon=1.0, dim=3)
+    actions = [mc.sample_action(spec, ens, m) for m in range(100)]
+    assert mc.summarize_actions(actions, 5, 16) == mc.estimate(spec, 100, 16, 5)
+
+
 # ---------------------------------------------------------------------------
 # action values
 # ---------------------------------------------------------------------------
@@ -124,6 +157,20 @@ def test_infinite_path_flagged_not_clamped():
 def test_sample_jensen_holds_exactly():
     est = mc.estimate(hydrogen_spec(), 500, 64, 21)
     assert est.action_mean <= est.log_mean + 1e-12
+
+
+@pytest.mark.parametrize("field", ["T", "offset", "epsilon"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_action_spec_rejects_non_finite_inputs(field, value):
+    kw = {"T": 1.0, "offset": 0.0, "epsilon": 0.0, field: value}
+    with pytest.raises(DomainError):
+        mc.ActionSpec("single", Constant(0.5), 1.0, 3, **kw)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf])
+def test_path_ensemble_rejects_non_finite_horizon(horizon):
+    with pytest.raises(DomainError):
+        mc.PathEnsemble(seed=1, paths=10, steps=16, horizon=horizon, dim=3)
 
 
 def test_estimate_budget_floor():
@@ -221,3 +268,101 @@ def test_ladder_allowance_recovers_sqrt_dt_bias():
 def test_fit_discretization_allowance_conservative():
     c = mc.fit_discretization_allowance({128: 0.02, 256: 0.015}, T=1.0, exponent=0.5)
     assert c >= 0.015 / (1 / 256) ** 0.5
+
+
+# ---------------------------------------------------------------------------
+# draw-order contract: golden values
+# ---------------------------------------------------------------------------
+
+# Small budgets over every sampler kind and every structured check.  Path
+# counts are not multiples of the engine's batch size, one case uses the
+# largest seed, and one runs with worker threads.  The values pin the
+# documented draw order: any change to it, or to the arithmetic order of an
+# action, shows up here as a changed bit pattern.
+def _golden_cases():
+    from fkbound import oscillator
+
+    f = ExpDecay(0.4, 1.0)
+    yield "single", mc.estimate(hydrogen_spec(), 300, 64, 5)
+    yield "single_offset_eps", mc.estimate(
+        mc.ActionSpec("single", f, 1.3, 2, 0.7, offset=0.3, epsilon=0.05), 257, 100, 6)
+    yield "single_max_seed", mc.estimate(hydrogen_spec(), 123, 16, 2 ** 64 - 1)
+    yield "single_threads", mc.estimate(hydrogen_spec(), 211, 128, 8, threads=3)
+    yield "self_double", mc.estimate(mc.ActionSpec("self_double", f, 1.0, 3, 1.0), 101, 48, 7)
+    yield "cross_double", mc.estimate(
+        mc.ActionSpec("cross_double", f, 1.0, 3, 1.0, offset=0.5), 100, 32, 8)
+    yield "bipolaron", mc.estimate(mc.ActionSpec("bipolaron", f, 1.0, 3, 1.0), 103, 16, 9)
+    for row in mc.maximality_check(hydrogen_spec(epsilon=0.1), [0.5, 1.0], 250, 32, 10):
+        yield f"maximality_{row.radius}", row
+    yield "martingale_equality", mc.martingale_lemma_check(1.0, 1.0, 3, 300, 16, 11)
+    yield "martingale_truncated", mc.martingale_lemma_check(
+        1.0, 1.0, 3, 300, 16, 11, truncation=0.0)
+    yield "oscillator", oscillator.mc_crosscheck(
+        oscillator.OscillatorConfig(1.0, 2.0), paths=199, steps=128, seed=12)
+
+
+def _fingerprint(result) -> list:
+    return [float(v).hex() for v in result.as_dict().values() if isinstance(v, float)]
+
+
+GOLDEN = {
+    'single': [
+        '0x1.9892fbe5a5c90p-1', '0x1.5a25fe6cfc27cp-6', '0x1.899ed37651e48p-1',
+        '0x1.b7d0384feca77p-7',
+    ],
+    'single_offset_eps': [
+        '0x1.63194da4ff908p-1', '0x1.5239233008e2ap-6', '0x1.40e2b229f2aebp-1',
+        '0x1.647600cbd466dp-6',
+    ],
+    'single_max_seed': [
+        '0x1.8c578bbef18eap-1', '0x1.316c8329b34b6p-5', '0x1.77f6efaabbcf0p-1',
+        '0x1.8a6d3a1b8864ap-6',
+    ],
+    'single_threads': [
+        '0x1.86e541bb2ef41p-1', '0x1.1050f4e08fbf9p-6', '0x1.7962ecc9064eep-1',
+        '0x1.f149922c2c2f5p-7',
+    ],
+    'self_double': [
+        '0x1.27dc81d518e00p-2', '0x1.353904360c53bp-8', '0x1.26e18c218f3a8p-2',
+        '0x1.1cffafaa9a79cp-8',
+    ],
+    'cross_double': [
+        '0x1.d3a8a96490b90p-4', '0x1.1484da968e9acp-8', '0x1.cf27992925a1fp-4',
+        '0x1.3162eedc268a2p-8',
+    ],
+    'bipolaron': [
+        '0x1.7239cd5338d22p-1', '0x1.9f6bfe49b9b85p-7', '0x1.6ebae70770f8fp-1',
+        '0x1.78e0deee03f10p-7',
+    ],
+    'maximality_0.0': [
+        '0x0.0p+0', '0x1.746d5cdf64542p-1', '0x1.023d5ffd3c163p-6',
+        '0x0.0p+0', '0x0.0p+0',
+    ],
+    'maximality_0.5': [
+        '0x1.0000000000000p-1', '0x1.33eba508c51fcp-1', '0x1.62fa12bcc99fcp-7',
+        '0x1.0206df5a7cd18p-3', '0x1.e0c88fd787c88p-7',
+    ],
+    'maximality_1.0': [
+        '0x1.0000000000000p+0', '0x1.c9cbb450dab58p-2', '0x1.326a3d12761e5p-7',
+        '0x1.1f0f056dedf2cp-2', '0x1.2b2eea9293221p-6',
+    ],
+    'martingale_equality': [
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', 'nan',
+        '0x1.6c9c3ce3fc8d8p-2', '0x1.466e8c2abf3a1p-4', '0x1.0000000000000p-1',
+        '0x1.26c7863806e50p-3',
+    ],
+    'martingale_truncated': [
+        '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
+        '-0x1.2b6ba274a0515p-2', '0x1.57ebd4af7bb7bp-6', '0x1.0000000000000p-1',
+        '0x1.95b5d13a5028ap-1',
+    ],
+    'oscillator': [
+        '-0x1.6c46dbc4f779dp-1', '0x1.9a24f3ddeef44p-5', '-0x1.1362acca6afffp+0',
+        '0x1.4a575e1bdebe9p-4', '-0x1.5333614b031e2p-1', '-0x1.9137a79f45bb0p-5',
+    ],
+}
+
+
+def test_draw_order_golden_values():
+    got = {name: _fingerprint(res) for name, res in _golden_cases()}
+    assert got == GOLDEN
