@@ -25,19 +25,9 @@ from typing import Sequence
 
 from scipy.special import gammaln
 
-from . import schedule
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import SLOPE_REL
 from .errors import DomainError, NoLinearSlope, VerificationError
-from .schedule import (
-    Constant,
-    CouplingFunction,
-    ExpDecay,
-    Indicator,
-    envelope,
-    is_zero,
-    iterated_norm,
-    norm,
-)
+from .schedule import CouplingFunction, envelope, is_zero, iterated_norm, norm
 
 __all__ = [
     "BoundParams",
@@ -187,7 +177,7 @@ def _zero_report(params: BoundParams, theorem: str) -> BoundReport:
     return BoundReport(0.0, (), params, theorem, branch, zero_coupling=True)
 
 
-def _t1_terms(f_env, params, branch, tolerances) -> list:
+def _t1_terms(f_env, params, branch) -> list:
     theta, d, T = params.theta, params.d, params.T
     co = coefficients(theta, d)
     s = 2.0 - theta
@@ -218,20 +208,20 @@ def _t1_terms(f_env, params, branch, tolerances) -> list:
     ]
 
 
-def _t2_terms(f_env, params, branch, tolerances) -> list:
+def _t2_terms(f_env, params, branch) -> list:
     theta, d, T = params.theta, params.d, params.T
     co = coefficients(theta, d)
     s = 2.0 - theta
     if branch == "theta_geq_1":
-        i1 = iterated_norm(f_env, T, 1.0, 0.0, 2.0 / s, tolerances)
-        i2 = iterated_norm(f_env, T, 1.0, theta / 2.0, 1.0, tolerances)
+        i1 = iterated_norm(f_env, T, 1.0, 0.0, 2.0 / s)
+        i2 = iterated_norm(f_env, T, 1.0, theta / 2.0, 1.0)
         return [
             BoundTerm("A int |f|_{1,t}^(2/(2-theta)) dt", co.A, i1, 1.0),
             BoundTerm("B int |f/s^(theta/2)|_{1,t} dt", co.B, i2, 1.0),
         ]
-    j1 = iterated_norm(f_env, T, 1.0, 0.0, 1.0, tolerances)
-    j2 = iterated_norm(f_env, T, 1.0, 0.0, 2.0, tolerances)
-    j3 = iterated_norm(f_env, T, 1.0, 0.5, 1.0, tolerances)
+    j1 = iterated_norm(f_env, T, 1.0, 0.0, 1.0)
+    j2 = iterated_norm(f_env, T, 1.0, 0.0, 2.0)
+    j3 = iterated_norm(f_env, T, 1.0, 0.5, 1.0)
     return [
         BoundTerm(
             "C (int |f|_{1,t})^((2-2theta)/(2-theta)) (int |f|_{1,t}^2)^(theta/(2-theta))",
@@ -248,7 +238,7 @@ def _t2_terms(f_env, params, branch, tolerances) -> list:
     ]
 
 
-def _t3_terms(f, params, branch, tolerances) -> list:
+def _t3_terms(f, params, branch) -> list:
     # the two-path bound uses f itself, not its envelope
     theta, d, T = params.theta, params.d, params.T
     co = coefficients(theta, d)
@@ -271,8 +261,7 @@ def _t3_terms(f, params, branch, tolerances) -> list:
     ]
 
 
-def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams,
-              tolerances: Tolerances) -> BoundReport:
+def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundReport:
     if is_zero(f):
         return _zero_report(params, theorem)
     if params.T == 0.0:
@@ -286,12 +275,12 @@ def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams,
         term_fn = _t1_terms if theorem == "T1" else _t2_terms
     theta = params.theta
     if theta > 1.0:
-        return _report(term_fn(g, params, "theta_geq_1", tolerances), params, theorem, "theta_geq_1")
+        return _report(term_fn(g, params, "theta_geq_1"), params, theorem, "theta_geq_1")
     if theta < 1.0:
-        return _report(term_fn(g, params, "theta_leq_1", tolerances), params, theorem, "theta_leq_1")
+        return _report(term_fn(g, params, "theta_leq_1"), params, theorem, "theta_leq_1")
     # theta == 1: both branches must agree; report the >= branch
-    hi = _report(term_fn(g, params, "theta_geq_1", tolerances), params, theorem, "theta_geq_1")
-    lo = _report(term_fn(g, params, "theta_leq_1", tolerances), params, theorem, "theta_leq_1")
+    hi = _report(term_fn(g, params, "theta_geq_1"), params, theorem, "theta_geq_1")
+    lo = _report(term_fn(g, params, "theta_leq_1"), params, theorem, "theta_leq_1")
     scale = max(abs(hi.log_bound), abs(lo.log_bound), 1e-300)
     if abs(hi.log_bound - lo.log_bound) > _BRANCH_TOL * scale:
         raise VerificationError(
@@ -300,44 +289,40 @@ def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams,
     return hi
 
 
-def theorem1_bound(f: CouplingFunction, params: BoundParams,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
+def theorem1_bound(f: CouplingFunction, params: BoundParams) -> BoundReport:
     """Log-domain bound for the single-time-integral functional.
 
     The reported value bounds the supremum over starting points; the
     supremum is attained at the origin (checked by Monte Carlo elsewhere,
     not re-derived here).
     """
-    return _evaluate("T1", f, params, tolerances)
+    return _evaluate("T1", f, params)
 
 
-def theorem2_bound(f: CouplingFunction, params: BoundParams,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
+def theorem2_bound(f: CouplingFunction, params: BoundParams) -> BoundReport:
     """Log-domain bound for the self-interaction (double time integral) functional."""
-    return _evaluate("T2", f, params, tolerances)
+    return _evaluate("T2", f, params)
 
 
-def theorem3_bound(f: CouplingFunction, params: BoundParams,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
+def theorem3_bound(f: CouplingFunction, params: BoundParams) -> BoundReport:
     """Log-domain bound for the two-independent-paths functional.
 
     Unlike the other two, this bound consumes f directly (no envelope):
     only its [0, T] mass enters.
     """
-    return _evaluate("T3", f, params, tolerances)
+    return _evaluate("T3", f, params)
 
 
 _THEOREMS = {1: theorem1_bound, 2: theorem2_bound, 3: theorem3_bound}
 
 
-def theorem_bound(theorem: int, f: CouplingFunction, params: BoundParams,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> BoundReport:
+def theorem_bound(theorem: int, f: CouplingFunction, params: BoundParams) -> BoundReport:
     """Dispatch on theorem number 1, 2 or 3."""
     try:
         fn = _THEOREMS[int(theorem)]
     except (KeyError, ValueError):
         raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}") from None
-    return fn(f, params, tolerances)
+    return fn(f, params)
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +344,12 @@ class EnergyBound:
 
 def _mass_limit(f: CouplingFunction) -> float:
     """lim_{T->inf} |f|_{1,T}; infinite for couplings with non-integrable mass."""
-    if is_zero(f):
-        return 0.0
-    if isinstance(f, Constant):
-        return math.inf
-    if isinstance(f, ExpDecay):
-        return f.amplitude / f.rate
-    if isinstance(f, Indicator):
-        return f.height * f.cutoff
-    raise DomainError(f"no closed-form mass limit for {type(f).__name__}")
+    return 0.0 if is_zero(f) else f.mass_limit()
 
 
 def _weighted_limit(f: CouplingFunction, a: float) -> float:
     """lim_{T->inf} |f(t)/t^a|_{1,T} for the analytic non-increasing variants."""
-    if is_zero(f):
-        return 0.0
-    if isinstance(f, Constant):
-        return math.inf
-    if isinstance(f, ExpDecay):
-        return f.amplitude * math.exp(gammaln(1.0 - a)) * f.rate ** (a - 1.0)
-    if isinstance(f, Indicator):
-        return f.height * f.cutoff ** (1.0 - a) / (1.0 - a)
-    raise DomainError(f"no closed-form weighted limit for {type(f).__name__}")
+    return 0.0 if is_zero(f) else f.weighted_limit(a)
 
 
 def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
@@ -388,21 +357,17 @@ def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> f
 
     Available for Constant, ExpDecay and Indicator couplings (after noting
     these equal their own envelopes, except that an increasing coupling is
-    not accepted here).  Raises NoLinearSlope when the bound grows
-    superlinearly (e.g. the self-interaction bound with constant coupling).
+    not accepted here); other variants raise DomainError.  Raises
+    NoLinearSlope when the bound grows superlinearly (e.g. the
+    self-interaction bound with constant coupling).
     """
     co = coefficients(theta, d)
     s = 2.0 - theta
     first_coeff = co.A if theta >= 1.0 else co.C
     if theorem == 1:
-        if not isinstance(f, (Constant, ExpDecay, Indicator)):
-            raise DomainError(f"no analytic slope for {type(f).__name__}")
-        if is_zero(f):
-            return 0.0
-        if isinstance(f, Constant):
-            # weighted second term grows like T^(1-theta/2): sublinear
-            return first_coeff * f.level ** (2.0 / s)
-        return 0.0  # integrable coupling saturates the single-integral bound
+        # the weighted second term grows like T^(1-theta/2): sublinear; an
+        # integrable coupling saturates the single-integral bound
+        return first_coeff * f.mean_power_limit(2.0 / s)
     if theorem == 2:
         L = _mass_limit(f)
         if math.isinf(L):
@@ -424,35 +389,33 @@ def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> f
 
 
 def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int,
-                 T0: float = 4.0, rel_tol: float = None,
-                 max_doublings: int = 18,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+                 max_doublings: int = 18) -> float:
     """Slope of log_bound(T) in T by a doubling difference quotient.
 
     (log_bound(2T) - log_bound(T)) / T cancels additive constants and
-    halves the sqrt(T) contamination each doubling; the ladder stops when
-    two successive quotients agree to rel_tol.
+    halves the sqrt(T) contamination each doubling; the ladder starts at
+    T = 4, evaluates each rung's bound once and stops when two successive
+    quotients agree to SLOPE_REL.
     """
-    if rel_tol is None:
-        rel_tol = tolerances.slope_rel
-
     def lb(T):
-        return theorem_bound(theorem, f, BoundParams(theta, d, T), tolerances).log_bound
+        return theorem_bound(theorem, f, BoundParams(theta, d, T)).log_bound
 
-    T = T0
+    T = 4.0
+    low = lb(T)
     prev = None
     for _ in range(max_doublings):
-        quot = (lb(2.0 * T) - lb(T)) / T
+        high = lb(2.0 * T)
+        quot = (high - low) / T
         if prev is not None:
             scale = max(abs(quot), abs(prev), 1.0)
-            if abs(quot - prev) <= rel_tol * scale:
+            if abs(quot - prev) <= SLOPE_REL * scale:
                 return quot
         if abs(quot) > 1e12:
             raise NoLinearSlope("difference quotients diverge along the T ladder")
-        prev = quot
+        prev, low = quot, high
         T *= 2.0
     raise NoLinearSlope(
-        f"difference quotient did not settle to {rel_tol} within {max_doublings} doublings"
+        f"difference quotient did not settle to {SLOPE_REL} within {max_doublings} doublings"
     )
 
 

@@ -54,11 +54,15 @@ def _load_coupling(text: str):
     if text.endswith(".csv"):
         grid, values = [], []
         with open(text, newline="") as fh:
-            for row in csv.reader(fh):
+            for line, row in enumerate(csv.reader(fh), 1):
                 if not row or row[0].lstrip().startswith("#"):
                     continue
-                grid.append(float(row[0]))
-                values.append(float(row[1]))
+                try:
+                    grid.append(float(row[0]))
+                    values.append(float(row[1]))
+                except (IndexError, ValueError):
+                    raise DomainError(
+                        f"{text} row {line}: expected 't,value', got {row!r}") from None
         return Tabulated(tuple(grid), tuple(values))
     with open(text) as fh:
         return coupling_from_dict(json.load(fh))

@@ -1,29 +1,19 @@
 """Package-wide numerical constants.
 
-The tolerances are deliberately fixed so that bound audits reproduce digit
-for digit; override per call via the ``tolerances`` keyword the consuming
-functions expose, or globally by replacing :data:`DEFAULT_TOLERANCES`.
+The tolerances are deliberately fixed module constants, so that bound audits
+reproduce digit for digit; no function takes a tolerance argument.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Quadrature and extrapolation targets used throughout the package."""
-
-    quad_abs: float = 1e-10     # inner (single) quadratures, absolute
-    quad_rel: float = 1e-8      # iterated/outer quadratures, relative
-    slope_rel: float = 1e-6     # T-ladder slope extrapolation
-    ode_residual: float = 1e-8  # integral-equation residual for the ODE solver
-
-
-DEFAULT_TOLERANCES = Tolerances()
+QUAD_ABS = 1e-10      # inner (single) quadratures, absolute
+QUAD_REL = 1e-8       # iterated/outer quadratures, relative
+SLOPE_REL = 1e-6      # T-ladder slope extrapolation
+ODE_RESIDUAL = 1e-8   # integral-equation residual for the ODE solver
 
 
 def sharp_hls_constant(d: int, theta: float) -> float:
@@ -36,9 +26,7 @@ def sharp_hls_constant(d: int, theta: float) -> float:
         pi^(theta/2) * Gamma(d/2 - theta/2) / Gamma(d - theta/2)
                      * (Gamma(d/2) / Gamma(d))^(theta/d - 1).
 
-    Used as the default config value where a cross-pair expectation is
-    reported as an HLS upper bound; callers may override with any
-    conservative constant of their choosing.
+    Used where a cross-pair expectation is reported as an HLS upper bound.
     """
     if not 0 < theta < d:
         raise ValueError(f"HLS constant needs 0 < theta < d, got theta={theta}, d={d}")

@@ -30,19 +30,9 @@ from scipy import integrate
 from scipy.special import gammaincc, gammaln, hyp2f1, kv
 
 from .bounds import BoundParams
-from .config import DEFAULT_TOLERANCES, Tolerances, sharp_hls_constant
+from .config import QUAD_ABS, QUAD_REL, sharp_hls_constant
 from .errors import DomainError, QuadratureFailure
-from .schedule import (
-    Constant,
-    CouplingFunction,
-    ExpDecay,
-    Indicator,
-    Tabulated,
-    evaluate,
-    is_zero,
-    iterated_norm,
-    norm,
-)
+from .schedule import CouplingFunction, evaluate, is_zero, iterated_norm, norm
 
 __all__ = [
     "ConvolutionCoefficient",
@@ -103,8 +93,7 @@ def expectation_constant(theta: float, d: int) -> float:
 # subordination identity
 # ---------------------------------------------------------------------------
 
-def subordination_check(theta: float, r: float, d: int,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def subordination_check(theta: float, r: float, d: int) -> float:
     """Relative residual of the identity
 
         1/r^theta = (2 pi)^(d/2) / (2^(theta/2) Gamma(theta/2))
@@ -125,12 +114,11 @@ def subordination_check(theta: float, r: float, d: int,
         return pref * math.exp(log_val) if log_val > -745.0 else 0.0
 
     i_head, e_head = integrate.quad(head, 0.0, r * r,
-                                    epsabs=tolerances.quad_abs, epsrel=tolerances.quad_rel,
-                                    limit=200)
+                                    epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)
     # tail: int_{r^2}^inf -> (2 pi)^(-d/2) 2^(theta/2) r^-theta int_0^(1/2) u^(theta/2-1) e^-u du
     i_tail, e_tail = integrate.quad(lambda u: math.exp(-u), 0.0, 0.5,
                                     weight="alg", wvar=(theta / 2.0 - 1.0, 0.0),
-                                    epsabs=tolerances.quad_abs, limit=200)
+                                    epsabs=QUAD_ABS, limit=200)
     i_tail *= pref * 2.0 ** (theta / 2.0) * r ** (-theta)
     rhs = (2.0 * math.pi) ** (d / 2.0) / (2.0 ** (theta / 2.0) * math.exp(gammaln(theta / 2.0)))
     rhs *= i_head + i_tail
@@ -264,8 +252,7 @@ def _inner_over_gamma(h: Weight, theta: float, x2: float) -> Callable[[float], f
     raise DomainError(f"unknown weight variant {type(h).__name__}")
 
 
-def convolution_coefficient(theta: float, r: float, h: Weight, d: int,
-                            tolerances: Tolerances = DEFAULT_TOLERANCES) -> ConvolutionCoefficient:
+def convolution_coefficient(theta: float, r: float, h: Weight, d: int) -> ConvolutionCoefficient:
     """Coefficient a(theta, r, h) of the smoothed singular gradient.
 
     Defined through
@@ -291,19 +278,17 @@ def convolution_coefficient(theta: float, r: float, h: Weight, d: int,
     if isinstance(h, One):
         value = h.amplitude * 2.0 / (theta * (d - theta))
         return ConvolutionCoefficient(theta, r, d, value, bound)
-    value = _quadrature_value(theta, r, h, d, tolerances)
+    value = _quadrature_value(theta, r, h, d)
     return ConvolutionCoefficient(theta, r, d, value, bound)
 
 
-def _quadrature_value(theta: float, r: float, h: Weight, d: int,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def _quadrature_value(theta: float, r: float, h: Weight, d: int) -> float:
     """Quadrature path for a(theta, r, h); also the cross-check for h = One."""
     g = _inner_over_gamma(h, theta, r * r)
     gamma_exp = (d - theta - 2.0) / 2.0
     val, err = integrate.quad(g, 0.0, 1.0,
                               weight="alg", wvar=(0.0, gamma_exp),
-                              epsabs=tolerances.quad_abs, epsrel=tolerances.quad_rel,
-                              limit=200)
+                              epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)
     if err > 1e-6 * max(1.0, abs(val)):
         raise QuadratureFailure(f"convolution coefficient error estimate {err:.3e} too large")
     return val
@@ -325,9 +310,7 @@ class ExpectationFormula:
 
 
 def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
-                    offset_radius: float = 0.0,
-                    c_hls: float = None,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> ExpectationFormula:
+                    offset_radius: float = 0.0) -> ExpectationFormula:
     """Closed-form expectation of the action over Brownian paths.
 
     single:      K |f(t)/t^(theta/2)|_{1,T}; exact when the path starts at
@@ -336,7 +319,7 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
                  the starting point.
     cross_double: no exact display is exposed; returns the
                  Hardy-Littlewood-Sobolev upper bound with the sharp
-                 constant by default (override via c_hls).
+                 constant.
     """
     theta, d, T = params.theta, params.d, params.T
     K = expectation_constant(theta, d)
@@ -351,14 +334,13 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
             note="upper bound away from the origin" if up else "exact at the origin",
         )
     if kind == "self_double":
-        val = K * iterated_norm(f, T, 1.0, theta / 2.0, 1.0, tolerances)
+        val = K * iterated_norm(f, T, 1.0, theta / 2.0, 1.0)
         return ExpectationFormula(kind, K, val, note="exact")
     if kind == "cross_double":
-        if c_hls is None:
-            c_hls = sharp_hls_constant(d, theta)
+        hls = sharp_hls_constant(d, theta)
         p = 2.0 * d / (2.0 * d - theta)
         q = 2.0 * d / theta
-        pref = c_hls * p ** (-d / p) * (2.0 * math.pi) ** (-d / q)
+        pref = hls * p ** (-d / p) * (2.0 * math.pi) ** (-d / q)
         a = theta / 4.0  # = d/(2q)
 
         def outer(u: float) -> float:
@@ -374,14 +356,14 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
             )
             return float(evaluate(f, u)) * inner
 
-        pts = [f.cutoff] if isinstance(f, Indicator) and f.cutoff < T else None
-        val, err = integrate.quad(outer, 0.0, T, points=pts,
-                                  epsabs=tolerances.quad_abs, epsrel=tolerances.quad_rel,
-                                  limit=200)
+        # a table's cell edges stay out of these points, as they always have;
+        # passing them is an open accuracy fix (ROADMAP)
+        val, err = integrate.quad(outer, 0.0, T, points=f.breakpoints(T, cells=False) or None,
+                                  epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)
         return ExpectationFormula(
             kind, K, pref * val,
             is_upper_bound=True,
-            note=f"HLS upper bound, constant {c_hls:.6g}",
+            note=f"HLS upper bound, constant {hls:.6g}",
         )
     raise DomainError(f"unknown action kind {kind!r}")
 
@@ -391,13 +373,8 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
 # ---------------------------------------------------------------------------
 
 def _require_non_increasing(f: CouplingFunction) -> None:
-    if isinstance(f, (Constant, ExpDecay, Indicator)):
-        return
-    if isinstance(f, Tabulated):
-        if all(b <= a for a, b in zip(f.values, f.values[1:])):
-            return
+    if not f.non_increasing():
         raise DomainError("coupling must be non-increasing; apply the envelope first")
-    raise DomainError("coupling must be non-increasing; apply the envelope first")
 
 
 def stochastic_derivative_bound(f: CouplingFunction, theta: float, d: int,
@@ -417,8 +394,7 @@ def stochastic_derivative_bound(f: CouplingFunction, theta: float, d: int,
 
 
 def conditioned_derivative_magnitude(f: CouplingFunction, theta: float, d: int,
-                                     u: float, x_radius: float, T: float,
-                                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+                                     u: float, x_radius: float, T: float) -> float:
     """|conditioned derivative| computed directly, theta |a| |z|^(1-theta),
     with the weight h carrying the shifted coupling profile f(. + u) on
     [0, T - u].  Companion to :func:`stochastic_derivative_bound`; the
@@ -429,19 +405,14 @@ def conditioned_derivative_magnitude(f: CouplingFunction, theta: float, d: int,
     if not 0.0 <= u < T:
         raise DomainError(f"need 0 <= u < T, got u={u}, T={T}")
     _require_non_increasing(f)
-    length = T - u
-    if isinstance(f, Constant):
-        h: Weight = IndicatorWeight(length=length, amplitude=f.level)
-    elif isinstance(f, ExpDecay):
-        h = _ProfileWeight(amplitude=f.amplitude * math.exp(-f.rate * u),
-                           rate=f.rate, length=length)
-    elif isinstance(f, Indicator):
-        if u >= f.cutoff:
-            return 0.0
-        h = IndicatorWeight(length=min(length, f.cutoff - u), amplitude=f.height)
+    amplitude, rate, length = f.shifted_profile(u, T)
+    if length <= 0.0:
+        return 0.0
+    if rate == 0.0:
+        h: Weight = IndicatorWeight(length=length, amplitude=amplitude)
     else:
-        raise DomainError(f"no profile weight for {type(f).__name__}")
-    a = convolution_coefficient(theta, x_radius, h, d, tolerances)
+        h = _ProfileWeight(amplitude=amplitude, rate=rate, length=length)
+    a = convolution_coefficient(theta, x_radius, h, d)
     return theta * abs(a.value) * x_radius ** (1.0 - theta)
 
 

@@ -72,6 +72,10 @@ class PathEnsemble:
     dim: int
 
     def __post_init__(self):
+        for name in ("seed", "paths", "steps", "dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"ensemble {name} must be an integer, got {value!r}")
         if self.paths < 1 or self.steps < 1:
             raise DomainError("ensemble needs at least one path and one step")
         if not 0 < self.horizon < math.inf:

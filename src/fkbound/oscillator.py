@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import ODE_RESIDUAL
 from .errors import DomainError, StepSizeFailure, VerificationError
 from .mc import McEstimate, PathEnsemble, _QuadraticSampler, _run, summarize_actions
 
@@ -68,8 +68,7 @@ class RiccatiSolution:
         return omega * np.tanh(omega * (self.nodes - T))
 
 
-def solve_riccati(cfg: OscillatorConfig,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> RiccatiSolution:
+def solve_riccati(cfg: OscillatorConfig) -> RiccatiSolution:
     """Backward RK4 integration of r' = w^2 - r^2 from r(T) = 0.
 
     Refines the grid until the residual of the integral equation
@@ -97,11 +96,11 @@ def solve_riccati(cfg: OscillatorConfig,
         cum = np.concatenate([[0.0], cumulative_simpson(r * r, x=s)])
         tail = cum[-1] - cum
         residual = float(np.abs(-w * w * (T - s) - (r - tail)).max())
-        if residual <= tolerances.ode_residual:
+        if residual <= ODE_RESIDUAL:
             return RiccatiSolution(nodes=s, values=r, residual=residual)
         n *= 2
     raise StepSizeFailure(
-        f"integral-equation residual {residual:.3e} above {tolerances.ode_residual} "
+        f"integral-equation residual {residual:.3e} above {ODE_RESIDUAL} "
         f"at maximum refinement"
     )
 
@@ -122,8 +121,7 @@ def _log_cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax)) - math.log(2.0)
 
 
-def log_expectation(cfg: OscillatorConfig,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> OscillatorExpectation:
+def log_expectation(cfg: OscillatorConfig) -> OscillatorExpectation:
     """ln E[exp(S_T)] by closed form and by stochastic-integral reconstruction.
 
     The reconstruction uses E[X_s^2] = s for the one-dimensional path.  The
@@ -134,7 +132,7 @@ def log_expectation(cfg: OscillatorConfig,
     closed = -0.5 * _log_cosh(w * T)
     if w == 0.0:
         return OscillatorExpectation(0.0, 0.0, 0.0)
-    sol = solve_riccati(cfg, tolerances)
+    sol = solve_riccati(cfg)
     recon = -w * w * T * T / 4.0 + 0.5 * float(
         simpson(sol.values ** 2 * sol.nodes, x=sol.nodes)
     )

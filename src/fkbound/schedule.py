@@ -3,13 +3,25 @@
 A coupling schedule is a nonnegative measurable weight f(t) multiplying the
 singular interaction.  This module provides
 
-* a small closed-under-envelope family of analytic forms plus a tabulated
-  fallback (:class:`Constant`, :class:`ExpDecay`, :class:`Indicator`,
-  :class:`PowerLaw`, :class:`Tabulated`),
+* one frozen dataclass per JSON ``kind``: a small closed-under-envelope
+  family of analytic forms plus a tabulated fallback (:class:`Constant`,
+  :class:`ExpDecay`, :class:`Indicator`, :class:`PowerLaw`,
+  :class:`Tabulated`),
 * the non-increasing envelope  f_env(t) = sup over s in [t, T] of f(s),
 * L^p norms of f restricted to [0, s], optionally against a t^(-a) weight,
 * iterated time integrals of those norms, as consumed by the double-time
   bounds.
+
+Every per-variant fact is a method of the variant's class; no other module
+branches on the variant.  A new variant derives from ``_Coupling``, names
+its ``kind`` (the key :func:`coupling_from_dict` looks up), rejects
+negative or non-finite fields with DomainError in ``__post_init__``, and
+implements ``at(t)`` (values on a float array), ``is_zero()`` and
+``power_integral(q, b, s)`` (the exact integral of f^q t^(-b) over
+[0, s]).  It overrides the ``_Coupling`` defaults where they do not hold:
+the JSON form, ``majorant(T)`` (the envelope as a coupling),
+``breakpoints``, the large-T limits, ``non_increasing()`` and
+``shifted_profile``.
 
 Tabulated data uses step-left (previous-value) interpolation, so envelopes
 and norms are exact on the representation; no interpolation-order ambiguity
@@ -22,14 +34,14 @@ participates even though it carries no integral mass).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammainc, gammaln
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import QUAD_ABS, QUAD_REL
 from .errors import DomainError, NonIntegrable
 
 __all__ = [
@@ -48,67 +60,219 @@ __all__ = [
     "is_zero",
     "iterated_norm",
     "norm",
-    "sup_norm",
 ]
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise DomainError(message)
 
 
 # ---------------------------------------------------------------------------
 # coupling variants
 # ---------------------------------------------------------------------------
 
+class _Coupling:
+    """Defaults shared by the variants; see the module docstring."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, **{fld.name: getattr(self, fld.name) for fld in fields(self)}}
+
+    @classmethod
+    def from_dict(cls, spec: dict):
+        return cls(*(float(spec[fld.name]) for fld in fields(cls)))
+
+    def majorant(self, T: float):
+        """The non-increasing envelope on [0, T], as a coupling."""
+        return self
+
+    def breakpoints(self, T: float, cells: bool = True) -> list:
+        """Points of (0, T) where f jumps; ``cells=False`` omits a table's cell edges."""
+        return []
+
+    def mean_power_limit(self, q: float) -> float:
+        """lim_{T->inf} |f|_{q,T}^q / T."""
+        raise DomainError(f"no analytic slope for {type(self).__name__}")
+
+    def mass_limit(self) -> float:
+        """lim_{T->inf} |f|_{1,T} of a nonzero coupling."""
+        raise DomainError(f"no closed-form mass limit for {type(self).__name__}")
+
+    def weighted_limit(self, a: float) -> float:
+        """lim_{T->inf} |f(t)/t^a|_{1,T} of a nonzero coupling."""
+        raise DomainError(f"no closed-form weighted limit for {type(self).__name__}")
+
+    def non_increasing(self) -> bool:
+        return True
+
+    def shifted_profile(self, u: float, T: float) -> tuple:
+        """(amplitude, rate, length) with f(u + x) = amplitude * exp(-rate x)
+        for 0 <= x < length <= T - u and zero beyond; length <= 0 means f
+        vanishes after u."""
+        raise DomainError(f"no profile weight for {type(self).__name__}")
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Coupling):
     """f(t) = level."""
 
     level: float
+    kind = "constant"
 
     def __post_init__(self):
-        if not (self.level >= 0):
-            raise DomainError(f"Constant level must be nonnegative, got {self.level}")
+        _require(0 <= self.level < math.inf,
+                 f"Constant level must be finite and nonnegative, got {self.level}")
+
+    def at(self, t):
+        return np.full_like(t, self.level)
+
+    def is_zero(self) -> bool:
+        return self.level == 0.0
+
+    def power_integral(self, q: float, b: float, s: float) -> float:
+        return self.level ** q * s ** (1.0 - b) / (1.0 - b)
+
+    def mean_power_limit(self, q: float) -> float:
+        return self.level ** q
+
+    def mass_limit(self) -> float:
+        return math.inf
+
+    def weighted_limit(self, a: float) -> float:
+        return math.inf
+
+    def shifted_profile(self, u: float, T: float) -> tuple:
+        return self.level, 0.0, T - u
 
 
 @dataclass(frozen=True)
-class ExpDecay:
+class ExpDecay(_Coupling):
     """f(t) = amplitude * exp(-rate * t)."""
 
     amplitude: float
     rate: float
+    kind = "exp_decay"
 
     def __post_init__(self):
-        if not (self.amplitude >= 0):
-            raise DomainError(f"ExpDecay amplitude must be nonnegative, got {self.amplitude}")
-        if not (self.rate > 0):
-            raise DomainError(f"ExpDecay rate must be positive, got {self.rate}")
+        _require(0 <= self.amplitude < math.inf,
+                 f"ExpDecay amplitude must be finite and nonnegative, got {self.amplitude}")
+        _require(0 < self.rate < math.inf,
+                 f"ExpDecay rate must be finite and positive, got {self.rate}")
+
+    def at(self, t):
+        return self.amplitude * np.exp(-self.rate * t)
+
+    def is_zero(self) -> bool:
+        return self.amplitude == 0.0
+
+    def power_integral(self, q: float, b: float, s: float) -> float:
+        if self.amplitude == 0.0:
+            return 0.0
+        # int_0^s e^{-lam t} t^{-b} dt = lam^{b-1} * Gamma(1-b) * P(1-b, lam s)
+        lam = q * self.rate
+        a = 1.0 - b
+        return (
+            self.amplitude ** q
+            * lam ** (b - 1.0)
+            * math.exp(gammaln(a))
+            * float(gammainc(a, lam * s))
+        )
+
+    def mean_power_limit(self, q: float) -> float:
+        return 0.0
+
+    def mass_limit(self) -> float:
+        return self.amplitude / self.rate
+
+    def weighted_limit(self, a: float) -> float:
+        return self.amplitude * math.exp(gammaln(1.0 - a)) * self.rate ** (a - 1.0)
+
+    def shifted_profile(self, u: float, T: float) -> tuple:
+        return self.amplitude * math.exp(-self.rate * u), self.rate, T - u
 
 
 @dataclass(frozen=True)
-class Indicator:
+class Indicator(_Coupling):
     """f(t) = height on [0, cutoff], zero afterwards."""
 
     height: float
     cutoff: float
+    kind = "indicator"
 
     def __post_init__(self):
-        if not (self.height >= 0):
-            raise DomainError(f"Indicator height must be nonnegative, got {self.height}")
-        if not (self.cutoff > 0):
-            raise DomainError(f"Indicator cutoff must be positive, got {self.cutoff}")
+        _require(0 <= self.height < math.inf,
+                 f"Indicator height must be finite and nonnegative, got {self.height}")
+        _require(0 < self.cutoff < math.inf,
+                 f"Indicator cutoff must be finite and positive, got {self.cutoff}")
+
+    def at(self, t):
+        return np.where(t <= self.cutoff, self.height, 0.0)
+
+    def is_zero(self) -> bool:
+        return self.height == 0.0
+
+    def power_integral(self, q: float, b: float, s: float) -> float:
+        u = min(s, self.cutoff)
+        return self.height ** q * u ** (1.0 - b) / (1.0 - b)
+
+    def breakpoints(self, T: float, cells: bool = True) -> list:
+        return [self.cutoff] if self.cutoff < T else []
+
+    def mean_power_limit(self, q: float) -> float:
+        return 0.0
+
+    def mass_limit(self) -> float:
+        return self.height * self.cutoff
+
+    def weighted_limit(self, a: float) -> float:
+        return self.height * self.cutoff ** (1.0 - a) / (1.0 - a)
+
+    def shifted_profile(self, u: float, T: float) -> tuple:
+        return self.height, 0.0, min(T - u, self.cutoff - u)
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Coupling):
     """f(t) = amplitude * t**exponent (exponent may be negative)."""
 
     amplitude: float
     exponent: float
+    kind = "power_law"
 
     def __post_init__(self):
-        if not (self.amplitude >= 0):
-            raise DomainError(f"PowerLaw amplitude must be nonnegative, got {self.amplitude}")
+        _require(0 <= self.amplitude < math.inf,
+                 f"PowerLaw amplitude must be finite and nonnegative, got {self.amplitude}")
+        _require(-math.inf < self.exponent < math.inf,
+                 f"PowerLaw exponent must be finite, got {self.exponent}")
+
+    def at(self, t):
+        with np.errstate(divide="ignore"):
+            return self.amplitude * np.power(t, self.exponent)
+
+    def is_zero(self) -> bool:
+        return self.amplitude == 0.0
+
+    def majorant(self, T: float):
+        # an increasing power flattens to its value at T
+        return self if self.exponent <= 0 else Constant(self.amplitude * T ** self.exponent)
+
+    def power_integral(self, q: float, b: float, s: float) -> float:
+        e = self.exponent * q - b
+        if e <= -1.0:
+            raise NonIntegrable(
+                f"PowerLaw exponent {self.exponent} with p={q}, weight {b} diverges at t=0"
+            )
+        return self.amplitude ** q * s ** (e + 1.0) / (e + 1.0)
+
+    def non_increasing(self) -> bool:
+        # not vouched for: a decreasing power is unbounded at t = 0
+        return False
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(_Coupling):
     """Step-left table: f(t) = values[k] for grid[k] <= t < grid[k+1].
 
     The grid must start at 0 and be strictly increasing; the final grid
@@ -118,118 +282,101 @@ class Tabulated:
 
     grid: tuple
     values: tuple
+    kind = "tabulated"
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.grid)
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if len(grid) < 2 or len(grid) != len(values):
-            raise DomainError("Tabulated needs matching grid/values with at least 2 points")
-        if grid[0] != 0.0:
-            raise DomainError(f"Tabulated grid must start at 0, got {grid[0]}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise DomainError("Tabulated grid must be strictly increasing")
-        if any(v < 0 for v in values):
-            raise DomainError("Tabulated values must be nonnegative")
+        _require(len(grid) >= 2 and len(grid) == len(values),
+                 "Tabulated needs matching grid/values with at least 2 points")
+        _require(grid[0] == 0.0, f"Tabulated grid must start at 0, got {grid[0]}")
+        _require(all(a < b for a, b in zip(grid, grid[1:])) and grid[-1] < math.inf,
+                 "Tabulated grid must be finite and strictly increasing")
+        _require(all(0 <= v < math.inf for v in values),
+                 "Tabulated values must be finite and nonnegative")
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "grid": list(self.grid), "values": list(self.values)}
+
+    @classmethod
+    def from_dict(cls, spec: dict):
+        return cls(tuple(spec["grid"]), tuple(spec["values"]))
+
+    def at(self, t):
+        idx = np.searchsorted(self.grid, t, side="right") - 1
+        idx = np.clip(idx, 0, len(self.values) - 1)
+        return np.asarray(self.values, dtype=float)[idx]
+
+    def is_zero(self) -> bool:
+        return all(v == 0.0 for v in self.values)
+
+    def majorant(self, T: float):
+        _require(self.grid[-1] == T,
+                 f"Tabulated grid ends at {self.grid[-1]}, expected horizon {T}")
+        running = np.maximum.accumulate(np.asarray(self.values)[::-1])[::-1]
+        return Tabulated(self.grid, tuple(running))
+
+    def power_integral(self, q: float, b: float, s: float) -> float:
+        if s > self.grid[-1] * (1.0 + 1e-12):
+            raise DomainError(f"upper time {s} beyond the tabulated horizon {self.grid[-1]}")
+        # exact piecewise integration of the step-left representation
+        total = 0.0
+        a = 1.0 - b
+        for k in range(len(self.grid) - 1):
+            lo, hi = self.grid[k], min(self.grid[k + 1], s)
+            if hi <= lo:
+                break
+            total += self.values[k] ** q * (hi ** a - lo ** a) / a
+        return total
+
+    def breakpoints(self, T: float, cells: bool = True) -> list:
+        return [t for t in self.grid if 0 < t < T] if cells else []
+
+    def non_increasing(self) -> bool:
+        return all(b <= a for a, b in zip(self.values, self.values[1:]))
 
 
 CouplingFunction = Union[Constant, ExpDecay, Indicator, PowerLaw, Tabulated]
 
-_KIND_NAMES = {
-    Constant: "constant",
-    ExpDecay: "exp_decay",
-    Indicator: "indicator",
-    PowerLaw: "power_law",
-    Tabulated: "tabulated",
-}
+_KINDS = {cls.kind: cls for cls in (Constant, ExpDecay, Indicator, PowerLaw, Tabulated)}
 
 
 def coupling_to_dict(f: CouplingFunction) -> dict:
     """JSON-ready representation, inverse of :func:`coupling_from_dict`."""
-    if isinstance(f, Constant):
-        return {"kind": "constant", "level": f.level}
-    if isinstance(f, ExpDecay):
-        return {"kind": "exp_decay", "amplitude": f.amplitude, "rate": f.rate}
-    if isinstance(f, Indicator):
-        return {"kind": "indicator", "height": f.height, "cutoff": f.cutoff}
-    if isinstance(f, PowerLaw):
-        return {"kind": "power_law", "amplitude": f.amplitude, "exponent": f.exponent}
-    if isinstance(f, Tabulated):
-        return {"kind": "tabulated", "grid": list(f.grid), "values": list(f.values)}
-    raise DomainError(f"unknown coupling variant {type(f).__name__}")
+    return f.to_dict()
 
 
 def coupling_from_dict(spec: dict) -> CouplingFunction:
-    """Build a coupling from its JSON form, e.g. {"kind": "exp_decay", ...}."""
+    """Build a coupling from its JSON form, e.g. {"kind": "exp_decay", ...}.
+
+    Numeric fields are coerced with ``float``; fields the kind does not use
+    are ignored.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("coupling spec must be a dict with a 'kind' field")
     kind = spec["kind"]
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"unknown coupling kind {kind!r}")
     try:
-        if kind == "constant":
-            return Constant(float(spec["level"]))
-        if kind == "exp_decay":
-            return ExpDecay(float(spec["amplitude"]), float(spec["rate"]))
-        if kind == "indicator":
-            return Indicator(float(spec["height"]), float(spec["cutoff"]))
-        if kind == "power_law":
-            return PowerLaw(float(spec["amplitude"]), float(spec["exponent"]))
-        if kind == "tabulated":
-            return Tabulated(tuple(spec["grid"]), tuple(spec["values"]))
+        return cls.from_dict(spec)
     except KeyError as exc:
         raise DomainError(f"coupling spec for kind={kind!r} is missing field {exc}") from exc
-    raise DomainError(f"unknown coupling kind {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"coupling spec for kind={kind!r} has a non-numeric field: {exc}") from exc
 
 
 def evaluate(f: CouplingFunction, t):
     """Pointwise values f(t); accepts scalars or numpy arrays, t >= 0."""
-    t = np.asarray(t, dtype=float)
-    if isinstance(f, Constant):
-        out = np.full_like(t, f.level)
-    elif isinstance(f, ExpDecay):
-        out = f.amplitude * np.exp(-f.rate * t)
-    elif isinstance(f, Indicator):
-        out = np.where(t <= f.cutoff, f.height, 0.0)
-    elif isinstance(f, PowerLaw):
-        with np.errstate(divide="ignore"):
-            out = f.amplitude * np.power(t, f.exponent)
-    elif isinstance(f, Tabulated):
-        idx = np.searchsorted(f.grid, t, side="right") - 1
-        idx = np.clip(idx, 0, len(f.values) - 1)
-        out = np.asarray(f.values, dtype=float)[idx]
-    else:
-        raise DomainError(f"unknown coupling variant {type(f).__name__}")
+    out = f.at(np.asarray(t, dtype=float))
     return out if out.ndim else float(out)
 
 
 def is_zero(f: CouplingFunction) -> bool:
     """Exact zero-coupling detection (all representation values zero)."""
-    if isinstance(f, Constant):
-        return f.level == 0.0
-    if isinstance(f, (ExpDecay, PowerLaw)):
-        return f.amplitude == 0.0
-    if isinstance(f, Indicator):
-        return f.height == 0.0
-    if isinstance(f, Tabulated):
-        return all(v == 0.0 for v in f.values)
-    raise DomainError(f"unknown coupling variant {type(f).__name__}")
-
-
-def scale(f: CouplingFunction, factor: float) -> CouplingFunction:
-    """The coupling factor * f, staying inside the family."""
-    if factor < 0:
-        raise DomainError("scale factor must be nonnegative")
-    if isinstance(f, Constant):
-        return Constant(factor * f.level)
-    if isinstance(f, ExpDecay):
-        return ExpDecay(factor * f.amplitude, f.rate)
-    if isinstance(f, Indicator):
-        return Indicator(factor * f.height, f.cutoff)
-    if isinstance(f, PowerLaw):
-        return PowerLaw(factor * f.amplitude, f.exponent)
-    if isinstance(f, Tabulated):
-        return Tabulated(f.grid, tuple(factor * v for v in f.values))
-    raise DomainError(f"unknown coupling variant {type(f).__name__}")
+    return f.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +405,7 @@ def envelope(f: CouplingFunction, T: float) -> Envelope:
     """
     if not T > 0:
         raise DomainError(f"horizon must be positive, got {T}")
-    if isinstance(f, (Constant, ExpDecay, Indicator)):
-        rep: CouplingFunction = f
-    elif isinstance(f, PowerLaw):
-        rep = f if f.exponent <= 0 else Constant(f.amplitude * T ** f.exponent)
-    elif isinstance(f, Tabulated):
-        if f.grid[-1] != T:
-            raise DomainError(
-                f"Tabulated grid ends at {f.grid[-1]}, expected horizon {T}"
-            )
-        running = np.maximum.accumulate(np.asarray(f.values)[::-1])[::-1]
-        rep = Tabulated(f.grid, tuple(running))
-    else:
-        raise DomainError(f"unknown coupling variant {type(f).__name__}")
-    return Envelope(source=f, horizon=float(T), representation=rep)
+    return Envelope(source=f, horizon=float(T), representation=f.majorant(T))
 
 
 # ---------------------------------------------------------------------------
@@ -288,115 +422,33 @@ class NormValue:
     weight: float = 0.0
 
 
-def _power_integral(f: CouplingFunction, q: float, b: float, s: float) -> float:
-    """integral over [0, s] of f(t)^q * t^(-b) dt, exact per variant.
-
-    q >= 0 and b < 1 are required for convergence of the weighted endpoint;
-    divergent combinations raise NonIntegrable.
-    """
-    if s == 0.0:
-        return 0.0
-    if b >= 1.0:
-        raise NonIntegrable(f"weight exponent {b} >= 1 makes t=0 non-integrable")
-    if isinstance(f, Constant):
-        return f.level ** q * s ** (1.0 - b) / (1.0 - b)
-    if isinstance(f, ExpDecay):
-        lam = q * f.rate
-        if f.amplitude == 0.0:
-            return 0.0
-        if lam == 0.0:  # q == 0
-            return s ** (1.0 - b) / (1.0 - b)
-        # int_0^s e^{-lam t} t^{-b} dt = lam^{b-1} * Gamma(1-b) * P(1-b, lam s)
-        a = 1.0 - b
-        return (
-            f.amplitude ** q
-            * lam ** (b - 1.0)
-            * math.exp(gammaln(a))
-            * float(gammainc(a, lam * s))
-        )
-    if isinstance(f, Indicator):
-        u = min(s, f.cutoff)
-        return f.height ** q * u ** (1.0 - b) / (1.0 - b)
-    if isinstance(f, PowerLaw):
-        e = f.exponent * q - b
-        if e <= -1.0:
-            raise NonIntegrable(
-                f"PowerLaw exponent {f.exponent} with p={q}, weight {b} diverges at t=0"
-            )
-        return f.amplitude ** q * s ** (e + 1.0) / (e + 1.0)
-    if isinstance(f, Tabulated):
-        if s > f.grid[-1] * (1.0 + 1e-12):
-            raise DomainError(
-                f"upper time {s} beyond the tabulated horizon {f.grid[-1]}"
-            )
-        # exact piecewise integration of the step-left representation
-        total = 0.0
-        a = 1.0 - b
-        for k in range(len(f.grid) - 1):
-            lo, hi = f.grid[k], min(f.grid[k + 1], s)
-            if hi <= lo:
-                break
-            total += f.values[k] ** q * (hi ** a - lo ** a) / a
-        return total
-    raise DomainError(f"unknown coupling variant {type(f).__name__}")
-
-
 def norm(
     f: CouplingFunction,
     p: float,
     s: float,
     weight: float = 0.0,
 ) -> NormValue:
-    """L^p norm of f(t) * t^(-weight) on [0, s].
+    """L^p norm of f(t) * t^(-weight) on [0, s], exact per variant.
 
     ``weight`` is the exponent a of the singular factor t^(-a); a = 0.5 is
     the inverse-square-root weight, a = theta/2 the general one.  Requires
-    a * p < 1 so the endpoint stays integrable for bounded couplings.
+    a * p < 1 so the endpoint stays integrable for bounded couplings;
+    divergent combinations raise NonIntegrable.
     """
-    if p < 1:
-        raise DomainError(f"norm order p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"norm order p must be finite and >= 1, got {p}")
     if s < 0:
         raise DomainError(f"upper time must be nonnegative, got {s}")
     if weight < 0:
         raise DomainError(f"weight exponent must be nonnegative, got {weight}")
-    if math.isinf(p):
-        if weight != 0.0:
-            raise DomainError("sup norm does not accept a singular weight")
-        return NormValue(p=p, s=s, value=sup_norm(f, s), weight=0.0)
-    val = _power_integral(f, p, weight * p, s)
+    b = weight * p
+    if s == 0.0:
+        val = 0.0
+    elif b >= 1.0:
+        raise NonIntegrable(f"weight exponent {b} >= 1 makes t=0 non-integrable")
+    else:
+        val = f.power_integral(p, b, s)
     return NormValue(p=p, s=s, value=val ** (1.0 / p), weight=weight)
-
-
-def sup_norm(f: CouplingFunction, s: float) -> float:
-    """Essential supremum of f on [0, s]."""
-    if s <= 0:
-        return 0.0
-    if isinstance(f, Constant):
-        return f.level
-    if isinstance(f, ExpDecay):
-        return f.amplitude
-    if isinstance(f, Indicator):
-        return f.height
-    if isinstance(f, PowerLaw):
-        if f.exponent > 0:
-            return f.amplitude * s ** f.exponent
-        if f.exponent == 0:
-            return f.amplitude
-        return math.inf if f.amplitude > 0 else 0.0
-    if isinstance(f, Tabulated):
-        vals = [v for t, v in zip(f.grid, f.values) if t < s]
-        return max(vals) if vals else f.values[0]
-    raise DomainError(f"unknown coupling variant {type(f).__name__}")
-
-
-def _breakpoints(f: CouplingFunction, T: float) -> list:
-    """Interior quadrature breakpoints of the inner-norm integrand."""
-    pts = []
-    if isinstance(f, Indicator) and 0 < f.cutoff < T:
-        pts.append(f.cutoff)
-    if isinstance(f, Tabulated):
-        pts.extend(t for t in f.grid if 0 < t < T)
-    return pts
 
 
 def iterated_norm(
@@ -405,7 +457,6 @@ def iterated_norm(
     inner_p: float = 1.0,
     inner_weight: float = 0.0,
     outer_power: float = 1.0,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> float:
     """integral over [0, T] of norm(f, inner_p, t, inner_weight)^outer_power dt.
 
@@ -425,14 +476,14 @@ def iterated_norm(
     def integrand(t: float) -> float:
         return norm(f, inner_p, t, inner_weight).value ** outer_power
 
-    pts = _breakpoints(f, T)
+    pts = f.breakpoints(T)
     val, err = integrate.quad(
         integrand,
         0.0,
         T,
         points=pts[:50] or None,
-        epsabs=tolerances.quad_abs,
-        epsrel=tolerances.quad_rel,
+        epsabs=QUAD_ABS,
+        epsrel=QUAD_REL,
         limit=200,
     )
     return val

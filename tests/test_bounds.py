@@ -99,8 +99,8 @@ def test_branch_agreement_at_theta_one(theorem, f, d):
     assert math.isfinite(rep.log_bound)
     # explicit comparison at the term level
     if theorem == 1:
-        hi = B._report(B._t1_terms(f, B.BoundParams(1.0, d, 2.0), "theta_geq_1", B.DEFAULT_TOLERANCES), B.BoundParams(1.0, d, 2.0), "T1", "hi")
-        lo = B._report(B._t1_terms(f, B.BoundParams(1.0, d, 2.0), "theta_leq_1", B.DEFAULT_TOLERANCES), B.BoundParams(1.0, d, 2.0), "T1", "lo")
+        hi = B._report(B._t1_terms(f, B.BoundParams(1.0, d, 2.0), "theta_geq_1"), B.BoundParams(1.0, d, 2.0), "T1", "hi")
+        lo = B._report(B._t1_terms(f, B.BoundParams(1.0, d, 2.0), "theta_leq_1"), B.BoundParams(1.0, d, 2.0), "T1", "lo")
         assert hi.log_bound == pytest.approx(lo.log_bound, rel=1e-10)
 
 
@@ -175,6 +175,25 @@ def test_analytic_slope_matches_ladder():
         ladder = B.ladder_slope(2, f, theta, 3)
         assert ladder == pytest.approx(analytic, rel=1e-5)
 
+
+
+def test_ladder_slope_evaluates_each_rung_once(monkeypatch):
+    horizons = []
+    original = B.theorem_bound
+
+    def counting(theorem, f, params):
+        horizons.append(params.T)
+        return original(theorem, f, params)
+
+    monkeypatch.setattr(B, "theorem_bound", counting)
+    f = ExpDecay(0.4, 0.5)
+    slope = B.ladder_slope(2, f, 0.7, 3)
+    # rungs T = 4, 8, 16, ..., each bound evaluated once: one more call than quotients
+    assert horizons == [4.0 * 2 ** k for k in range(len(horizons))]
+    assert len(horizons) >= 3
+    low, high, top = (original(2, f, B.BoundParams(0.7, 3, T)).log_bound
+                      for T in horizons[-3:])
+    assert slope == (top - high) / horizons[-2]
 
 def test_slope_superlinear_raises():
     with pytest.raises(NoLinearSlope):

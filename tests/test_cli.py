@@ -200,6 +200,44 @@ def test_coupling_from_csv_file(tmp_path, capsys):
     assert payload["inputs"]["coupling"]["kind"] == "tabulated"
 
 
+
+@pytest.mark.parametrize("coupling", [
+    '{"kind":"tabulated","grid":[0,0.5,1],"values":[1,NaN,1]}',
+    '{"kind":"tabulated","grid":[0,0.5,Infinity],"values":[1,1,1]}',
+    '{"kind":"power_law","amplitude":1,"exponent":NaN}',
+    '{"kind":"constant","level":Infinity}',
+    '{"kind":"indicator","height":1,"cutoff":Infinity}',
+    '{"kind":"exp_decay","amplitude":1,"rate":Infinity}',
+])
+def test_bound_non_finite_coupling_exit_2(coupling, capsys):
+    code, out, err = run_cli(["bound", "--theorem", "1", "--theta", "1", "--dim", "3",
+                              "--T", "1", "--coupling", coupling], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_coupling_csv_short_row_names_the_row(tmp_path, capsys):
+    table = tmp_path / "coupling.csv"
+    table.write_text("# t,value\n0.0,1.0\n0.5\n1.0,2.0\n")
+    code, out, err = run_cli(["bound", "--theorem", "1", "--theta", "1.0", "--dim", "3",
+                              "--T", "1", "--coupling", str(table)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "row 3" in err
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("paths", 100.5)])
+def test_simulate_spec_non_integer_exit_2(field, value, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    inputs = {"model": "hydrogen", "params": {"alpha": 0.5}, "T": 1.0, "paths": 100,
+              "steps": 16, "seed": 1, field: value}
+    spec.write_text(json.dumps({"inputs": inputs}))
+    code, out, err = run_cli(["simulate", "--spec", str(spec)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be an integer" in err
+
 def test_out_file_writes_valid_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(["bound", "--theorem", "2", "--theta", "1.0",

@@ -173,6 +173,20 @@ def test_path_ensemble_rejects_non_finite_horizon(horizon):
         mc.PathEnsemble(seed=1, paths=10, steps=16, horizon=horizon, dim=3)
 
 
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("paths", 100.5), ("steps", 16.0),
+                                          ("dim", 3.0), ("paths", True)])
+def test_path_ensemble_rejects_non_integers(field, value):
+    kw = {"seed": 1, "paths": 100, "steps": 16, "horizon": 1.0, "dim": 3, field: value}
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        mc.PathEnsemble(**kw)
+
+
+def test_path_ensemble_accepts_numpy_integers():
+    ens = mc.PathEnsemble(seed=np.uint64(2 ** 64 - 1), paths=np.int64(100), steps=16,
+                          horizon=1.0, dim=np.int32(3))
+    assert ens.paths == 100
+
 def test_estimate_budget_floor():
     with pytest.raises(DomainError):
         mc.estimate(hydrogen_spec(), 50, 64, 0)

@@ -19,7 +19,6 @@ from fkbound.schedule import (
     is_zero,
     iterated_norm,
     norm,
-    scale,
 )
 
 
@@ -90,7 +89,8 @@ def test_envelope_scaling_equivariance(values, factor):
     grid = tuple(float(i) for i in range(len(values)))
     f = Tabulated(grid, tuple(values))
     T = grid[-1]
-    lhs = envelope(scale(f, factor), T).representation.values
+    scaled = Tabulated(grid, tuple(factor * v for v in values))
+    lhs = envelope(scaled, T).representation.values
     rhs = tuple(factor * v for v in envelope(f, T).representation.values)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -154,7 +154,7 @@ def test_norm_weight_exponent_must_converge():
 )
 def test_norm_scaling_homogeneity(level, p, factor):
     f = Constant(level)
-    lhs = norm(scale(f, factor), p, 2.0).value
+    lhs = norm(Constant(factor * level), p, 2.0).value
     rhs = factor * norm(f, p, 2.0).value
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
@@ -234,3 +234,31 @@ def test_coupling_validation():
         Tabulated((0.0, 0.0), (1.0, 1.0))  # strictly increasing
     with pytest.raises(DomainError):
         coupling_from_dict({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: Constant(x),
+    lambda x: ExpDecay(x, 1.0),
+    lambda x: ExpDecay(1.0, x),
+    lambda x: Indicator(x, 1.0),
+    lambda x: Indicator(1.0, x),
+    lambda x: PowerLaw(x, 0.5),
+    lambda x: PowerLaw(1.0, x),
+    lambda x: Tabulated((0.0, 1.0), (1.0, x)),
+    lambda x: Tabulated((0.0, 1.0, x), (1.0, 1.0, 1.0)),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_coupling_rejects_non_finite_fields(make, value):
+    with pytest.raises(DomainError, match="finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "constant", "level": "high"},
+    {"kind": "constant", "level": None},
+    {"kind": "tabulated", "grid": 1.0, "values": [1.0]},
+    {"kind": ["constant"], "level": 1.0},
+])
+def test_coupling_from_dict_rejects_malformed_fields(spec):
+    with pytest.raises(DomainError):
+        coupling_from_dict(spec)
