@@ -55,7 +55,7 @@ _BRANCH_TOL = 1e-10  # relative agreement required of the two theta=1 branches
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Exponent theta in (0,2), dimension d >= 2, horizon T >= 0."""
+    """Exponent theta in (0,2), dimension d >= 2, finite horizon T >= 0."""
 
     theta: float
     d: int
@@ -66,8 +66,8 @@ class BoundParams:
             raise DomainError(f"theta must lie in (0, 2), got {self.theta}")
         if int(self.d) != self.d or self.d < 2:
             raise DomainError(f"dimension must be an integer >= 2, got {self.d}")
-        if not self.T >= 0.0:
-            raise DomainError(f"horizon must be nonnegative, got {self.T}")
+        if not 0.0 <= self.T < math.inf:
+            raise DomainError(f"horizon must be finite and nonnegative, got {self.T}")
 
 
 @dataclass(frozen=True)

@@ -124,13 +124,14 @@ def _pretty(record: dict, indent: int = 0) -> str:
     return "\n".join(line for line in lines if line is not None)
 
 
-def _model_from_args(args) -> models.ModelSpec:
-    kwargs = {}
-    for flag in _MODEL_PARAM_FLAGS:
-        val = getattr(args, flag, None)
-        if val is not None:
-            kwargs["d" if flag == "dim" else flag] = val
-    return models.build(args.name, **kwargs)
+def _model_params(args) -> dict:
+    return {flag: getattr(args, flag) for flag in _MODEL_PARAM_FLAGS
+            if getattr(args, flag, None) is not None}
+
+
+def _build_model(name: str, params: dict) -> models.ModelSpec:
+    # the flag --dim is build()'s d; a sweep over d sets d itself
+    return models.build(name, **{("d" if k == "dim" else k): v for k, v in params.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +182,7 @@ def _simulate_inputs_from_args(args) -> dict:
             raise DomainError("simulate needs --model or --spec")
         inputs = {
             "model": args.model,
-            "params": {flag: getattr(args, flag) for flag in _MODEL_PARAM_FLAGS
-                       if getattr(args, flag, None) is not None},
+            "params": _model_params(args),
             "T": args.T,
             "paths": args.paths,
             "steps": args.steps,
@@ -201,8 +201,7 @@ def _simulate_inputs_from_args(args) -> dict:
 
 def _cmd_simulate(args) -> int:
     inputs = _simulate_inputs_from_args(args)
-    kwargs = {("d" if k == "dim" else k): v for k, v in inputs["params"].items()}
-    model = models.build(inputs["model"], **kwargs)
+    model = _build_model(inputs["model"], inputs["params"])
     spec = model.action_spec(inputs["T"], offset=inputs["offset"],
                              epsilon=inputs["epsilon"])
     est = mc.estimate(spec, inputs["paths"], inputs["steps"], inputs["seed"],
@@ -235,7 +234,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    model = _model_from_args(args)
+    model = _build_model(args.name, _model_params(args))
     if args.action == "show":
         record = {"command": "model", "spec": model.as_dict()}
         try:
@@ -361,15 +360,8 @@ def _cmd_sweep(args) -> int:
     values = [float(g) for g in grid]
     rows = []
     for val in values:
-        overrides = {args.param: val}
-        kwargs = {}
-        for flag in _MODEL_PARAM_FLAGS:
-            v = overrides.get(flag, getattr(args, flag, None))
-            if v is not None:
-                kwargs["d" if flag == "dim" else flag] = v
-        if args.param == "d":
-            kwargs["d"] = int(val)
-        model = models.build(args.name, **kwargs)
+        params = {**_model_params(args), **({} if args.param == "T" else {args.param: val})}
+        model = _build_model(args.name, params)
         T = val if args.param == "T" else args.T
         comp = models.composed_bound(model, T)
         row = {"param": args.param, "value": val, "T": T,

@@ -343,23 +343,25 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
         pref = hls * p ** (-d / p) * (2.0 * math.pi) ** (-d / q)
         a = theta / 4.0  # = d/(2q)
 
-        def outer(u: float) -> float:
+        def inner(u: float) -> float:
             # int_0^(T-u) (u+x)^-a x^-a dx = u^(1-2a) z^(1-a)/(1-a) 2F1(a, 1-a; 2-a; -z),
             # z = (T-u)/u; hypergeometric form stays stable as u -> 0
             if u >= T:
                 return 0.0
             z = (T - u) / u
-            inner = (
+            return (
                 u ** (1.0 - 2.0 * a)
                 * z ** (1.0 - a) / (1.0 - a)
                 * float(hyp2f1(a, 1.0 - a, 2.0 - a, -z))
             )
-            return float(evaluate(f, u)) * inner
 
-        # a table's cell edges stay out of these points, as they always have;
-        # passing them is an open accuracy fix (ROADMAP)
-        val, err = integrate.quad(outer, 0.0, T, points=f.breakpoints(T, cells=False) or None,
-                                  epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)
+        def primitive(s):
+            # int_0^s inner(u) du up to a constant; in the later time y = u + x
+            # it is int_s^T y^-a (y-s)^(1-a) dy / (a-1), an Euler integral
+            return ((T - s) ** (2.0 - a) * T ** -a / ((a - 1.0) * (2.0 - a))
+                    * hyp2f1(a, 1.0, 3.0 - a, 1.0 - s / T))
+
+        val = f.integral_against(T, inner, primitive)
         return ExpectationFormula(
             kind, K, pref * val,
             is_upper_bound=True,

@@ -38,7 +38,9 @@ __all__ = [
     "MODEL_NAMES",
 ]
 
-MODEL_NAMES = ("hydrogen", "inverse_square", "polaron", "bipolaron", "nelson_q")
+_PARAMS = {"hydrogen": ("alpha",), "inverse_square": ("alpha", "theta", "d"), "polaron": ("alpha",),
+           "bipolaron": ("alpha",), "nelson_q": ("gamma", "tau", "theta")}  # what build() reads
+MODEL_NAMES = tuple(_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,13 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
           theta: float = None, d: int = None) -> ModelSpec:
     """Construct a named model from its physical parameters."""
     name = name.lower()
+    unused = [k for k, v in dict(alpha=alpha, gamma=gamma, tau=tau, theta=theta, d=d).items()
+              if v is not None and k not in _PARAMS.get(name, (k,))]
+    if unused:
+        raise DomainError(f"{name} takes {', '.join(_PARAMS[name])}, not {', '.join(unused)}")
+    if "alpha" in _PARAMS.get(name, ()) and (alpha is None or alpha < 0):
+        raise DomainError(f"{name} needs alpha >= 0")
     if name == "hydrogen":
-        if alpha is None or alpha < 0:
-            raise DomainError("hydrogen needs alpha >= 0")
         f = Constant(alpha)
         return ModelSpec(
             name="hydrogen", theta=1.0, d=3,
@@ -95,8 +101,6 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
             params={"alpha": alpha},
         )
     if name == "inverse_square":
-        if alpha is None or alpha < 0:
-            raise DomainError("inverse_square needs alpha >= 0")
         theta = 1.0 if theta is None else float(theta)
         d = 3 if d is None else int(d)
         if not 1.0 <= theta < 2.0:
@@ -112,8 +116,6 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
             note=f"critical coupling {B.critical_coupling(d)} at theta -> 2",
         )
     if name == "polaron":
-        if alpha is None or alpha < 0:
-            raise DomainError("polaron needs alpha >= 0")
         f = ExpDecay(alpha / math.sqrt(2.0), 1.0)
         return ModelSpec(
             name="polaron", theta=1.0, d=3,
@@ -122,8 +124,6 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
             params={"alpha": alpha},
         )
     if name == "bipolaron":
-        if alpha is None or alpha < 0:
-            raise DomainError("bipolaron needs alpha >= 0")
         base = ExpDecay(alpha / math.sqrt(2.0), 1.0)
         quad = ExpDecay(4.0 * alpha / math.sqrt(2.0), 1.0)
         doub = ExpDecay(2.0 * alpha / math.sqrt(2.0), 1.0)

@@ -248,3 +248,34 @@ def test_out_file_writes_valid_json(tmp_path, capsys):
     assert out == ""  # nothing on stdout when --out given
     payload = json.loads(target.read_text())
     assert payload["log_bound"] > 0
+
+
+def test_bound_infinite_horizon_exit_2(capsys):
+    code, out, err = run_cli([
+        "bound", "--theorem", "1", "--theta", "1", "--dim", "3", "--T", "inf",
+        "--coupling", '{"kind":"constant","level":1}',
+    ], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("name,params,unused", [
+    ("hydrogen", ["--alpha", "1", "--theta", "1.5"], "theta"),
+    ("inverse_square", ["--alpha", "0.1", "--gamma", "1"], "gamma"),
+    ("polaron", ["--alpha", "1", "--dim", "5"], "d"),
+    ("bipolaron", ["--alpha", "1", "--tau", "2"], "tau"),
+    ("nelson_q", ["--gamma", "1", "--tau", "1", "--alpha", "1"], "alpha"),
+])
+def test_model_rejects_unused_parameter_exit_2(name, params, unused, capsys):
+    code, out, err = run_cli(["model", "--name", name, *params, "show"], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"not {unused}" in err
+
+
+def test_sweep_rejects_parameter_the_model_does_not_use(capsys):
+    code, out, err = run_cli(["sweep", "--model", "hydrogen", "--alpha", "0.5",
+                              "--param", "d", "--grid", "3,4"], capsys)
+    assert code == 2
+    assert "not d" in err

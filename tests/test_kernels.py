@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammaln, hyp2f1
 
 from fkbound import kernels as K
 from fkbound.bounds import BoundParams
 from fkbound.config import sharp_hls_constant
 from fkbound.errors import DomainError
-from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw
+from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw, Tabulated
 
 
 # ---------------------------------------------------------------------------
@@ -228,3 +228,34 @@ def test_conditioned_derivative_below_pointwise_bound(f, theta, u, r):
 
 def test_clark_ocone_variance_bound_value():
     assert K.clark_ocone_variance_bound(Constant(0.5), 3, 1.0) == pytest.approx(0.25)
+
+
+def _cross_double_per_cell(grid, values, theta, d, T):
+    # the HLS bound of expected_action with the outer integral done by a tight
+    # adaptive quadrature inside each cell of the table
+    a = theta / 4.0
+
+    def inner(u):
+        z = (T - u) / u
+        return u ** (1.0 - 2.0 * a) * z ** (1.0 - a) / (1.0 - a) * hyp2f1(a, 1.0 - a, 2.0 - a, -z)
+
+    total = sum(v * integrate.quad(inner, lo, min(hi, T), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for lo, hi, v in zip(grid, grid[1:], values) if lo < T)
+    p, q = 2.0 * d / (2.0 * d - theta), 2.0 * d / theta
+    return sharp_hls_constant(d, theta) * p ** (-d / p) * (2.0 * math.pi) ** (-d / q) * total
+
+
+@pytest.mark.parametrize("cells", [64, 1000])
+@pytest.mark.parametrize("theta", [0.8, 1.2])
+def test_cross_expectation_on_tables_respects_every_cell(cells, theta):
+    if cells == 64:  # the golden tests' LONG_TABLE
+        grid = np.arange(65) / 32.0
+        values = 0.5 + 0.4 * np.sin(np.arange(65))
+    else:
+        grid = np.linspace(0.0, 2.0, cells + 1)
+        values = np.random.default_rng(cells).uniform(0.1, 1.0, cells + 1)
+    f = Tabulated(tuple(grid), tuple(values))
+    for T in (2.0, float(0.5 * (grid[cells // 3] + grid[cells // 3 + 1]))):
+        got = K.expected_action("cross_double", f, BoundParams(theta, 3, T))
+        assert got.is_upper_bound
+        assert got.value == pytest.approx(_cross_double_per_cell(grid, values, theta, 3, T), rel=1e-10)

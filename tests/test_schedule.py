@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,3 +263,83 @@ def test_coupling_rejects_non_finite_fields(make, value):
 def test_coupling_from_dict_rejects_malformed_fields(spec):
     with pytest.raises(DomainError):
         coupling_from_dict(spec)
+
+
+def _loop_power_integral(f, q, b, s):
+    # the cell-by-cell loop the cumulative sums replace
+    total, a = 0.0, 1.0 - b
+    for lo, hi, v in zip(f.grid, f.grid[1:], f.values):
+        hi = min(hi, s)
+        if hi <= lo:
+            break
+        total += v ** q * (hi ** a - lo ** a) / a
+    return total
+
+
+def test_tabulated_power_integral_matches_cell_loop():
+    rng = np.random.default_rng(5)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 40))])
+    f = Tabulated(tuple(grid), tuple(rng.uniform(0.0, 2.0, 41)))
+    for q, b in ((1.0, 0.0), (2.0, 0.5), (1.5, 0.45), (3.0, 0.2)):
+        for s in (0.0, grid[1] / 3, grid[7], 0.5 * (grid[20] + grid[21]), grid[-1]):
+            assert f.power_integral(q, b, float(s)) == _loop_power_integral(f, q, b, s)
+
+
+def _mp_iterated(grid, values, T, p, w, outer):
+    """int_0^T (int_0^t f^p s^(-w p) ds)^(outer/p) dt in 20-digit arithmetic:
+    exact per cell where the integrand is a power of a linear function of t
+    (weight 0) or linear in t^a (outer = p); elsewhere mpmath quadrature,
+    Gauss-Legendre where the integrand is analytic on the closed cell and
+    tanh-sinh where it has an endpoint singularity (at t = 0 or where f
+    starts)."""
+    mp.mp.dps = 20
+    a, r = 1 - mp.mpf(w) * p, mp.mpf(outer) / p
+    T, cum, total = mp.mpf(T), mp.mpf(0), mp.mpf(0)
+    for g, h, v in zip(grid, grid[1:], values):
+        g, h, vq = mp.mpf(g), min(mp.mpf(h), T), mp.mpf(v) ** p
+        end = cum + vq * (h ** a - g ** a) / a
+        if a == 1 and vq > 0:
+            total += (end ** (r + 1) - cum ** (r + 1)) / (vq * (r + 1))
+        elif r == 1:
+            total += (cum - vq * g ** a / a) * (h - g) + vq * (h ** (a + 1) - g ** (a + 1)) / (a * (a + 1))
+        else:
+            total += mp.quad(lambda t, c=cum, g=g, vq=vq: (c + vq * (t ** a - g ** a) / a) ** r,
+                             [g, h], method="gauss-legendre" if g > 0 and cum > 0 else "tanh-sinh")
+        cum = end
+        if h >= T:
+            break
+    return float(total)
+
+
+_THETA = 1.2
+_TABLE_GRIDS = {
+    "G3": np.array([0.0, 0.5, 1.2, 2.0]),
+    "G64": np.linspace(0.0, 2.0, 65),
+    "G1000": np.linspace(0.0, 2.0, 1001),
+    "skewed": np.array([0.0, 1e-9, 1e-3, 1.0]),
+}
+
+
+@pytest.mark.parametrize("grid_name", sorted(_TABLE_GRIDS))
+@pytest.mark.parametrize("inner_p,weight,outer", [
+    (1.0, 0.0, 2.0 / (2.0 - _THETA)), (1.0, _THETA / 2.0, 1.0), (1.0, 0.0, 1.0),
+    (1.0, 0.0, 2.0), (1.0, 0.5, 1.0), (2.0, 0.2, 1.5),
+])
+def test_tabulated_iterated_norm_matches_mpmath(grid_name, inner_p, weight, outer):
+    grid = _TABLE_GRIDS[grid_name]
+    values = np.random.default_rng(len(grid)).uniform(0.1, 1.0, len(grid))
+    f = Tabulated(tuple(grid), tuple(values))
+    k = len(grid) // 2
+    for T in (float(grid[-1]), float(grid[k] + 0.3 * (grid[k + 1] - grid[k]))):
+        want = _mp_iterated(grid, values, T, inner_p, weight, outer)
+        assert iterated_norm(f, T, inner_p, weight, outer) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("inner_p,weight,outer", [(1.0, 0.0, 2.5), (2.0, 0.2, 1.5), (1.0, 0.6, 1.0)])
+def test_tabulated_iterated_norm_support_starting_late(inner_p, weight, outer):
+    # f = 0 before t = 0.3, so the integrand vanishes like (t - 0.3)^r there
+    grid, values = np.array([0.0, 0.1, 0.3, 0.7, 1.5, 2.0]), np.array([0.0, 0.0, 0.8, 0.4, 1.1, 0.5])
+    want = _mp_iterated(grid, values, 2.0, inner_p, weight, outer)
+    got = iterated_norm(Tabulated(tuple(grid), tuple(values)), 2.0, inner_p, weight, outer)
+    assert got == pytest.approx(want, rel=1e-13)
+    assert iterated_norm(Tabulated(tuple(grid), tuple(values)), 0.25, inner_p, weight, outer) == 0.0
