@@ -26,7 +26,7 @@ from typing import Sequence
 from scipy.special import gammaln
 
 from .config import SLOPE_REL
-from .errors import DomainError, NoLinearSlope, VerificationError
+from .errors import DomainError, NoLinearSlope, NumericalFailure, VerificationError
 from .schedule import CouplingFunction, envelope, is_zero, iterated_norm, norm
 
 __all__ = [
@@ -96,15 +96,18 @@ def coefficients(theta: float, d: int) -> CoefficientSet:
     if int(d) != d or d < 2:
         raise DomainError(f"dimension must be an integer >= 2, got {d}")
     s = 2.0 - theta
-    A = 2.0 ** ((3.0 * theta - 2.0) / s) * theta ** (theta / s) * s / (d - theta) ** (2.0 * theta / s)
-    B = theta * math.exp(gammaln((d - theta) / 2.0) - gammaln(d / 2.0)) / 2.0 ** (theta / 2.0)
-    C = 2.0 ** ((3.0 * theta - 2.0) / s) * theta ** (theta / s) * s / (d - 1.0) ** (2.0 * theta / s)
-    D = (
-        theta ** (1.0 / s)
-        * math.exp(gammaln((d - 1.0) / 2.0) - gammaln(d / 2.0))
-        * (d - 1.0) ** ((2.0 - 2.0 * theta) / s)
-        / 2.0 ** ((6.0 - 5.0 * theta) / (4.0 - 2.0 * theta))
-    )
+    try:
+        A = 2.0 ** ((3.0 * theta - 2.0) / s) * theta ** (theta / s) * s / (d - theta) ** (2.0 * theta / s)
+        B = theta * math.exp(gammaln((d - theta) / 2.0) - gammaln(d / 2.0)) / 2.0 ** (theta / 2.0)
+        C = 2.0 ** ((3.0 * theta - 2.0) / s) * theta ** (theta / s) * s / (d - 1.0) ** (2.0 * theta / s)
+        D = (
+            theta ** (1.0 / s)
+            * math.exp(gammaln((d - 1.0) / 2.0) - gammaln(d / 2.0))
+            * (d - 1.0) ** ((2.0 - 2.0 * theta) / s)
+            / 2.0 ** ((6.0 - 5.0 * theta) / (4.0 - 2.0 * theta))
+        )
+    except OverflowError as exc:
+        raise NumericalFailure(f"bound coefficients overflow at theta={theta}, d={d}") from exc
     return CoefficientSet(A=A, B=B, C=C, D=D)
 
 
@@ -163,13 +166,13 @@ class BoundReport:
 
 
 def _report(terms: Sequence[BoundTerm], params, theorem, branch) -> BoundReport:
-    return BoundReport(
-        log_bound=sum(t.contribution for t in terms),
-        terms=tuple(terms),
-        params=params,
-        theorem=theorem,
-        branch=branch,
-    )
+    try:
+        log_bound = sum(t.contribution for t in terms)
+    except OverflowError:
+        log_bound = math.inf
+    if not math.isfinite(log_bound):
+        raise NumericalFailure(f"log bound out of range at theta={params.theta}, T={params.T}")
+    return BoundReport(log_bound, tuple(terms), params, theorem, branch)
 
 
 def _zero_report(params: BoundParams, theorem: str) -> BoundReport:

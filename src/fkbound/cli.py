@@ -68,9 +68,25 @@ def _load_coupling(text: str):
         return coupling_from_dict(json.load(fh))
 
 
+def _finite(val, path: str, non_finite: dict):
+    """val with each non-finite float replaced by None and listed by its dotted path."""
+    if isinstance(val, float) and not math.isfinite(val):
+        non_finite[path] = json.dumps(val)
+        return None
+    if isinstance(val, dict):
+        return {k: _finite(v, f"{path}.{k}" if path else str(k), non_finite) for k, v in val.items()}
+    if isinstance(val, (list, tuple)):
+        return [_finite(v, f"{path}.{i}", non_finite) for i, v in enumerate(val)]
+    return val
+
+
 def _emit(record: dict, fmt: str, out: str, csv_rows=None) -> None:
     if fmt == "json":
-        text = json.dumps(record, indent=2, default=str)
+        non_finite = {}
+        record = _finite(record, "", non_finite)
+        if non_finite:
+            record["non_finite"] = non_finite
+        text = json.dumps(record, indent=2, default=str, allow_nan=False)
     elif fmt == "csv":
         rows = csv_rows if csv_rows is not None else [_flatten(record)]
         buf = io.StringIO()
@@ -155,20 +171,17 @@ def _cmd_bound(args) -> int:
         "branch": report.branch,
         "terms": [t.as_dict() for t in report.terms],
     }
-    if args.format == "csv":
-        row = {
-            "theorem": args.theorem, "theta": args.theta, "d": args.dim, "T": args.T,
-            "branch": report.branch, "log_bound": report.log_bound,
-        }
-        for i, t in enumerate(report.terms, 1):
-            row[f"term{i}_label"] = t.label
-            row[f"term{i}_coefficient"] = t.coefficient
-            row[f"term{i}_norm"] = t.norm_value
-            row[f"term{i}_exponent"] = t.exponent
-            row[f"term{i}_contribution"] = t.contribution
-        _emit(record, "csv", args.out, csv_rows=[row])
-    else:
-        _emit(record, args.format, args.out)
+    row = {
+        "theorem": args.theorem, "theta": args.theta, "d": args.dim, "T": args.T,
+        "branch": report.branch, "log_bound": report.log_bound,
+    }
+    for i, t in enumerate(report.terms, 1):
+        row[f"term{i}_label"] = t.label
+        row[f"term{i}_coefficient"] = t.coefficient
+        row[f"term{i}_norm"] = t.norm_value
+        row[f"term{i}_exponent"] = t.exponent
+        row[f"term{i}_contribution"] = t.contribution
+    _emit(record, args.format, args.out, csv_rows=[row])
     return EXIT_OK
 
 
@@ -220,16 +233,13 @@ def _cmd_simulate(args) -> int:
         },
         "mc_below_bound": bool(est.log_mean <= comp["log_bound"] + 3 * est.stderr_log),
     }
-    if args.format == "csv":
-        row = {
-            "model": inputs["model"], "T": inputs["T"], "paths": inputs["paths"],
-            "steps": inputs["steps"], "seed": inputs["seed"],
-            "offset": inputs["offset"], "epsilon": inputs["epsilon"],
-            **est.as_dict(), "log_bound": comp["log_bound"],
-        }
-        _emit(record, "csv", args.out, csv_rows=[row])
-    else:
-        _emit(record, args.format, args.out)
+    row = {
+        "model": inputs["model"], "T": inputs["T"], "paths": inputs["paths"],
+        "steps": inputs["steps"], "seed": inputs["seed"],
+        "offset": inputs["offset"], "epsilon": inputs["epsilon"],
+        **est.as_dict(), "log_bound": comp["log_bound"],
+    }
+    _emit(record, args.format, args.out, csv_rows=[row])
     return EXIT_OK
 
 
@@ -265,15 +275,14 @@ def _cmd_oscillator(args) -> int:
                     "tanh_max_error": tanh_err},
         "ground_state_energy": args.omega / 2.0,
     }
+    within = True
     if args.mc:
         rep = oscillator.mc_crosscheck(cfg, args.paths, args.steps, args.seed)
         record["mc"] = rep.as_dict()
         within = abs(rep.log_difference) <= 3.0 * rep.estimate.stderr_log + 1e-3
         record["mc_within_tolerance"] = bool(within)
-        _emit(record, args.format, args.out)
-        return EXIT_OK if within else EXIT_VERIFICATION
     _emit(record, args.format, args.out)
-    return EXIT_OK
+    return EXIT_OK if within else EXIT_VERIFICATION
 
 
 def _cmd_pekar(args) -> int:
@@ -346,10 +355,7 @@ def _cmd_kernels(args) -> int:
                        "passed": bool(abs(pol.value / 60.0 - 1.0) <= 0.05)})
     ok = all(c["passed"] for c in checks)
     record = {"command": "kernels", "checks": checks, "all_passed": ok}
-    if args.format == "csv":
-        _emit(record, "csv", args.out, csv_rows=[_flatten(c) for c in checks])
-    else:
-        _emit(record, args.format, args.out)
+    _emit(record, args.format, args.out, csv_rows=[_flatten(c) for c in checks])
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 

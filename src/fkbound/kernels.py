@@ -195,10 +195,6 @@ def convolution_bound(theta: float, d: int, sup_h: float = 1.0) -> float:
     return 2.0 * sup_h / (theta * (d - theta))
 
 
-def _weight_sup(h: Weight) -> float:
-    return abs(h.amplitude)
-
-
 def _inner_over_gamma(h: Weight, theta: float, x2: float) -> Callable[[float], float]:
     """Returns xi -> J(xi) / (Gamma(theta/2) theta) where
 
@@ -242,8 +238,11 @@ def _inner_over_gamma(h: Weight, theta: float, x2: float) -> Callable[[float], f
             def f(u: float) -> float:
                 return u ** (half - 1.0) * math.exp(-u - (beta / u if u > 0 else 0.0))
 
-            val, err = integrate.quad(f, max(lo, 1e-300), math.inf,
-                                      epsabs=1e-12, epsrel=1e-10, limit=200)
+            # split at the peak of e^(-u - beta/u), where the integrand turns
+            top = max(lo, math.sqrt(beta), 1e-300)
+            val = sum(_checked(integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200),
+                               "profile weight")
+                      for a, b in ((max(lo, 1e-300), top), (top, math.inf)))
             if lo < 1e-300 and beta == 0.0:
                 val = math.exp(lg)
             return c * val * math.exp(-lg)
@@ -274,7 +273,7 @@ def convolution_coefficient(theta: float, r: float, h: Weight, d: int) -> Convol
         raise DomainError(f"need 0 < theta < min(2, d), got theta={theta}, d={d}")
     if not r > 0:
         raise DomainError(f"radius must be positive, got {r}")
-    bound = convolution_bound(theta, d, _weight_sup(h))
+    bound = convolution_bound(theta, d, abs(h.amplitude))
     if isinstance(h, One):
         value = h.amplitude * 2.0 / (theta * (d - theta))
         return ConvolutionCoefficient(theta, r, d, value, bound)
@@ -282,16 +281,21 @@ def convolution_coefficient(theta: float, r: float, h: Weight, d: int) -> Convol
     return ConvolutionCoefficient(theta, r, d, value, bound)
 
 
+def _checked(quad_result: tuple, what: str) -> float:
+    """The value of a (value, error estimate) pair whose error is within 1e-6 max(1, |value|)."""
+    val, err = quad_result
+    if err > 1e-6 * max(1.0, abs(val)):
+        raise QuadratureFailure(f"{what} error estimate {err:.3e} too large")
+    return val
+
+
 def _quadrature_value(theta: float, r: float, h: Weight, d: int) -> float:
     """Quadrature path for a(theta, r, h); also the cross-check for h = One."""
     g = _inner_over_gamma(h, theta, r * r)
     gamma_exp = (d - theta - 2.0) / 2.0
-    val, err = integrate.quad(g, 0.0, 1.0,
-                              weight="alg", wvar=(0.0, gamma_exp),
-                              epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)
-    if err > 1e-6 * max(1.0, abs(val)):
-        raise QuadratureFailure(f"convolution coefficient error estimate {err:.3e} too large")
-    return val
+    return _checked(integrate.quad(g, 0.0, 1.0, weight="alg", wvar=(0.0, gamma_exp),
+                                   epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200),
+                    "convolution coefficient")
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +347,12 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
         pref = hls * p ** (-d / p) * (2.0 * math.pi) ** (-d / q)
         a = theta / 4.0  # = d/(2q)
 
-        def inner(u: float) -> float:
+        def inner(u):
             # int_0^(T-u) (u+x)^-a x^-a dx = u^(1-2a) z^(1-a)/(1-a) 2F1(a, 1-a; 2-a; -z),
-            # z = (T-u)/u; hypergeometric form stays stable as u -> 0
-            if u >= T:
-                return 0.0
+            # z = (T-u)/u, on an array of 0 < u <= T; hypergeometric form stays
+            # stable as u -> 0
             z = (T - u) / u
-            return (
-                u ** (1.0 - 2.0 * a)
-                * z ** (1.0 - a) / (1.0 - a)
-                * float(hyp2f1(a, 1.0 - a, 2.0 - a, -z))
-            )
+            return u ** (1.0 - 2.0 * a) * z ** (1.0 - a) / (1.0 - a) * hyp2f1(a, 1.0 - a, 2.0 - a, -z)
 
         def primitive(s):
             # int_0^s inner(u) du up to a constant; in the later time y = u + x

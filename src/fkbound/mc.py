@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -46,7 +46,6 @@ __all__ = [
     "McEstimate",
     "PathEnsemble",
     "estimate",
-    "fit_discretization_allowance",
     "martingale_lemma_check",
     "maximality_check",
     "sample_action",
@@ -482,23 +481,6 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
         equality_within_3se=bool(abs(gap) <= 3.0 * se + 1e-12),
         strictly_below_3se=bool(gap > 3.0 * se),
     )
-
-
-def fit_discretization_allowance(diffs: Mapping[int, float], T: float,
-                                 exponent: float) -> float:
-    """Coefficient C of the allowance model |bias(N)| ~ C (T/N)^exponent.
-
-    ``diffs`` maps step counts to observed deviations from the continuum
-    target on an N ladder; the returned C is the conservative (largest)
-    fit, so C (T/N)^exponent dominates every observed point.
-    """
-    if not diffs:
-        raise DomainError("allowance fit needs at least one ladder point")
-    c = 0.0
-    for n, diff in diffs.items():
-        dt = T / int(n)
-        c = max(c, abs(float(diff)) / dt ** exponent)
-    return c
 
 
 def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,

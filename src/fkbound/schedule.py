@@ -18,12 +18,13 @@ its ``kind`` (the key :func:`coupling_from_dict` looks up), rejects
 negative or non-finite fields with DomainError in ``__post_init__``, and
 implements ``at(t)`` (values on a float array), ``is_zero()`` and
 ``power_integral(q, b, s)`` (the exact integral of f^q t^(-b) over
-[0, s]).  It overrides the ``_Coupling`` defaults where they do not hold:
-the JSON form, ``majorant(T)`` (the envelope as a coupling),
-``breakpoints``, the large-T limits, ``non_increasing()`` and
-``shifted_profile``; and, where it beats adaptive quadrature, the outer
-integral ``iterated_norm`` and ``integral_against`` (f times a kernel), as
-:class:`Tabulated` does in O(G) for G cells from cumulative cell sums.
+[0, s], vectorised over s).  It overrides the ``_Coupling`` defaults
+where they do not hold: the JSON form, ``majorant(T)`` (the envelope as a
+coupling), ``breakpoints``, ``support_start``, the large-T limits,
+``non_increasing()`` and ``shifted_profile``.  The outer time integrals
+``iterated_norm`` and ``integral_against`` (f times a kernel) are one
+composite Gauss-Legendre rule for every variant, O(G) for G table cells;
+:class:`Tabulated` keeps an exact per-cell sum for ``integral_against``.
 
 Tabulated data uses step-left (previous-value) interpolation, so envelopes
 and norms are exact on the representation; no interpolation-order ambiguity
@@ -40,14 +41,11 @@ from dataclasses import dataclass, fields
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammainc, gammaln
 
-from .config import QUAD_ABS, QUAD_REL
-from .errors import DomainError, NonIntegrable
+from .errors import DomainError, NonIntegrable, NumericalFailure
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)  # nodes per panel of Tabulated.iterated_norm
-_GRADES = 48  # its panels halving toward a late start of the table's support
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)  # nodes per panel of the outer integrals
 
 __all__ = [
     "Constant",
@@ -73,6 +71,17 @@ def _require(ok: bool, message: str) -> None:
         raise DomainError(message)
 
 
+def _panel_rule(cuts, graded) -> tuple:
+    """(nodes, weights) of the 16-point Gauss-Legendre rule on the panels
+    between the cuts and, for each (end, other) in graded, the edges end and
+    end + (other - end) 2^-k, k = 0..64: no panel is wider than its distance
+    from a graded end, where the integrand may be singular."""
+    x = np.unique(np.concatenate([cuts, *(np.append(end + (other - end) * 2.0 ** -np.arange(65.0), end)
+                                          for end, other in graded)]))
+    half = 0.5 * np.diff(x)[:, None]
+    return x[:-1, None] + half * (_GL_X + 1.0), half * _GL_W
+
+
 # ---------------------------------------------------------------------------
 # coupling variants
 # ---------------------------------------------------------------------------
@@ -94,22 +103,36 @@ class _Coupling:
         return self
 
     def breakpoints(self, T: float) -> list:
-        """Points of (0, T) where f jumps, for the default quadratures below."""
+        """Points of (0, T) where f jumps; the panel rule cuts there."""
         return []
 
-    def _quad(self, integrand, T: float) -> float:
-        """Adaptive quadrature over [0, T], split at the breakpoints."""
-        return integrate.quad(integrand, 0.0, T, points=self.breakpoints(T) or None,
-                              epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200)[0]
+    def support_start(self) -> float:
+        """The time before which f vanishes."""
+        return 0.0
 
     def iterated_norm(self, T: float, inner_p: float, inner_weight: float,
                       outer_power: float) -> float:
-        """The outer integral of :func:`iterated_norm`."""
-        return self._quad(lambda t: norm(self, inner_p, t, inner_weight).value ** outer_power, T)
+        """The outer integral of :func:`iterated_norm`, graded toward the start
+        s0 of the support, where the integrand grows like t^(ar) or (t - s0)^r."""
+        s0 = self.support_start()
+        if s0 >= T:
+            return 0.0
+        t, w = _panel_rule(self.breakpoints(T), [(s0, T)])
+        inner = self.power_integral(inner_p, inner_weight * inner_p, t)
+        return float(np.sum(w * inner ** (outer_power / inner_p)))
 
     def integral_against(self, T: float, density, primitive) -> float:
-        """int_0^T f(u) density(u) du; primitive(s) = int_0^s density + const."""
-        return self._quad(lambda u: float(self.at(np.asarray(u, dtype=float))) * density(u), T)
+        """int_0^T f(u) density(u) du; primitive(s) = int_0^s density + const.
+        The density takes an array; it is bounded but may be rough at both
+        ends of each piece.  Where f is unbounded at 0 (a negative power) the
+        rule goes on to h = 2^-1000 of the first piece: f's exact mass on [0, h]."""
+        ends = [0.0, *self.breakpoints(T), T]
+        levels = 1000 if np.isinf(self.at(np.zeros(1)))[0] else 65
+        u, w = _panel_rule(ends[1] * 2.0 ** -np.arange(65.0, levels + 1.0),
+                           [(end, 0.5 * (lo + hi)) for lo, hi in zip(ends, ends[1:]) for end in (lo, hi)])
+        h, d = ends[1] * 2.0 ** -levels, density(u)
+        head = self.power_integral(1.0, 0.0, h) * np.sum(w[0] * d[0]) / h  # times the mean density
+        return float(head + np.sum(w[1:] * self.at(u[1:]) * d[1:]))
 
     def mean_power_limit(self, q: float) -> float:
         """lim_{T->inf} |f|_{q,T}^q / T."""
@@ -196,7 +219,7 @@ class ExpDecay(_Coupling):
             self.amplitude ** q
             * lam ** (b - 1.0)
             * math.exp(gammaln(a))
-            * float(gammainc(a, lam * s))
+            * gammainc(a, lam * s)
         )
 
     def mean_power_limit(self, q: float) -> float:
@@ -233,7 +256,7 @@ class Indicator(_Coupling):
         return self.height == 0.0
 
     def power_integral(self, q: float, b: float, s: float) -> float:
-        u = min(s, self.cutoff)
+        u = np.minimum(s, self.cutoff)
         return self.height ** q * u ** (1.0 - b) / (1.0 - b)
 
     def breakpoints(self, T: float) -> list:
@@ -337,47 +360,31 @@ class Tabulated(_Coupling):
         running = np.maximum.accumulate(np.asarray(self.values)[::-1])[::-1]
         return Tabulated(self.grid, tuple(running))
 
-    def _cell_sums(self, q: float, b: float) -> tuple:
-        """(grid, v^q, grid^a, cum), cum[k] = int_0^grid[k] f^q t^-b dt, a = 1 - b;
-        scalar powers keep the sums bit-equal to a loop over the cells."""
-        a = 1.0 - b
+    def _within_horizon(self, s: float) -> None:
+        _require(s <= self.grid[-1] * (1.0 + 1e-12),
+                 f"upper time {s} beyond the tabulated horizon {self.grid[-1]}")
+
+    def power_integral(self, q: float, b: float, s):
+        # cum[k] = int_0^grid[k] f^q t^-b dt, a = 1 - b; scalar powers keep
+        # the sums bit-equal to a loop over the cells
+        self._within_horizon(np.max(s))
+        a, grid = 1.0 - b, np.asarray(self.grid)
         vq = np.array([v ** q for v in self.values[:-1]])
         ga = np.array([g ** a for g in self.grid])
-        return np.asarray(self.grid), vq, ga, np.concatenate(([0.0], np.cumsum(vq * np.diff(ga) / a)))
+        cum = np.concatenate(([0.0], np.cumsum(vq * np.diff(ga) / a)))
+        k = np.minimum(np.searchsorted(grid, s, side="right"), len(vq)) - 1
+        return cum[k] + vq[k] * (np.minimum(s, grid[-1]) ** a - ga[k]) / a
 
-    def power_integral(self, q: float, b: float, s: float) -> float:
-        if s > self.grid[-1] * (1.0 + 1e-12):
-            raise DomainError(f"upper time {s} beyond the tabulated horizon {self.grid[-1]}")
-        grid, vq, ga, cum = self._cell_sums(q, b)
-        k = min(int(np.searchsorted(grid, s, side="right")), len(vq)) - 1
-        return float(cum[k] + vq[k] * (min(s, self.grid[-1]) ** (1.0 - b) - ga[k]) / (1.0 - b))
+    def breakpoints(self, T: float) -> list:
+        return [g for g in self.grid[1:] if g < T]
 
-    def iterated_norm(self, T: float, inner_p: float, inner_weight: float,
-                      outer_power: float) -> float:
-        # On cell k the integrand is (cum_k + v_k^q (t^a - g_k^a) / a)^r: exact on
-        # [0, g_1], (v_0^q / a)^r t^(ar), then _GL_X panels cut at the points
-        # g_1 2^j so that none is wider than its left end (t^a is singular at 0).
-        # If f = 0 before g0 > 0 it grows like (t - g0)^r: _GRADES panels halve to g0.
-        b = inner_weight * inner_p
-        a, r = 1.0 - b, outer_power / inner_p
-        grid, vq, ga, cum = self._cell_sums(inner_p, b)
-        g0 = grid[np.argmax(vq > 0.0)]
-        if g0 >= T:
-            return 0.0
-        T = min(T, grid[-1])
-        e = np.append(grid[(grid > g0) & (grid < T)], T)
-        x = np.unique(np.concatenate([e, e[0] * 2.0 ** np.arange(1.0, np.log2(T / e[0])),
-                                      g0 + (e[0] - g0) * 2.0 ** -np.arange(1.0, _GRADES + 1.0)
-                                      if g0 else []]))
-        cell = np.searchsorted(grid, x[:-1], side="right")[:, None] - 1
-        half = 0.5 * np.diff(x)[:, None]
-        inner = cum[cell] + vq[cell] * ((x[:-1, None] + half * (_GL_X + 1.0)) ** a - ga[cell]) / a
-        total = (vq[0] / a) ** r * x[0] ** (a * r + 1.0) / (a * r + 1.0)  # 0 if g0 > 0
-        return float(total + np.sum(half * inner ** r * _GL_W))
+    def support_start(self) -> float:
+        return self.grid[int(np.argmax(np.asarray(self.values[:-1]) > 0.0))]
 
     def integral_against(self, T: float, density, primitive) -> float:
         # exact per cell: sum_k v_k (primitive(g_{k+1}) - primitive(g_k))
-        edges = np.append([g for g in self.grid if g < T], T)
+        self._within_horizon(T)
+        edges = np.array([0.0, *self.breakpoints(T), T])
         return float(np.dot(self.values[:len(edges) - 1], np.diff(primitive(edges))))
 
     def non_increasing(self) -> bool:
@@ -493,7 +500,7 @@ def norm(
     elif b >= 1.0:
         raise NonIntegrable(f"weight exponent {b} >= 1 makes t=0 non-integrable")
     else:
-        val = f.power_integral(p, b, s)
+        val = float(f.power_integral(p, b, s))
     return NormValue(p=p, s=s, value=val ** (1.0 / p), weight=weight)
 
 
@@ -506,11 +513,9 @@ def iterated_norm(
 ) -> float:
     """integral over [0, T] of norm(f, inner_p, t, inner_weight)^outer_power dt.
 
-    The inner norm is analytic per variant; the variant's ``iterated_norm``
-    method does the outer integral.  By default that is adaptive quadrature
-    split at ``breakpoints``; :class:`Tabulated`, whose integrand kinks at
-    every cell edge, uses a composite Gauss-Legendre rule over its cells,
-    graded toward t = 0: O(G) work for G cells, accurate to roundoff.
+    The inner norm is exact per variant, evaluated at every node at once;
+    the outer integral is the panel rule of ``_Coupling.iterated_norm``,
+    accurate to roundoff, in O(G) work for a table of G cells.
     """
     if not T >= 0:
         raise DomainError(f"horizon must be nonnegative, got {T}")
@@ -520,4 +525,8 @@ def iterated_norm(
         return 0.0
     # probe once so a divergent inner norm raises before quadrature runs
     norm(f, inner_p, T, inner_weight)
-    return f.iterated_norm(T, inner_p, inner_weight, outer_power)
+    with np.errstate(over="ignore"):
+        val = f.iterated_norm(T, inner_p, inner_weight, outer_power)
+    if not math.isfinite(val):
+        raise NumericalFailure(f"iterated norm overflows at T={T}")
+    return val

@@ -279,3 +279,41 @@ def test_sweep_rejects_parameter_the_model_does_not_use(capsys):
                               "--param", "d", "--grid", "3,4"], capsys)
     assert code == 2
     assert "not d" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--theorem", "1", "--theta", "1.9999999", "--dim", "3", "--T", "1e6",
+     "--coupling", '{"kind":"constant","level":1}'],
+    ["sweep", "--model", "inverse_square", "--alpha", "0.2", "--param", "theta",
+     "--grid", "1.999999999", "--T", "400"],
+])
+def test_overflowing_bound_exit_3(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert "overflow" in err
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_pekar_zero_coupling_scaling_is_strict_json(capsys):
+    code, out, _ = run_cli(["pekar", "--theta", "1.0", "--coupling", "0", "--scaling"], capsys)
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["scaling"]["ratio_energy_2g_over_g"] is None
+    assert payload["non_finite"] == {"scaling.ratio_energy_2g_over_g": "NaN",
+                                     "scaling.relative_error": "NaN"}
+
+
+def test_sweep_json_is_strict(capsys):
+    # alpha = 0 has energy magnitude 0, so its log10 is -inf
+    code, out, _ = run_cli(["sweep", "--model", "inverse_square", "--param", "alpha",
+                            "--grid", "0,0.1", "--T", "1", "--format", "json"], capsys)
+    assert code == 0
+    payload = _strict_json(out)
+    assert [row["energy_log10_magnitude"] is None for row in payload["rows"]] == [True, False]
+    assert payload["non_finite"] == {"rows.0.energy_log10_magnitude": "-Infinity"}

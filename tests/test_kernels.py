@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -8,7 +9,7 @@ from scipy.special import gammaln, hyp2f1
 from fkbound import kernels as K
 from fkbound.bounds import BoundParams
 from fkbound.config import sharp_hls_constant
-from fkbound.errors import DomainError
+from fkbound.errors import DomainError, NonIntegrable
 from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw, Tabulated
 
 
@@ -226,6 +227,18 @@ def test_conditioned_derivative_below_pointwise_bound(f, theta, u, r):
     assert direct > 0
 
 
+def test_cross_expectation_of_a_non_integrable_coupling_raises():
+    with pytest.raises(NonIntegrable):
+        K.expected_action("cross_double", PowerLaw(1.0, -1.0), BoundParams(1.2, 3, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["single", "self_double", "cross_double"])
+def test_expected_action_past_the_table_horizon_raises(kind):
+    table = Tabulated((0.0, 0.5, 1.2, 2.0), (0.5, 0.9, 0.3, 0.4))
+    with pytest.raises(DomainError, match="beyond the tabulated horizon"):
+        K.expected_action(kind, table, BoundParams(1.2, 3, 3.0))
+
+
 def test_clark_ocone_variance_bound_value():
     assert K.clark_ocone_variance_bound(Constant(0.5), 3, 1.0) == pytest.approx(0.25)
 
@@ -245,9 +258,48 @@ def _cross_double_per_cell(grid, values, theta, d, T):
     return sharp_hls_constant(d, theta) * p ** (-d / p) * (2.0 * math.pi) ** (-d / q) * total
 
 
-@pytest.mark.parametrize("cells", [64, 1000])
+# the golden tests' analytic couplings, with the PowerLaw of the schedule tests and
+# one close to the non-integrable u^-1 at u = 0
+_ANALYTIC = {
+    "constant": Constant(0.8), "exp_decay": ExpDecay(0.9, 1.1), "indicator": Indicator(0.7, 1.3),
+    "power_law": PowerLaw(0.6, -0.2), "power_law_up": PowerLaw(0.5, 0.4),
+    "power_law_steep": PowerLaw(0.6, -0.9),
+}
+
+
+def _mp_cross_double(f, theta, d, T):
+    """The HLS bound of expected_action in 20-digit arithmetic, integrating
+    over the later time y last: pref int_0^T y^-a g(y) dy with
+    g(y) = int_0^y f(u) (y-u)^-a du.  g is a beta function times a power for
+    Constant and PowerLaw and a Kummer function for ExpDecay, whose y-integral
+    is a 2F2; for Indicator the y-integral is an elementary tanh-sinh quadrature."""
+    mp.mp.dps = 20
+    a, T = mp.mpf(theta) / 4, mp.mpf(T)
+    s = 2 - 2 * a
+    if isinstance(f, ExpDecay):
+        rho = mp.mpf(f.rate)
+        total = f.amplitude / (1 - a) * T ** s / s * mp.hyp2f2(1, s, 2 - a, s + 1, -rho * T)
+    elif isinstance(f, Indicator):
+        c = mp.mpf(f.cutoff)
+        total = mp.quad(lambda y: y ** -a * f.height * (y ** (1 - a) - max(y - c, 0) ** (1 - a)) / (1 - a),
+                        [0, min(c, T), T])
+    else:
+        amp, k = (f.level, 0) if isinstance(f, Constant) else (f.amplitude, mp.mpf(f.exponent))
+        total = amp * mp.beta(k + 1, 1 - a) * T ** (k + s) / (k + s)
+    p, q = 2 * mp.mpf(d) / (2 * d - mp.mpf(theta)), 2 * mp.mpf(d) / mp.mpf(theta)
+    return float(sharp_hls_constant(d, theta) * p ** (-d / p) * (2 * mp.pi) ** (-d / q) * total)
+
+
+@pytest.mark.parametrize("cells", [64, 1000, *_ANALYTIC])
 @pytest.mark.parametrize("theta", [0.8, 1.2])
 def test_cross_expectation_on_tables_respects_every_cell(cells, theta):
+    if cells in _ANALYTIC:
+        # at the indicator's cutoff, inside a piece, and at the T ladder's far end
+        for T in (1.3, 2.0, 4.0 * 2.0 ** 20):
+            got = K.expected_action("cross_double", _ANALYTIC[cells], BoundParams(theta, 3, T))
+            assert got.value == pytest.approx(_mp_cross_double(_ANALYTIC[cells], theta, 3, T),
+                                              rel=1e-13)
+        return
     if cells == 64:  # the golden tests' LONG_TABLE
         grid = np.arange(65) / 32.0
         values = 0.5 + 0.4 * np.sin(np.arange(65))

@@ -279,11 +279,6 @@ def test_ladder_allowance_recovers_sqrt_dt_bias():
     assert out["ladder"][128] < out["ladder"][512]
 
 
-def test_fit_discretization_allowance_conservative():
-    c = mc.fit_discretization_allowance({128: 0.02, 256: 0.015}, T=1.0, exponent=0.5)
-    assert c >= 0.015 / (1 / 256) ** 0.5
-
-
 # ---------------------------------------------------------------------------
 # draw-order contract: golden values
 # ---------------------------------------------------------------------------

@@ -320,13 +320,49 @@ _TABLE_GRIDS = {
 }
 
 
-@pytest.mark.parametrize("grid_name", sorted(_TABLE_GRIDS))
+# the golden tests' analytic couplings, with a PowerLaw every case below integrates
+_ANALYTIC = {
+    "constant": Constant(0.8), "exp_decay": ExpDecay(0.9, 1.1), "indicator": Indicator(0.7, 1.3),
+    "power_law": PowerLaw(0.6, -0.2), "power_law_up": PowerLaw(0.5, 0.4),
+}
+
+
+def _mp_analytic_iterated(f, T, p, w, outer):
+    """The same integral for an analytic coupling in 20-digit arithmetic.  The
+    inner norm of Constant, Indicator and PowerLaw is c t^e up to X = min(T,
+    cutoff) and constant after, so the outer integral is closed-form; that of
+    ExpDecay, a lower incomplete gamma function, goes to tanh-sinh quadrature
+    on dyadic pieces."""
+    mp.mp.dps = 20
+    b, r, T = mp.mpf(w) * p, mp.mpf(outer) / p, mp.mpf(T)
+    if isinstance(f, ExpDecay):
+        lam = p * mp.mpf(f.rate)
+        c = mp.mpf(f.amplitude) ** p * lam ** (b - 1)
+        pieces = [0, *(mp.mpf(2) ** k for k in range(-3, 8) if 2 ** k < T), T]
+        return float(mp.quad(lambda t: (c * mp.gammainc(1 - b, 0, lam * t)) ** r, pieces))
+    if isinstance(f, Indicator):
+        amp, k, X = f.height, 0, min(T, mp.mpf(f.cutoff))
+    else:
+        amp, k, X = (f.level, 0, T) if isinstance(f, Constant) else (f.amplitude, f.exponent, T)
+    e = mp.mpf(k) * p - b + 1
+    c = mp.mpf(amp) ** p / e
+    return float(c ** r * X ** (e * r + 1) / (e * r + 1) + (T - X) * (c * X ** e) ** r)
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_GRIDS) + sorted(_ANALYTIC))
 @pytest.mark.parametrize("inner_p,weight,outer", [
     (1.0, 0.0, 2.0 / (2.0 - _THETA)), (1.0, _THETA / 2.0, 1.0), (1.0, 0.0, 1.0),
     (1.0, 0.0, 2.0), (1.0, 0.5, 1.0), (2.0, 0.2, 1.5),
 ])
-def test_tabulated_iterated_norm_matches_mpmath(grid_name, inner_p, weight, outer):
-    grid = _TABLE_GRIDS[grid_name]
+def test_tabulated_iterated_norm_matches_mpmath(name, inner_p, weight, outer):
+    if name in _ANALYTIC:
+        # at the indicator's cutoff, inside a piece, and at the T ladder's far end
+        f = _ANALYTIC[name]
+        for T in (1.3, 2.0, 4.0 * 2.0 ** 20):
+            want = _mp_analytic_iterated(f, T, inner_p, weight, outer)
+            assert iterated_norm(f, T, inner_p, weight, outer) == pytest.approx(want, rel=1e-13)
+        return
+    grid = _TABLE_GRIDS[name]
     values = np.random.default_rng(len(grid)).uniform(0.1, 1.0, len(grid))
     f = Tabulated(tuple(grid), tuple(values))
     k = len(grid) // 2

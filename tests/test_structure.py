@@ -1,4 +1,5 @@
-"""Structural guards: only ``schedule`` knows the coupling variants.
+"""Structural guards: only ``schedule`` knows the coupling variants, and it
+has one outer quadrature rule.
 
 Every per-variant fact is a method of the variant's class, so no other
 module branches on the variant with ``isinstance``, and ``bounds`` and
@@ -72,3 +73,19 @@ def test_bounds_and_kernels_name_no_coupling_variant():
         named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                   for alias in node.names}
         assert named & VARIANTS == set(), module
+
+
+def test_schedule_has_one_outer_quadrature():
+    # every variant's iterated norm is the panel rule of _Coupling; no adaptive quadrature
+    tree = ast.parse((SRC / "schedule.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}"} | {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+    assert not any(name.startswith("scipy.integrate") for name in imported)
+    owners = [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name == "iterated_norm"]
+    assert owners == ["_Coupling"]
