@@ -25,7 +25,7 @@ from typing import Sequence
 
 from scipy.special import gammaln
 
-from .config import SLOPE_REL
+from .config import SLOPE_DOUBLINGS, SLOPE_REL
 from .errors import DomainError, NoLinearSlope, NumericalFailure, VerificationError
 from .schedule import CouplingFunction, envelope, is_zero, iterated_norm, norm
 
@@ -391,8 +391,7 @@ def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> f
     raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
 
 
-def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int,
-                 max_doublings: int = 18) -> float:
+def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
     """Slope of log_bound(T) in T by a doubling difference quotient.
 
     (log_bound(2T) - log_bound(T)) / T cancels additive constants and
@@ -406,7 +405,7 @@ def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int,
     T = 4.0
     low = lb(T)
     prev = None
-    for _ in range(max_doublings):
+    for _ in range(SLOPE_DOUBLINGS):
         high = lb(2.0 * T)
         quot = (high - low) / T
         if prev is not None:
@@ -418,7 +417,7 @@ def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int,
         prev, low = quot, high
         T *= 2.0
     raise NoLinearSlope(
-        f"difference quotient did not settle to {SLOPE_REL} within {max_doublings} doublings"
+        f"difference quotient did not settle to {SLOPE_REL} within {SLOPE_DOUBLINGS} doublings"
     )
 
 

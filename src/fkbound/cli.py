@@ -395,12 +395,9 @@ def _cmd_sweep(args) -> int:
         rows.append(row)
     record = {"command": "sweep", "inputs": {"model": args.name, "param": args.param,
                                              "grid": values}, "rows": rows}
-    if args.format == "json":
-        _emit(record, "json", args.out)
-    else:
-        keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "param", k))
-        rows = [{k: row.get(k, "") for k in keys} for row in rows]
-        _emit(record, "csv", args.out, csv_rows=rows)
+    keys = sorted({k for row in rows for k in row}, key=lambda k: (k != "param", k))
+    _emit(record, args.format, args.out,
+          csv_rows=[{k: row.get(k, "") for k in keys} for row in rows])
     return EXIT_OK
 
 

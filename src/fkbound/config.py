@@ -14,6 +14,9 @@ QUAD_ABS = 1e-10      # inner (single) quadratures, absolute
 QUAD_REL = 1e-8       # iterated/outer quadratures, relative
 SLOPE_REL = 1e-6      # T-ladder slope extrapolation
 ODE_RESIDUAL = 1e-8   # integral-equation residual for the ODE solver
+SLOPE_DOUBLINGS = 18  # T-ladder doublings before a slope counts as unsettled
+PEKAR_GRAD = 1e-8     # Pekar descent: projected-gradient norm at convergence
+PEKAR_ITERATIONS = 40000  # Pekar descent: iteration cap
 
 
 def sharp_hls_constant(d: int, theta: float) -> float:

@@ -5,9 +5,11 @@ et al., SC'11), so its draws depend on the seed and the path index alone.
 One path engine serves every sampler: each worker re-keys one bit generator
 to (seed, m) per path, draws the path's whole normal block in one call into
 a batch buffer (a fixed element budget over the block size), and the
-sampler evaluates the batch at once.  Weighted action sums still run one
-path at a time, and every reduction over paths runs in index order, so no
-result depends on the worker count or the batch size.
+sampler evaluates the batch at once.  Each path's action is a numpy sum
+over that path alone (pair actions run one path at a time), and every
+reduction over paths runs in index order.  The engine makes no BLAS call,
+whose threads would split a long sum, so no result depends on the worker
+count, the batch size or the BLAS thread count.
 
 Draw order within a path is part of the reproducibility contract; one
 block of 2N rows draws exactly the two N-row draws listed, in order:
@@ -220,12 +222,9 @@ class _SingleSampler:
 
     def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
         dt = spec.T / steps
-        self.rows = 2 * steps
-        self.sq = math.sqrt(dt)
+        self.rows, self.sq = 2 * steps, math.sqrt(dt)
         self.fw = np.asarray(evaluate(spec.f, (np.arange(steps) + 0.5) * dt), dtype=float) * dt
-        self.eps2 = spec.epsilon ** 2
-        self.theta = spec.theta
-        self.offsets = offsets
+        self.theta, self.eps2, self.offsets = spec.theta, spec.epsilon ** 2, offsets
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         mids = _bridge_midpoints(z, self.sq)
@@ -235,60 +234,53 @@ class _SingleSampler:
             r2o = r2 if offset == 0.0 else r2 + 2.0 * offset * mids[:, :, 0] + offset * offset
             with np.errstate(divide="ignore"):
                 vals = (r2o + self.eps2) ** (-self.theta / 2.0)
-            # one dot per path: a batched product would sum in another order
-            row[:] = [np.dot(self.fw, v) for v in vals]
+            row[:] = (vals * self.fw).sum(axis=1)
         return out
 
 
 class _PairSampler:
-    """Grid-node double sums over node pairs i > j, nodes at t = (k+1) dt."""
+    """Grid-node double sums over node pairs i > j, nodes at t = (k+1) dt.
+
+    The action is a sum of terms (w, a, b, offset), added in table order:
+    each is the sum over pairs of w (eps^2 + |a_i - b_j + offset e_1|^2)^(-theta/2),
+    with a and b each path 0 (X, a block's first N rows) or 1 (Y, the next N).
+    """
 
     def __init__(self, spec: ActionSpec, steps: int):
         dt = spec.T / steps
-        self.sq = math.sqrt(dt)
         parts = 1 if spec.kind == "self_double" else 2
         self.rows, self.block = parts * steps, (parts, steps, spec.d)
-        self.kind = spec.kind
-        self.theta = spec.theta
-        self.eps2 = spec.epsilon ** 2
-        self.offset = spec.offset
+        self.sq, self.theta, self.eps2 = math.sqrt(dt), spec.theta, spec.epsilon ** 2
         self.iu, self.ju = np.tril_indices(steps, -1)
-        self.w = np.asarray(evaluate(spec.f, (self.iu - self.ju) * dt), dtype=float) * dt * dt
-        if spec.kind == "bipolaron":
-            self.w_cross = 2.0 * self.w
-
-    def _pair_pow(self, diff2: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return (diff2 + self.eps2) ** (-self.theta / 2.0)
-
-    def _self_distances(self, x: np.ndarray) -> np.ndarray:
-        g = x @ x.T
-        sq = np.diagonal(g)
-        d2 = sq[self.iu] + sq[self.ju] - 2.0 * g[self.iu, self.ju]
-        return np.maximum(d2, 0.0)
-
-    def _cross_distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = x[self.iu] - y[self.ju]
-        if self.offset != 0.0:
-            d[:, 0] += self.offset
-        return np.einsum("ij,ij->i", d, d)
-
-    def _action(self, x: np.ndarray, y: np.ndarray = None) -> float:
-        if self.kind == "self_double":
-            return float(np.dot(self.w, self._pair_pow(self._self_distances(x))))
-        if self.kind == "cross_double":
-            return float(np.dot(self.w, self._pair_pow(self._cross_distances(x, y))))
-        # bipolaron: cross term plus both self terms, shared coupling profile
-        total = float(np.dot(self.w_cross, self._pair_pow(self._cross_distances(x, y))))
-        total += float(np.dot(self.w, self._pair_pow(self._self_distances(x))))
-        total += float(np.dot(self.w, self._pair_pow(self._self_distances(y))))
-        return total
+        w = np.asarray(evaluate(spec.f, (self.iu - self.ju) * dt), dtype=float) * dt * dt
+        # the bipolaron couples X and Y with twice the weight of each self term
+        cross = (2.0 * w if spec.kind == "bipolaron" else w, 0, 1, spec.offset)
+        self.terms = {"self_double": [(w, 0, 0, 0.0)], "cross_double": [cross],
+                      "bipolaron": [cross, (w, 0, 0, 0.0), (w, 1, 1, 0.0)]}[spec.kind]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        # X from a block's first N rows, Y from the next N.  Path by path:
-        # batch-wide node arrays, held between the O(N^2) temporaries,
-        # fragmented the heap and raised peak RSS by 3 MB at N = 1024.
-        return np.array([self._action(*(self.sq * b.reshape(self.block)).cumsum(axis=1)) for b in z])
+        # Three pair-length buffers, reused across the batch's paths: fresh
+        # per-path temporaries cost page faults, and one (3, n) block raised
+        # glibc's mmap threshold and mc_pair peak RSS by 8 MB.  mode="clip"
+        # lets take write into out directly; the indices are in range.
+        d2, ai, bj = (np.empty(len(self.iu)) for _ in range(3))
+        out = np.zeros(len(z))
+        for k, block in enumerate(z):
+            nodes = (self.sq * block.reshape(self.block)).cumsum(axis=1)
+            for w, a, b, offset in self.terms:
+                d2.fill(self.eps2)
+                for c in range(self.block[2]):
+                    np.take(nodes[a, :, c], self.iu, out=ai, mode="clip")
+                    ai -= np.take(nodes[b, :, c], self.ju, out=bj, mode="clip")
+                    if c == 0 and offset != 0.0:
+                        ai += offset
+                    ai *= ai
+                    d2 += ai
+                with np.errstate(divide="ignore"):
+                    np.power(d2, -self.theta / 2.0, out=d2)
+                d2 *= w
+                out[k] += d2.sum()
+        return out
 
 
 class _AffineSampler:

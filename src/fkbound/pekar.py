@@ -40,6 +40,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
+from .config import PEKAR_GRAD, PEKAR_ITERATIONS
 from .errors import DomainError, GridTooSmall, NoConvergence, NotPositiveDefinite
 
 __all__ = [
@@ -150,11 +151,10 @@ def _assemble_kernel(r: np.ndarray, h: float, theta: float, d: int) -> np.ndarra
     return 0.5 * (W + W.T)
 
 
-def solve(problem: PekarProblem, max_iterations: int = 40000,
-          grad_tol: float = 1e-8) -> PekarSolution:
+def solve(problem: PekarProblem) -> PekarSolution:
     """Minimise the discretised radial functional on the mass sphere.
 
-    Raises NoConvergence if the projected gradient stalls above grad_tol
+    Raises NoConvergence if the projected gradient stalls above PEKAR_GRAD
     and GridTooSmall if the minimiser presses against r_max.
     """
     theta, g, d, n = problem.theta, problem.coupling, problem.d, problem.nodes
@@ -207,11 +207,11 @@ def solve(problem: PekarProblem, max_iterations: int = 40000,
     iterations = 0
     # backtracking accepts up to additive float roundoff of the energy scale
     slack = 64.0 * np.finfo(float).eps
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, PEKAR_ITERATIONS + 1):
         G = grad / h
         pg = G - (float(G @ v) * h) * v
         pg_norm = math.sqrt(float(pg @ pg) * h)
-        if pg_norm <= grad_tol:
+        if pg_norm <= PEKAR_GRAD:
             break
         dirn = precondition(pg)
         dirn -= (float(dirn @ v) * h) * v
@@ -236,9 +236,9 @@ def solve(problem: PekarProblem, max_iterations: int = 40000,
         if not accepted:
             break
         v, E, grad, kin, inter = vn, En, gn, kn, intn
-    if pg_norm > grad_tol:
+    if pg_norm > PEKAR_GRAD:
         raise NoConvergence(
-            f"projected gradient {pg_norm:.3e} above {grad_tol} after {iterations} iterations"
+            f"projected gradient {pg_norm:.3e} above {PEKAR_GRAD} after {iterations} iterations"
         )
     tail_mass = float(v[-3:] @ v[-3:]) * h
     if tail_mass > 1e-6:

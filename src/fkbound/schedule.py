@@ -19,9 +19,10 @@ negative or non-finite fields with DomainError in ``__post_init__``, and
 implements ``at(t)`` (values on a float array), ``is_zero()`` and
 ``power_integral(q, b, s)`` (the exact integral of f^q t^(-b) over
 [0, s], vectorised over s).  It overrides the ``_Coupling`` defaults
-where they do not hold: the JSON form, ``majorant(T)`` (the envelope as a
-coupling), ``breakpoints``, ``support_start``, the large-T limits,
-``non_increasing()`` and ``shifted_profile``.  The outer time integrals
+where they do not hold: the JSON form, ``normalized()`` (f over a power of
+two), ``majorant(T)`` (the envelope as a coupling), ``breakpoints``,
+``support_start``, the large-T limits, ``non_increasing()`` and
+``shifted_profile``.  The outer time integrals
 ``iterated_norm`` and ``integral_against`` (f times a kernel) are one
 composite Gauss-Legendre rule for every variant, O(G) for G table cells;
 :class:`Tabulated` keeps an exact per-cell sum for ``integral_against``.
@@ -37,7 +38,8 @@ participates even though it carries no integral mass).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import sys
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Union
 
 import numpy as np
@@ -97,6 +99,12 @@ class _Coupling:
     @classmethod
     def from_dict(cls, spec: dict):
         return cls(*(float(spec[fld.name]) for fld in fields(cls)))
+
+    def normalized(self) -> tuple:
+        """(k, 2^-k f), the first field of 2^-k f in [0.5, 1): f is linear in it."""
+        name = fields(self)[0].name
+        mantissa, k = math.frexp(getattr(self, name))
+        return k, replace(self, **{name: mantissa})
 
     def majorant(self, T: float):
         """The non-increasing envelope on [0, T], as a coupling."""
@@ -354,6 +362,10 @@ class Tabulated(_Coupling):
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
+    def normalized(self) -> tuple:
+        k = math.frexp(max(self.values))[1]
+        return k, Tabulated(self.grid, tuple(math.ldexp(v, -k) for v in self.values))
+
     def majorant(self, T: float):
         _require(self.grid[-1] == T,
                  f"Tabulated grid ends at {self.grid[-1]}, expected horizon {T}")
@@ -495,13 +507,18 @@ def norm(
     if weight < 0:
         raise DomainError(f"weight exponent must be nonnegative, got {weight}")
     b = weight * p
+    k = 0
     if s == 0.0:
         val = 0.0
     elif b >= 1.0:
         raise NonIntegrable(f"weight exponent {b} >= 1 makes t=0 non-integrable")
     else:
         val = float(f.power_integral(p, b, s))
-    return NormValue(p=p, s=s, value=val ** (1.0 / p), weight=weight)
+        if val < sys.float_info.min:
+            # f^p underflowed: integrate (2^-k f)^p, 2^k near the scale of f
+            k, unit = f.normalized()
+            val = float(unit.power_integral(p, b, s))
+    return NormValue(p=p, s=s, value=math.ldexp(val ** (1.0 / p), k), weight=weight)
 
 
 def iterated_norm(

@@ -199,7 +199,7 @@ def test_slope_superlinear_raises():
     with pytest.raises(NoLinearSlope):
         B.analytic_slope(2, Constant(1.0), 1.0, 3)
     with pytest.raises(NoLinearSlope):
-        B.ladder_slope(2, Constant(1.0), 1.0, 3, max_doublings=8)
+        B.ladder_slope(2, Constant(1.0), 1.0, 3)
 
 
 def test_ladder_slope_for_tabulated_coupling():

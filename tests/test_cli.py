@@ -177,6 +177,13 @@ def test_sweep_hydrogen_alpha_energy_column(capsys):
     for row in rows:
         a = float(row["value"])
         assert float(row["energy_lower_bound"]) == pytest.approx(-a * a / 2, rel=1e-12)
+    code, out, _ = run_cli([
+        "sweep", "--model", "hydrogen", "--param", "alpha",
+        "--grid", "0.5,1,2", "--T", "1", "--format", "pretty",
+    ], capsys)
+    assert code == 0
+    assert out.startswith("command: sweep\n")
+    assert "energy_lower_bound: -0.125" in out
 
 
 def test_threads_default_from_environment(monkeypatch):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,34 @@ def test_sample_action_is_pure_function_of_seed_and_index():
     # evaluation order must not matter
     reverse = [mc.sample_action(spec, ens, m) for m in reversed(range(5))]
     assert reverse == first[::-1]
+
+
+_ACTIONS_SCRIPT = """
+from fkbound import mc
+from fkbound.schedule import ExpDecay
+f = ExpDecay(0.4, 1.0)
+cases = [("self_double", 0.0, 256), ("cross_double", 0.5, 256), ("bipolaron", 0.0, 256),
+         ("single", 0.0, 16384)]
+for kind, offset, steps in cases:
+    spec = mc.ActionSpec(kind, f, 1.0, 3, 1.0, offset=offset)
+    ens = mc.PathEnsemble(seed=3, paths=10, steps=steps, horizon=1.0, dim=3)
+    print(kind, [mc.sample_action(spec, ens, m).hex() for m in range(10)])
+"""
+
+
+def test_actions_independent_of_blas_threads():
+    # OpenBLAS splits a long dot product over its threads, which changes the
+    # summation order; the actions must not depend on it
+    src = str(Path(mc.__file__).parents[1])
+    outputs = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _ACTIONS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout.splitlines())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_increment_moments():
@@ -287,7 +319,8 @@ def test_ladder_allowance_recovers_sqrt_dt_bias():
 # counts are not multiples of the engine's batch size, one case uses the
 # largest seed, and one runs with worker threads.  The values pin the
 # documented draw order: any change to it, or to the arithmetic order of an
-# action, shows up here as a changed bit pattern.
+# action, shows up here as a changed bit pattern.  Every action sum is a numpy
+# reduction, never a BLAS call, so the values hold for any BLAS thread count.
 def _golden_cases():
     from fkbound import oscillator
 
@@ -316,44 +349,44 @@ def _fingerprint(result) -> list:
 
 GOLDEN = {
     'single': [
-        '0x1.9892fbe5a5c90p-1', '0x1.5a25fe6cfc27cp-6', '0x1.899ed37651e48p-1',
-        '0x1.b7d0384feca77p-7',
+        '0x1.9892fbe5a5c90p-1', '0x1.5a25fe6cfc27fp-6', '0x1.899ed37651e48p-1',
+        '0x1.b7d0384feca76p-7',
     ],
     'single_offset_eps': [
-        '0x1.63194da4ff908p-1', '0x1.5239233008e2ap-6', '0x1.40e2b229f2aebp-1',
-        '0x1.647600cbd466dp-6',
+        '0x1.63194da4ff908p-1', '0x1.5239233008e2cp-6', '0x1.40e2b229f2aebp-1',
+        '0x1.647600cbd466cp-6',
     ],
     'single_max_seed': [
-        '0x1.8c578bbef18eap-1', '0x1.316c8329b34b6p-5', '0x1.77f6efaabbcf0p-1',
+        '0x1.8c578bbef18ebp-1', '0x1.316c8329b34b4p-5', '0x1.77f6efaabbcf0p-1',
         '0x1.8a6d3a1b8864ap-6',
     ],
     'single_threads': [
-        '0x1.86e541bb2ef41p-1', '0x1.1050f4e08fbf9p-6', '0x1.7962ecc9064eep-1',
+        '0x1.86e541bb2ef40p-1', '0x1.1050f4e08fbfap-6', '0x1.7962ecc9064eep-1',
         '0x1.f149922c2c2f5p-7',
     ],
     'self_double': [
-        '0x1.27dc81d518e00p-2', '0x1.353904360c53bp-8', '0x1.26e18c218f3a8p-2',
-        '0x1.1cffafaa9a79cp-8',
+        '0x1.27dc81d518dfcp-2', '0x1.353904360c4cap-8', '0x1.26e18c218f3a5p-2',
+        '0x1.1cffafaa9a7a0p-8',
     ],
     'cross_double': [
-        '0x1.d3a8a96490b90p-4', '0x1.1484da968e9acp-8', '0x1.cf27992925a1fp-4',
+        '0x1.d3a8a96490b90p-4', '0x1.1484da968e9acp-8', '0x1.cf27992925a20p-4',
         '0x1.3162eedc268a2p-8',
     ],
     'bipolaron': [
-        '0x1.7239cd5338d22p-1', '0x1.9f6bfe49b9b85p-7', '0x1.6ebae70770f8fp-1',
-        '0x1.78e0deee03f10p-7',
+        '0x1.7239cd5338d1ep-1', '0x1.9f6bfe49b9b78p-7', '0x1.6ebae70770f8fp-1',
+        '0x1.78e0deee03f12p-7',
     ],
     'maximality_0.0': [
-        '0x0.0p+0', '0x1.746d5cdf64542p-1', '0x1.023d5ffd3c163p-6',
+        '0x0.0p+0', '0x1.746d5cdf64544p-1', '0x1.023d5ffd3c15dp-6',
         '0x0.0p+0', '0x0.0p+0',
     ],
     'maximality_0.5': [
-        '0x1.0000000000000p-1', '0x1.33eba508c51fcp-1', '0x1.62fa12bcc99fcp-7',
-        '0x1.0206df5a7cd18p-3', '0x1.e0c88fd787c88p-7',
+        '0x1.0000000000000p-1', '0x1.33eba508c51fbp-1', '0x1.62fa12bcc99fdp-7',
+        '0x1.0206df5a7cd24p-3', '0x1.e0c88fd787c8ap-7',
     ],
     'maximality_1.0': [
-        '0x1.0000000000000p+0', '0x1.c9cbb450dab58p-2', '0x1.326a3d12761e5p-7',
-        '0x1.1f0f056dedf2cp-2', '0x1.2b2eea9293221p-6',
+        '0x1.0000000000000p+0', '0x1.c9cbb450dab54p-2', '0x1.326a3d12761e6p-7',
+        '0x1.1f0f056dedf34p-2', '0x1.2b2eea9293220p-6',
     ],
     'martingale_equality': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', 'nan',

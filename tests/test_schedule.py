@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fkbound.errors import DomainError, NonIntegrable
@@ -132,6 +132,9 @@ def test_norm_tabulated_exact_piecewise():
     assert norm(f, 1.0, 2.0).value == pytest.approx(3.0)
     assert norm(f, 1.0, 1.5).value == pytest.approx(2.5)
     assert norm(f, 2.0, 2.0).value == pytest.approx(math.sqrt(5.0))
+    # f^4 underflows: (1 + 16)^(1/4) 1e-100, not 0
+    tiny = Tabulated((0.0, 1.0, 2.0), (1e-100, 2e-100, 0.0))
+    assert norm(tiny, 4.0, 2.0).value == pytest.approx(17.0 ** 0.25 * 1e-100, rel=1e-14, abs=0.0)
 
 
 def test_norm_power_law_divergence_raises():
@@ -153,6 +156,7 @@ def test_norm_weight_exponent_must_converge():
     st.floats(min_value=1.0, max_value=4.0),
     st.floats(min_value=0.01, max_value=50.0),
 )
+@example(level=1e-100, p=3.25, factor=3.0)  # level^p underflows to 0
 def test_norm_scaling_homogeneity(level, p, factor):
     f = Constant(level)
     lhs = norm(Constant(factor * level), p, 2.0).value

@@ -1,5 +1,5 @@
-"""Structural guards: only ``schedule`` knows the coupling variants, and it
-has one outer quadrature rule.
+"""Structural guards: only ``schedule`` knows the coupling variants, it has
+one outer quadrature rule, and the Monte Carlo engine makes no BLAS call.
 
 Every per-variant fact is a method of the variant's class, so no other
 module branches on the variant with ``isinstance``, and ``bounds`` and
@@ -89,3 +89,29 @@ def test_schedule_has_one_outer_quadrature():
               for node in cls.body
               if isinstance(node, ast.FunctionDef) and node.name == "iterated_norm"]
     assert owners == ["_Coupling"]
+
+
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _blas_uses(source: str) -> list:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS:
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id in BLAS_CALLS:
+            found.append(node.id)
+    return found
+
+
+def test_guard_sees_blas_calls():
+    source = "from numpy import inner\ng = x @ x.T\ng @= y\nv = np.dot(w, v) + a.vdot(b) + inner(a, b)\n"
+    assert sorted(_blas_uses(source)) == ["@", "@", "dot", "inner", "vdot"]
+
+
+def test_mc_makes_no_blas_call():
+    # a BLAS call splits long sums over the BLAS threads, so its result would
+    # depend on the host's thread count
+    assert _blas_uses((SRC / "mc.py").read_text()) == []
