@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -286,24 +287,21 @@ def _cmd_oscillator(args) -> int:
 
 
 def _cmd_pekar(args) -> int:
-    r_max = nodes = None
+    r_max, nodes = None, 320
     if args.grid:
         r_text, n_text = args.grid.split(",")
         r_max, nodes = float(r_text), int(n_text)
     problem = pekar.PekarProblem(theta=args.theta, coupling=args.coupling,
-                                 d=args.dim, r_max=r_max,
-                                 nodes=nodes or 320)
+                                 d=args.dim, r_max=r_max, nodes=nodes)
     sol = pekar.solve(problem)
     record = {
         "command": "pekar",
         "inputs": {"theta": args.theta, "coupling": args.coupling, "dim": args.dim,
-                   "r_max": r_max, "nodes": nodes or 320},
+                   "r_max": r_max, "nodes": nodes},
         "solution": sol.as_dict(),
     }
     if args.scaling:
-        doubled = pekar.solve(pekar.PekarProblem(theta=args.theta,
-                                                 coupling=2.0 * args.coupling,
-                                                 d=args.dim, nodes=nodes or 320))
+        doubled = pekar.solve(dataclasses.replace(problem, coupling=2.0 * args.coupling))
         target = 2.0 ** (2.0 / (2.0 - args.theta))
         ratio = doubled.energy / sol.energy if sol.energy else math.nan
         record["scaling"] = {

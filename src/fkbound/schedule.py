@@ -542,8 +542,13 @@ def iterated_norm(
         return 0.0
     # probe once so a divergent inner norm raises before quadrature runs
     norm(f, inner_p, T, inner_weight)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         val = f.iterated_norm(T, inner_p, inner_weight, outer_power)
+        if val < sys.float_info.min:
+            # underflowed as in norm: integrate 2^-k f, then scale by 2^(k outer_power)
+            k, unit = f.normalized()
+            val = float(unit.iterated_norm(T, inner_p, inner_weight, outer_power)
+                        * np.exp2(k * outer_power))
     if not math.isfinite(val):
         raise NumericalFailure(f"iterated norm overflows at T={T}")
     return val

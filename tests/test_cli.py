@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fkbound import cli
+from fkbound import cli, pekar
 
 
 def run_cli(argv, capsys):
@@ -138,6 +138,28 @@ def test_pekar_cli_scaling(capsys):
     payload = json.loads(out)
     assert payload["solution"]["energy"] == pytest.approx(-0.217, rel=5e-3)
     assert payload["scaling"]["relative_error"] < 0.02
+    # the doubled solve keeps the requested r_max
+    code, out, _ = run_cli(["pekar", "--theta", "1.0", "--coupling", "1.0",
+                            "--grid", "8,200", "--scaling"], capsys)
+    assert code == 0
+    energies = [pekar.solve(pekar.PekarProblem(theta=1.0, coupling=g, r_max=8.0,
+                                               nodes=200)).energy for g in (1.0, 2.0)]
+    assert json.loads(out)["scaling"]["ratio_energy_2g_over_g"] == energies[1] / energies[0]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--theta", "1.2", "--coupling", "inf"],
+    ["--theta", "1.0", "--coupling", "1e308"],
+    ["--theta", "1.2", "--coupling", "1e-300"],
+    ["--theta", "0.1", "--coupling", "5e-324"],
+    ["--theta", "1.0", "--coupling", "1", "--grid", "1e-300,64"],
+    ["--theta", "1.0", "--coupling", "1", "--grid", "inf,100"],
+])
+def test_pekar_out_of_range_scales_exit_cleanly(extra, capsys):
+    code, out, err = run_cli(["pekar", *extra], capsys)
+    assert code in (2, 3)
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_kernels_suite(capsys):

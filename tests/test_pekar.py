@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,13 +18,16 @@ def test_choquard_anchor_value():
     assert sol.energy <= -2.0 / (3.0 * math.pi)
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0, 1.5])
-def test_scaling_law_on_independent_grids(theta):
+@pytest.mark.parametrize("theta, d", [
+    pytest.param(theta, d, id=f"{theta}" if d == 3 else f"{theta}-d{d}")
+    for d in (3, 4, 5) for theta in (0.5, 1.0, 1.5)
+])
+def test_scaling_law_on_independent_grids(theta, d):
     # fix a common r_max so the two solves are not exact rescalings of each other
-    width = pekar.gaussian_width(theta, 1.0, 3)
+    width = pekar.gaussian_width(theta, 1.0, d)
     r_max = 14.0 * width
-    e1 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=1.0, r_max=r_max)).energy
-    e2 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=2.0, r_max=r_max)).energy
+    e1 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=1.0, d=d, r_max=r_max)).energy
+    e2 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=2.0, d=d, r_max=r_max)).energy
     target = 2.0 ** (2.0 / (2.0 - theta))
     assert e2 / e1 == pytest.approx(target, rel=0.02)
     assert e1 < 0 and e2 < 0
@@ -48,10 +53,24 @@ def test_virial_stationarity():
 
 
 def test_grid_convergence_half_percent():
-    for theta in (0.5, 1.5):
-        e1 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=1.0, nodes=384)).energy
-        e2 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=1.0, nodes=768)).energy
-        assert abs(e2 - e1) / abs(e2) <= 0.005
+    for d in (3, 4, 5):
+        for theta in (0.5, 1.5):
+            e1 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=1.0, d=d, nodes=384)).energy
+            e2 = pekar.solve(pekar.PekarProblem(theta=theta, coupling=1.0, d=d, nodes=768)).energy
+            assert abs(e2 - e1) / abs(e2) <= 0.005, (d, theta)
+
+
+def test_kernel_assembly_memory_stays_quadratic():
+    # the closed form builds no (n, n, k) angular tensor: a d = 5 kernel at
+    # n = 320 is a few (n, n) arrays of 0.8 MB each
+    r = 0.05 * np.arange(1, 321)
+    tracemalloc.start()
+    try:
+        pekar._assemble_kernel(r, 0.05, 1.2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_profile_nonnegative_and_monotone():
@@ -87,17 +106,21 @@ def test_radial_kernel_newton_identity():
     assert newt == pytest.approx(1.0 / np.maximum(r, rp), rel=1e-12)
 
 
-def test_radial_kernel_d4_against_dense_quadrature():
-    # oracle: trapezoid on a dense polar-angle grid with the sin^2 weight
-    theta = 1.3
-    phi = np.linspace(0.0, math.pi, 500_001)
-    weight = np.sin(phi) ** 2
-    z = np.trapezoid(weight, phi)
-    for r, rp in ((0.5, 0.9), (1.0, 1.7)):
-        integrand = (r * r + rp * rp - 2 * r * rp * np.cos(phi)) ** (-theta / 2) * weight
-        oracle = float(np.trapezoid(integrand, phi) / z)
-        val = float(pekar.radial_kernel(np.array([r]), np.array([rp]), theta, d=4)[0])
-        assert val == pytest.approx(oracle, rel=1e-7)
+def test_radial_kernel_against_mpmath_angular_integral():
+    # oracle: the polar-angle integral with the sin^(d-2) weight at 30 digits;
+    # |x - y|^2 = (r - r')^2 + 4 r r' sin^2(phi/2) does not cancel at r = r'
+    pairs = ((1.0, 1.0), (0.5, 0.9), (1.0, 1.7), (2.0, 0.002), (3.0, 3.0 + 1e-9))
+    with mp.workdps(30):
+        for d in (4, 5, 7):
+            z = mp.quad(lambda phi: mp.sin(phi) ** (d - 2), [0, mp.pi])
+            for theta in (0.6, 1.6):
+                for r, rp in pairs:
+                    def integrand(phi):
+                        dist2 = (r - rp) ** 2 + 4 * r * rp * mp.sin(phi / 2) ** 2
+                        return dist2 ** (-mp.mpf(theta) / 2) * mp.sin(phi) ** (d - 2)
+                    oracle = float(mp.quad(integrand, [0, mp.pi]) / z)
+                    val = float(pekar.radial_kernel(r, rp, theta, d))
+                    assert val == pytest.approx(oracle, rel=1e-12, abs=0), (d, theta, r, rp)
 
 
 def test_sandwich_ordering_at_strong_coupling():

@@ -205,6 +205,14 @@ def test_iterated_norm_exp_decay_asymptote():
     assert slope == pytest.approx(amp * amp, rel=1e-6)
 
 
+@pytest.mark.parametrize("outer", [1.0, 2.5])
+def test_iterated_norm_tiny_coupling_does_not_underflow(outer):
+    # level^3.25 underflows; int_0^T (c t^(1/p))^o dt = c^o T^(1 + o/p) / (1 + o/p)
+    c, T, p = 1e-100, 2.0, 3.25
+    exact = c ** outer * T ** (1.0 + outer / p) / (1.0 + outer / p)
+    assert iterated_norm(Constant(c), T, p, 0.0, outer) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
 def test_iterated_norm_zero_coupling():
     assert iterated_norm(Constant(0.0), 3.0, 1.0, 0.5, 2.0) == 0.0
 
