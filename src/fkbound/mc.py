@@ -5,11 +5,12 @@ et al., SC'11), so its draws depend on the seed and the path index alone.
 One path engine serves every sampler: each worker re-keys one bit generator
 to (seed, m) per path, draws the path's whole normal block in one call into
 a batch buffer (a fixed element budget over the block size), and the
-sampler evaluates the batch at once.  Each path's action is a numpy sum
-over that path alone (pair actions run one path at a time), and every
-reduction over paths runs in index order.  The engine makes no BLAS call,
-whose threads would split a long sum, so no result depends on the worker
-count, the batch size or the BLAS thread count.
+sampler evaluates the batch at once.  A path's action is a numpy sum over
+that path alone (a pair action one sum per block of node rows, on the band
+of nonzero lag weights and at theta = 1 through sqrt, added in block order),
+and every reduction over paths runs in index order.  The engine makes no
+BLAS call, whose threads would split a long sum, so no result depends on
+the worker count, the batch size or the BLAS thread count.
 
 Draw order within a path is part of the reproducibility contract; one
 block of 2N rows draws exactly the two N-row draws listed, in order:
@@ -36,6 +37,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
 
 from .errors import DomainError
@@ -163,6 +165,9 @@ class McEstimate:
 # to give the batch size; larger batches measured no faster.
 _BATCH_ELEMENTS = 1 << 14
 
+# Node rows per block of the pair kernel; fixed, so no sum depends on the batch.
+_BLOCK_ROWS = 16
+
 
 def _run(sampler, ensemble: PathEnsemble, threads: int = 1,
          paths: range = None) -> np.ndarray:
@@ -241,9 +246,12 @@ class _SingleSampler:
 class _PairSampler:
     """Grid-node double sums over node pairs i > j, nodes at t = (k+1) dt.
 
-    The action is a sum of terms (w, a, b, offset), added in table order:
-    each is the sum over pairs of w (eps^2 + |a_i - b_j + offset e_1|^2)^(-theta/2),
-    with a and b each path 0 (X, a block's first N rows) or 1 (Y, the next N).
+    The action is a sum of terms (W, a, b, offset), added in table order:
+    each is the sum over pairs of W[i, j] (eps^2 + |a_i - b_j + offset e_1|^2)^(-theta/2),
+    with a and b each path 0 (X, the first N drawn rows) or 1 (Y, the next N)
+    and W[i, j] = w_(i-j) a strided view of the lag weights.  Each block of
+    ``_BLOCK_ROWS`` rows i, on the band j >= i - L of nonzero weights, is one
+    numpy sum per path, added in block order; at theta = 1 a pair is W / sqrt(r^2).
     """
 
     def __init__(self, spec: ActionSpec, steps: int):
@@ -251,35 +259,42 @@ class _PairSampler:
         parts = 1 if spec.kind == "self_double" else 2
         self.rows, self.block = parts * steps, (parts, steps, spec.d)
         self.sq, self.theta, self.eps2 = math.sqrt(dt), spec.theta, spec.epsilon ** 2
-        self.iu, self.ju = np.tril_indices(steps, -1)
-        w = np.asarray(evaluate(spec.f, (self.iu - self.ju) * dt), dtype=float) * dt * dt
+        # lags N-1, ..., 1, then 0, ..., 1-N: reversed windows give W[i, j] = w_(i-j)
+        w = np.append(evaluate(spec.f, np.arange(steps - 1, 0, -1) * dt) * dt * dt, np.zeros(steps))
+        self.band = steps - 1 - int(np.argmax(w != 0.0)) if w.any() else 0
+        W, W2 = (sliding_window_view(v, steps)[::-1] for v in (w, 2.0 * w))
         # the bipolaron couples X and Y with twice the weight of each self term
-        cross = (2.0 * w if spec.kind == "bipolaron" else w, 0, 1, spec.offset)
-        self.terms = {"self_double": [(w, 0, 0, 0.0)], "cross_double": [cross],
-                      "bipolaron": [cross, (w, 0, 0, 0.0), (w, 1, 1, 0.0)]}[spec.kind]
+        self.terms = {"self_double": [(W, 0, 0, 0.0)], "cross_double": [(W, 0, 1, spec.offset)],
+                      "bipolaron": [(W2, 0, 1, spec.offset), (W, 0, 0, 0.0), (W, 1, 1, 0.0)]}[spec.kind]
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        # Three pair-length buffers, reused across the batch's paths: fresh
-        # per-path temporaries cost page faults, and one (3, n) block raised
-        # glibc's mmap threshold and mc_pair peak RSS by 8 MB.  mode="clip"
-        # lets take write into out directly; the indices are in range.
-        d2, ai, bj = (np.empty(len(self.iu)) for _ in range(3))
-        out = np.zeros(len(z))
-        for k, block in enumerate(z):
-            nodes = (self.sq * block.reshape(self.block)).cumsum(axis=1)
-            for w, a, b, offset in self.terms:
-                d2.fill(self.eps2)
-                for c in range(self.block[2]):
-                    np.take(nodes[a, :, c], self.iu, out=ai, mode="clip")
-                    ai -= np.take(nodes[b, :, c], self.ju, out=bj, mode="clip")
-                    if c == 0 and offset != 0.0:
-                        ai += offset
-                    ai *= ai
-                    d2 += ai
+        n, (_, steps, d), K, L = len(z), self.block, _BLOCK_ROWS, self.band
+        # component-major node rows: nodes[p, a, c] is coordinate c of path p's X or Y
+        nodes = (self.sq * z.reshape((n,) + self.block)).cumsum(axis=2).transpose(0, 1, 3, 2).copy()
+        bufs = [np.empty(n * K * min(steps - 1, K - 1 + L)) for _ in range(2)]
+        out = np.zeros(n)
+        for W, a, b, offset in self.terms:
+            x, y = nodes[:, a], nodes[:, b] - offset * np.eye(d, 1)
+            for i0 in range(1, steps, K):
+                i1, j0 = min(i0 + K, steps), max(0, i0 - L)
+                r2, diff = (buf[:n * (i1 - i0) * (i1 - 1 - j0)].reshape(n, i1 - i0, -1) for buf in bufs)
+                for c in range(d):
+                    dc = diff if c else r2
+                    np.subtract(x[:, c, i0:i1, None], y[:, c, None, j0:i1 - 1], out=dc)
+                    dc *= dc
+                    if c:
+                        r2 += dc
+                    elif self.eps2:
+                        r2 += self.eps2
+                wb = W[i0:i1, j0:i1 - 1]
+                # zero weights, j >= i among them, at distance 1: no 0 * inf
+                np.copyto(r2[:, :, i0 - j0:], 1.0, where=wb[:, i0 - j0:] == 0.0)
                 with np.errstate(divide="ignore"):
-                    np.power(d2, -self.theta / 2.0, out=d2)
-                d2 *= w
-                out[k] += d2.sum()
+                    if self.theta == 1.0:
+                        np.divide(wb, np.sqrt(r2, out=r2), out=r2)
+                    else:
+                        np.multiply(np.power(r2, -self.theta / 2.0, out=r2), wb, out=r2)
+                out += r2.sum(axis=(1, 2))
         return out
 
 

@@ -125,7 +125,15 @@ def radial_kernel(r, rp, theta: float, d: int = 3):
 
 def _assemble_kernel(r: np.ndarray, h: float, theta: float, d: int) -> np.ndarray:
     n = len(r)
-    W = radial_kernel(r[:, None], r[None, :], theta, d)
+    if d == 3:  # elementary, and cheaper on the full matrix than through pair indices
+        W = radial_kernel(r[:, None], r[None, :], theta, d)
+    else:
+        # the hyp2f1 form is exactly symmetric in (r, r'): evaluate each unordered pair
+        # once and mirror it, skipping the three bands the loop below overwrites
+        iu, ju = np.triu_indices(n, 2)
+        W = np.zeros((n, n))
+        W[iu, ju] = radial_kernel(r[iu], r[ju], theta, d)
+        W += W.T
     # cell-average the three near-diagonal bands, splitting at the kink
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     for off in (-1, 0, 1):

@@ -545,10 +545,16 @@ def iterated_norm(
     with np.errstate(over="ignore", invalid="ignore"):
         val = f.iterated_norm(T, inner_p, inner_weight, outer_power)
         if val < sys.float_info.min:
-            # underflowed as in norm: integrate 2^-k f, then scale by 2^(k outer_power)
+            # underflowed as in norm: integrate 2^-k f, then scale by 2^(k outer_power),
+            # the fraction of the exponent first and its integer part by ldexp, so a
+            # zero stays zero instead of meeting an overflowed 2^(k outer_power)
             k, unit = f.normalized()
-            val = float(unit.iterated_norm(T, inner_p, inner_weight, outer_power)
-                        * np.exp2(k * outer_power))
+            val = float(unit.iterated_norm(T, inner_p, inner_weight, outer_power))
+            e = math.floor(k * outer_power)
+            try:
+                val = math.ldexp(val * 2.0 ** (k * outer_power - e), e)
+            except OverflowError:
+                val = math.inf
     if not math.isfinite(val):
         raise NumericalFailure(f"iterated norm overflows at T={T}")
     return val

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from fkbound import kernels, mc
 from fkbound.bounds import BoundParams, theorem1_bound
 from fkbound.errors import DomainError
-from fkbound.schedule import Constant, ExpDecay
+from fkbound.schedule import Constant, ExpDecay, Indicator, evaluate
 
 
 def hydrogen_spec(alpha=0.5, T=1.0, **kw):
@@ -172,6 +173,78 @@ def test_bipolaron_action_decomposes():
             tot += w / np.linalg.norm(x[i] - x[j])
             tot += w / np.linalg.norm(y[i] - y[j])
     assert val == pytest.approx(tot, rel=1e-12)
+
+
+def _dense_pair_action(spec, ens, m):
+    """Long-double sum over every node pair i > j, from the kernel's double nodes and weights."""
+    rng, n = ens.generator(m), ens.steps
+    dt = spec.T / n
+    nodes = [np.cumsum(math.sqrt(dt) * rng.standard_normal((n, spec.d)), axis=0).astype(np.longdouble)
+             for _ in range(1 if spec.kind == "self_double" else 2)]
+    i, j = np.tril_indices(n, -1)
+    w = np.asarray(evaluate(spec.f, (i - j) * dt), dtype=float) * dt * dt
+
+    def term(scale, a, b, offset):
+        diff = nodes[a][i] - nodes[b][j]
+        diff[:, 0] += offset
+        r2 = (diff * diff).sum(axis=1) + np.longdouble(spec.epsilon) ** 2
+        return (scale * w * r2 ** (-np.longdouble(spec.theta) / 2)).sum()
+
+    if spec.kind == "self_double":
+        return term(1.0, 0, 0, 0.0)
+    if spec.kind == "cross_double":
+        return term(1.0, 0, 1, spec.offset)
+    return term(2.0, 0, 1, spec.offset) + term(1.0, 0, 0, 0.0) + term(1.0, 1, 1, 0.0)
+
+
+# Step counts leave a partial last block of rows (one case is exactly one
+# block); the indicator cutoffs fall mid-horizon, so the kernel's lag band
+# stops short of N.
+@pytest.mark.parametrize("kind, f, theta, d, T, offset, eps, steps", [
+    ("self_double", ExpDecay(0.4, 1.0), 1.0, 3, 1.0, 0.0, 0.0, 100),
+    ("self_double", Indicator(1.0, 0.7), 1.4, 3, 2.0, 0.0, 0.0, 101),
+    ("self_double", ExpDecay(0.4, 1.0), 1.0, 1, 1.0, 0.0, 0.02, 17),
+    ("cross_double", ExpDecay(0.4, 1.0), 1.4, 3, 1.0, 0.5, 0.0, 50),
+    ("cross_double", Indicator(0.8, 0.5), 1.0, 2, 1.0, 0.3, 0.05, 64),
+    ("bipolaron", ExpDecay(0.5, 1.0), 1.0, 3, 1.0, 0.0, 0.0, 67),
+    ("bipolaron", Indicator(1.0, 1.2), 1.4, 3, 2.0, 0.2, 0.1, 33),
+])
+def test_pair_action_matches_long_double_dense_sum(kind, f, theta, d, T, offset, eps, steps):
+    spec = mc.ActionSpec(kind, f, theta, d, T, offset=offset, epsilon=eps)
+    ens = mc.PathEnsemble(seed=13, paths=5, steps=steps, horizon=T, dim=d)
+    got = mc._run(mc._PairSampler(spec, steps), ens)[0]
+    for m in range(5):
+        assert got[m] == pytest.approx(float(_dense_pair_action(spec, ens, m)), rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, f, theta", [("self_double", ExpDecay(0.4, 1.0), 1.0),
+                                            ("cross_double", Indicator(0.8, 0.6), 1.3),
+                                            ("bipolaron", Indicator(0.8, 0.6), 1.0)])
+def test_pair_actions_independent_of_batch_size_and_threads(kind, f, theta, monkeypatch):
+    spec = mc.ActionSpec(kind, f, theta, 3, 1.0, offset=0.4)
+    ens = mc.PathEnsemble(seed=4, paths=23, steps=70, horizon=1.0, dim=3)
+    sampler = mc._PairSampler(spec, 70)
+    base = mc._run(sampler, ens)
+    for paths_per_batch in (None, 1, 3):  # the default budget, then one and three paths
+        if paths_per_batch:
+            monkeypatch.setattr(mc, "_BATCH_ELEMENTS", paths_per_batch * sampler.rows * 3)
+        for threads in (1, 3):
+            assert np.array_equal(mc._run(sampler, ens, threads), base)
+
+
+@pytest.mark.parametrize("kind", ["self_double", "bipolaron"])
+def test_pair_kernel_holds_no_quadratic_table(kind):
+    # at N = 1024 a batch's traced peak is its normals, nodes and two row-block
+    # buffers; pair-index and per-pair weight tables took 24-28 MB
+    spec = mc.ActionSpec(kind, ExpDecay(0.4, 1.0), 1.0, 3, 1.0)
+    ens = mc.PathEnsemble(seed=2, paths=6, steps=1024, horizon=1.0, dim=3)
+    tracemalloc.start()
+    try:
+        mc._run(mc._PairSampler(spec, 1024), ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_infinite_path_flagged_not_clamped():
@@ -365,7 +438,7 @@ GOLDEN = {
         '0x1.f149922c2c2f5p-7',
     ],
     'self_double': [
-        '0x1.27dc81d518dfcp-2', '0x1.353904360c4cap-8', '0x1.26e18c218f3a5p-2',
+        '0x1.27dc81d518dfep-2', '0x1.353904360c4cap-8', '0x1.26e18c218f3a5p-2',
         '0x1.1cffafaa9a7a0p-8',
     ],
     'cross_double': [
@@ -373,8 +446,8 @@ GOLDEN = {
         '0x1.3162eedc268a2p-8',
     ],
     'bipolaron': [
-        '0x1.7239cd5338d1ep-1', '0x1.9f6bfe49b9b78p-7', '0x1.6ebae70770f8fp-1',
-        '0x1.78e0deee03f12p-7',
+        '0x1.7239cd5338d1ep-1', '0x1.9f6bfe49b9b7ep-7', '0x1.6ebae70770f8fp-1',
+        '0x1.78e0deee03f13p-7',
     ],
     'maximality_0.0': [
         '0x0.0p+0', '0x1.746d5cdf64544p-1', '0x1.023d5ffd3c15dp-6',

@@ -73,6 +73,19 @@ def test_kernel_assembly_memory_stays_quadratic():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_kernel_assembly_matches_the_full_evaluation(d):
+    # at d > 3 each unordered pair is evaluated once and mirrored: off the three
+    # cell-averaged bands the kernel is the full (n, n) evaluation, bit for bit
+    n, h = 41, 0.05
+    r = h * np.arange(1, n + 1)
+    W = pekar._assemble_kernel(r, h, 1.2, d)
+    full = pekar.radial_kernel(r[:, None], r[None, :], 1.2, d)
+    far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
+    assert np.array_equal(W[far], full[far])
+    assert np.array_equal(W, W.T)
+
+
 def test_profile_nonnegative_and_monotone():
     sol = pekar.solve(pekar.PekarProblem(theta=1.0, coupling=1.0))
     assert (sol.psi >= -1e-12).all()

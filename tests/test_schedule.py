@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fkbound.errors import DomainError, NonIntegrable
+from fkbound.errors import DomainError, NonIntegrable, NumericalFailure
 from fkbound.schedule import (
     Constant,
     ExpDecay,
@@ -211,6 +211,15 @@ def test_iterated_norm_tiny_coupling_does_not_underflow(outer):
     c, T, p = 1e-100, 2.0, 3.25
     exact = c ** outer * T ** (1.0 + outer / p) / (1.0 + outer / p)
     assert iterated_norm(Constant(c), T, p, 0.0, outer) == pytest.approx(exact, rel=1e-13, abs=0)
+
+
+def test_iterated_norm_underflow_is_not_an_overflow():
+    # int_0^2 (1e300 * 1e-320)^20 dt = 2e-400 underflows to 0; the rescaled
+    # path must not multiply that 0 by an overflowed 2^(k outer_power)
+    assert iterated_norm(Indicator(1e300, 1e-320), 2.0, 1.0, 0.0, 20.0) == 0.0
+    # int_0^2 (1e300 * 1e-299)^400 dt = 2e400 does overflow
+    with pytest.raises(NumericalFailure, match="overflows"):
+        iterated_norm(Indicator(1e300, 1e-299), 2.0, 1.0, 0.0, 400.0)
 
 
 def test_iterated_norm_zero_coupling():

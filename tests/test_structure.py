@@ -1,5 +1,6 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
-one outer quadrature rule, and the Monte Carlo engine makes no BLAS call.
+one outer quadrature rule, and the Monte Carlo engine makes no BLAS call and
+builds no O(N^2) pair-index table.
 
 Every per-variant fact is a method of the variant's class, so no other
 module branches on the variant with ``isinstance``, and ``bounds`` and
@@ -115,3 +116,23 @@ def test_mc_makes_no_blas_call():
     # a BLAS call splits long sums over the BLAS threads, so its result would
     # depend on the host's thread count
     assert _blas_uses((SRC / "mc.py").read_text()) == []
+
+
+INDEX_TABLES = {"tril_indices", "triu_indices", "take"}
+
+
+def _index_table_calls(source: str) -> list:
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    names = [getattr(func, "attr", getattr(func, "id", None)) for func in calls]
+    return [name for name in names if name in INDEX_TABLES]
+
+
+def test_guard_sees_index_tables():
+    source = "i, j = np.tril_indices(n, -1)\nd = x.take(i) - take(x, j)\n"
+    assert sorted(_index_table_calls(source)) == ["take", "take", "tril_indices"]
+
+
+def test_mc_builds_no_pair_index_tables():
+    # gathering every node pair through index tables of N^2 / 2 entries made
+    # the pair kernel cache-bound; it runs on row blocks and a Toeplitz view
+    assert _index_table_calls((SRC / "mc.py").read_text()) == []
