@@ -27,18 +27,20 @@ elementary, and an order of magnitude cheaper than ``hyp2f1``, so d = 3 uses
     w(r, r') = ((r + r')^(2-theta) - |r - r'|^(2-theta)) / (2 r r' (2 - theta)),
 
 which collapses to Newton's 1/max(r, r') at theta = 1.  The kernel matrix is
-precomputed once; rows near the diagonal are cell-averaged with the
-integration split at the |r - r'| kink so the quadratic form carries no
-low-order kink error.  Minimisation is projected gradient descent on the
-mass sphere: the descent direction is the Riemannian gradient run through an
-inverse shifted-Laplacian (Sobolev) preconditioner so the step count does not
-grow with the grid resolution, with Barzilai-Borwein step sizes and a
-monotone backtracking safeguard; convergence is still judged on the plain
-projected-gradient norm.
+assembled once per (theta, d, n) on the unit grid r = 1..n and scaled by
+h^-theta (at most 8 kept, 8 n^2 bytes each); rows near the diagonal are
+cell-averaged with the integration split at the |r - r'| kink so the
+quadratic form carries no low-order kink error.  Minimisation is projected
+gradient descent on the mass sphere: the descent direction is the
+Riemannian gradient run through an inverse shifted-Laplacian (Sobolev)
+preconditioner so the step count does not grow with the grid resolution,
+with Barzilai-Borwein step sizes and a monotone backtracking safeguard;
+convergence is still judged on the plain projected-gradient norm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -152,10 +154,22 @@ def _assemble_kernel(r: np.ndarray, h: float, theta: float, d: int) -> np.ndarra
     return 0.5 * (W + W.T)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_kernel(n: int, theta: float, d: int) -> np.ndarray:
+    """Read-only kernel on the unit grid r = 1..n.  w and its cell averages
+    are homogeneous of degree -theta, so the kernel on r = h (1..n) is h^-theta
+    times this one.  Holds at most 8 kernels of 8 n^2 bytes (4.7 MB at 768 nodes).
+    """
+    W = _assemble_kernel(np.arange(1.0, n + 1.0), 1.0, theta, d)
+    W.flags.writeable = False
+    return W
+
+
 def solve(problem: PekarProblem) -> PekarSolution:
     """Minimise the discretised radial functional on the mass sphere.
 
-    Raises NoConvergence if the projected gradient stalls above PEKAR_GRAD,
+    Raises NoConvergence if the projected gradient stalls above PEKAR_GRAD
+    or PEKAR_GRAD lies below the roundoff floor of the starting gradient,
     GridTooSmall if the minimiser presses against r_max, and NumericalFailure
     if the Gaussian width or the grid step leaves floating-point range.
     """
@@ -176,7 +190,8 @@ def solve(problem: PekarProblem) -> PekarSolution:
         if not sys.float_info.min <= scale * scale < math.inf:
             raise NumericalFailure(f"{name} {scale!r} is out of floating-point range")
     r = h * np.arange(1, n + 1)
-    W = _assemble_kernel(r, h, theta, d)
+    W = _unit_kernel(n, theta, d)
+    gh = g * h ** (2.0 - theta)  # g h^2 times the h^-theta of the unit-grid kernel
     cd = (d - 1) * (d - 3) / 4.0
 
     def energy_grad(v: np.ndarray):
@@ -186,11 +201,11 @@ def solve(problem: PekarProblem) -> PekarSolution:
             kin += 0.5 * cd * float(np.sum(v * v / (r * r))) * h
         q = v * v
         Wq = W @ q
-        inter = g * float(q @ Wq) * h * h
+        inter = gh * float(q @ Wq)
         lap = 2.0 * v
         lap[1:] -= v[:-1]
         lap[:-1] -= v[1:]
-        grad = lap / h - 4.0 * g * v * Wq * h * h
+        grad = lap / h - 4.0 * gh * v * Wq
         if cd:
             grad += cd * v / (r * r) * h
         return kin - inter, grad, kin, inter
@@ -213,6 +228,11 @@ def solve(problem: PekarProblem) -> PekarSolution:
         raise NumericalFailure(f"grid step {h!r} does not resolve the Gaussian width {width!r}")
     v /= math.sqrt(mass)
     E, grad, kin, inter = energy_grad(v)
+    # G is rounded at relative eps: no projected gradient below eps ||G|| resolves
+    floor = np.finfo(float).eps * math.sqrt(float(grad @ grad) / h)
+    if floor > PEKAR_GRAD:
+        raise NoConvergence(f"tolerance {PEKAR_GRAD} lies below the gradient's roundoff "
+                            f"floor {floor:.3e}; no descent can reach it")
     step = 1.0
     prev_v = prev_dir = None
     pg_norm = math.inf

@@ -323,6 +323,18 @@ def test_overflowing_bound_exit_3(argv, capsys):
     assert "overflow" in err
 
 
+def test_pekar_unreachable_tolerance_exits_3_at_once(monkeypatch, capsys):
+    # near theta = 2 the starting gradient is so large that eps times its norm
+    # exceeds the tolerance: the solver refuses before its first descent step
+    def no_descent(*args):
+        raise AssertionError("descent step taken")
+    monkeypatch.setattr(pekar, "solve_banded", no_descent)
+    code, out, err = run_cli(["pekar", "--theta", "1.99", "--coupling", "1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert "roundoff floor" in err
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")

@@ -63,10 +63,10 @@ def test_grid_convergence_half_percent():
 def test_kernel_assembly_memory_stays_quadratic():
     # the closed form builds no (n, n, k) angular tensor: a d = 5 kernel at
     # n = 320 is a few (n, n) arrays of 0.8 MB each
-    r = 0.05 * np.arange(1, 321)
+    pekar._unit_kernel.cache_clear()
     tracemalloc.start()
     try:
-        pekar._assemble_kernel(r, 0.05, 1.2, 5)
+        pekar._unit_kernel(320, 1.2, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -77,13 +77,60 @@ def test_kernel_assembly_memory_stays_quadratic():
 def test_kernel_assembly_matches_the_full_evaluation(d):
     # at d > 3 each unordered pair is evaluated once and mirrored: off the three
     # cell-averaged bands the kernel is the full (n, n) evaluation, bit for bit
-    n, h = 41, 0.05
-    r = h * np.arange(1, n + 1)
-    W = pekar._assemble_kernel(r, h, 1.2, d)
+    n = 41
+    r = np.arange(1.0, n + 1.0)
+    W = pekar._unit_kernel(n, 1.2, d)
     full = pekar.radial_kernel(r[:, None], r[None, :], 1.2, d)
     far = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > 1
     assert np.array_equal(W[far], full[far])
     assert np.array_equal(W, W.T)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_unit_kernel_scales_to_every_grid(d):
+    # w and its cell averages are homogeneous of degree -theta on a uniform grid
+    n = 37
+    for theta in (0.5, 1.2, 1.7):
+        W1 = pekar._unit_kernel(n, theta, d)
+        for h in (1e-3, 0.037, 7.0):
+            direct = pekar._assemble_kernel(h * np.arange(1, n + 1), h, theta, d)
+            assert np.allclose(h ** -theta * W1, direct, rtol=1e-13, atol=0), (theta, h)
+
+
+def test_solves_differing_in_coupling_or_cutoff_share_one_assembly(monkeypatch):
+    calls = []
+    assemble = pekar._assemble_kernel
+    monkeypatch.setattr(pekar, "_assemble_kernel", lambda *a: calls.append(a) or assemble(*a))
+    pekar._unit_kernel.cache_clear()
+    for g, r_max in ((1.0, None), (2.0, None), (1.0, 60.0)):
+        pekar.solve(pekar.PekarProblem(theta=1.3, coupling=g, d=4, r_max=r_max, nodes=96))
+    assert len(calls) == 1
+    info = pekar._unit_kernel.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+
+
+def test_cached_kernel_is_read_only():
+    W = pekar._unit_kernel(24, 1.0, 3)
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+    assert pekar._unit_kernel(24, 1.0, 3) is W
+
+
+@pytest.mark.parametrize("theta, d, nodes, g, r_max, energy, iterations", [
+    # captured from the solver that assembled the kernel on each solve's own grid
+    (1.0, 3, 768, 1.0, None, -0.21703141838996298, 24),
+    (0.5, 3, 320, 2.0, None, -1.0768818238513924, 29),
+    (1.5, 3, 128, 0.7, None, -0.030455195745379762, 26),
+    (1.2, 4, 128, 1.0, None, -0.05050064810665175, 39),
+    (0.8, 4, 256, 1.5, 9.0, -0.3376352374689878, 20),
+    (1.2, 5, 128, 1.0, None, -0.02152668857425806, 37),
+    (1.6, 5, 320, 0.6, None, -2.6772555800527042e-05, 25),
+])
+def test_unit_grid_kernel_keeps_energies_and_iterations(theta, d, nodes, g, r_max,
+                                                        energy, iterations):
+    sol = pekar.solve(pekar.PekarProblem(theta, g, d, r_max=r_max, nodes=nodes))
+    assert sol.energy == pytest.approx(energy, rel=1e-12, abs=0)
+    assert sol.iterations == iterations
 
 
 def test_profile_nonnegative_and_monotone():

@@ -1,6 +1,7 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
-one outer quadrature rule, and the Monte Carlo engine makes no BLAS call and
-builds no O(N^2) pair-index table.
+one outer quadrature rule, the Monte Carlo engine makes no BLAS call and
+builds no O(N^2) pair-index table, and the Pekar kernel is assembled only
+through its unit-grid cache.
 
 Every per-variant fact is a method of the variant's class, so no other
 module branches on the variant with ``isinstance``, and ``bounds`` and
@@ -136,3 +137,37 @@ def test_mc_builds_no_pair_index_tables():
     # gathering every node pair through index tables of N^2 / 2 entries made
     # the pair kernel cache-bound; it runs on row blocks and a Toeplitz view
     assert _index_table_calls((SRC / "mc.py").read_text()) == []
+
+
+def _callers(source: str, callee: str) -> list:
+    """Enclosing function (None at module level) of each call to ``callee``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "attr", getattr(child.func, "id", None))
+                if name == callee:
+                    found.append(func)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_sees_kernel_assembly_calls():
+    source = ("W = _assemble_kernel(r, h, t, d)\n"
+              "def solve(p):\n"
+              "    def inner():\n"
+              "        return pekar._assemble_kernel(r, h, t, d)\n"
+              "    return _assemble_kernel(r, h, t, d)\n")
+    assert _callers(source, "_assemble_kernel") == [None, "inner", "solve"]
+
+
+def test_only_the_unit_grid_cache_assembles_the_pekar_kernel():
+    # the kernel does not depend on the coupling or r_max: a solve that
+    # assembled its own would repeat the work every solve of a sweep shares
+    callers = [(path.name, func) for path in sorted(SRC.glob("*.py"))
+               for func in _callers(path.read_text(), "_assemble_kernel")]
+    assert callers == [("pekar.py", "_unit_kernel")]
