@@ -25,7 +25,7 @@ def main() -> None:
         spec = model.action_spec(T)
         ladder = mc.ladder_allowance(spec, paths, steps, seed=1, exponent=0.5)
         est = ladder["estimates"][steps]
-        jens = B.jensen_lower_bound(model, T)
+        jens = model.expected_action(T).value
         ceiling = models.composed_bound(model, T)["log_bound"]
         print(f"{T:5.2f} {jens:10.5f} {est.log_mean:12.5f} "
               f"{3 * est.stderr_log:9.5f} {ladder['allowance']:10.5f} {ceiling:10.5f}")

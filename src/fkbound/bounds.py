@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from scipy.special import gammaln
 
@@ -41,8 +40,6 @@ __all__ = [
     "energy_lower_bound",
     "inverse_square_energy",
     "inverse_square_log_magnitude",
-    "jensen_lower_bound",
-    "jensen_slope",
     "ladder_slope",
     "theorem1_bound",
     "theorem2_bound",
@@ -106,7 +103,7 @@ def coefficients(theta: float, d: int) -> CoefficientSet:
             * (d - 1.0) ** ((2.0 - 2.0 * theta) / s)
             / 2.0 ** ((6.0 - 5.0 * theta) / (4.0 - 2.0 * theta))
         )
-    except OverflowError as exc:
+    except (OverflowError, ZeroDivisionError) as exc:  # a power out of range, or a zero divisor
         raise NumericalFailure(f"bound coefficients overflow at theta={theta}, d={d}") from exc
     return CoefficientSet(A=A, B=B, C=C, D=D)
 
@@ -165,10 +162,11 @@ class BoundReport:
         }
 
 
-def _report(terms: Sequence[BoundTerm], params, theorem, branch) -> BoundReport:
+def _report(term_fn, f: CouplingFunction, params, theorem, branch) -> BoundReport:
     try:
+        terms = term_fn(f, params, branch)
         log_bound = sum(t.contribution for t in terms)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # a power or ratio of norms out of range
         log_bound = math.inf
     if not math.isfinite(log_bound):
         raise NumericalFailure(f"log bound out of range at theta={params.theta}, T={params.T}")
@@ -186,15 +184,14 @@ def _t1_terms(f_env, params, branch) -> list:
     s = 2.0 - theta
     if branch == "theta_geq_1":
         q = 2.0 / s
-        n1 = norm(f_env, q, T)
-        n2 = norm(f_env, 1.0, T, weight=theta / 2.0)
         return [
-            BoundTerm("A |f|_q^q, q=2/(2-theta)", co.A, n1.value, q),
-            BoundTerm("B |f/t^(theta/2)|_1", co.B, n2.value, 1.0),
+            BoundTerm("A |f|_q^q, q=2/(2-theta)", co.A, norm(f_env, q, T), q),
+            BoundTerm("B |f/t^(theta/2)|_1", co.B, norm(f_env, 1.0, T, weight=theta / 2.0),
+                      1.0),
         ]
-    m1 = norm(f_env, 1.0, T).value
-    m2sq = norm(f_env, 2.0, T).value ** 2
-    m3 = norm(f_env, 1.0, T, weight=0.5).value
+    m1 = norm(f_env, 1.0, T)
+    m2sq = norm(f_env, 2.0, T) ** 2
+    m3 = norm(f_env, 1.0, T, weight=0.5)
     return [
         BoundTerm(
             "C |f|_1^((2-2theta)/(2-theta)) |f^2|_1^(theta/(2-theta))",
@@ -246,7 +243,7 @@ def _t3_terms(f, params, branch) -> list:
     theta, d, T = params.theta, params.d, params.T
     co = coefficients(theta, d)
     s = 2.0 - theta
-    L = norm(f, 1.0, T).value
+    L = norm(f, 1.0, T)
     if branch == "theta_geq_1":
         return [
             BoundTerm("2^(-theta/(2-theta)) A |f|_1^(2/(2-theta)) T",
@@ -274,16 +271,16 @@ def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundRe
         g: CouplingFunction = f
         term_fn = _t3_terms
     else:
-        g = envelope(f, params.T).representation
+        g = envelope(f, params.T)
         term_fn = _t1_terms if theorem == "T1" else _t2_terms
     theta = params.theta
     if theta > 1.0:
-        return _report(term_fn(g, params, "theta_geq_1"), params, theorem, "theta_geq_1")
+        return _report(term_fn, g, params, theorem, "theta_geq_1")
     if theta < 1.0:
-        return _report(term_fn(g, params, "theta_leq_1"), params, theorem, "theta_leq_1")
+        return _report(term_fn, g, params, theorem, "theta_leq_1")
     # theta == 1: both branches must agree; report the >= branch
-    hi = _report(term_fn(g, params, "theta_geq_1"), params, theorem, "theta_geq_1")
-    lo = _report(term_fn(g, params, "theta_leq_1"), params, theorem, "theta_leq_1")
+    hi = _report(term_fn, g, params, theorem, "theta_geq_1")
+    lo = _report(term_fn, g, params, theorem, "theta_leq_1")
     scale = max(abs(hi.log_bound), abs(lo.log_bound), 1e-300)
     if abs(hi.log_bound - lo.log_bound) > _BRANCH_TOL * scale:
         raise VerificationError(
@@ -362,8 +359,19 @@ def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> f
     these equal their own envelopes, except that an increasing coupling is
     not accepted here); other variants raise DomainError.  Raises
     NoLinearSlope when the bound grows superlinearly (e.g. the
-    self-interaction bound with constant coupling).
+    self-interaction bound with constant coupling), NumericalFailure when
+    the slope leaves floating-point range.
     """
+    try:
+        slope = _analytic_slope(theorem, f, theta, d)
+    except OverflowError:  # a scalar power out of range
+        slope = math.inf
+    if not math.isfinite(slope):
+        raise NumericalFailure(f"T{theorem} slope overflows at theta={theta}, d={d}")
+    return slope
+
+
+def _analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
     co = coefficients(theta, d)
     s = 2.0 - theta
     first_coeff = co.A if theta >= 1.0 else co.C
@@ -441,28 +449,6 @@ def energy_lower_bound(model) -> EnergyBound:
             sub.append(f"T{comp.theorem}: ladder slope")
         total += comp.power * sl
     return EnergyBound(slope=total, subleading="; ".join(sub), model=model.name)
-
-
-def jensen_slope(model) -> float:
-    """Large-T slope of the Jensen lower bound ln >= E[action]."""
-    from . import kernels  # local import keeps the module graph acyclic
-
-    if model.jensen_kind is None:
-        raise DomainError(f"model {model.name} has no closed-form expected action")
-    if model.jensen_kind == "single":
-        return 0.0  # E[action] grows like T^(1-theta/2)
-    K = kernels.expectation_constant(model.theta, model.d)
-    return K * _weighted_limit(model.mc_f, model.theta / 2.0)
-
-
-def jensen_lower_bound(model, T: float) -> float:
-    """ln E[exp(action)] >= E[action]; returns E[action] (log domain)."""
-    from . import kernels
-
-    if model.jensen_kind is None:
-        raise DomainError(f"model {model.name} has no closed-form expected action")
-    params = BoundParams(model.theta, model.d, T)
-    return kernels.expected_action(model.jensen_kind, model.mc_f, params).value
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .errors import (
     NumericalFailure,
     VerificationError,
 )
-from .schedule import Tabulated, coupling_from_dict, coupling_to_dict
+from .schedule import Constant, ExpDecay, Tabulated, coupling_from_dict, coupling_to_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -266,7 +266,7 @@ def _cmd_model(args) -> int:
 def _cmd_oscillator(args) -> int:
     cfg = oscillator.OscillatorConfig(args.omega, args.T, grid=args.grid)
     expectation = oscillator.log_expectation(cfg)
-    sol = oscillator.solve_riccati(cfg)
+    sol = expectation.riccati
     tanh_err = float(abs(sol.values - sol.closed_form(args.omega, args.T)).max())
     record = {
         "command": "oscillator",
@@ -339,7 +339,6 @@ def _cmd_kernels(args) -> int:
                            "weight": type(h).__name__, "value": cc.value,
                            "bound": cc.bound, "passed": bool(abs(cc.value) <= cc.bound)})
     if which in ("expectation", "all"):
-        from .schedule import Constant, ExpDecay
         params = B.BoundParams(1.0, 3, 1.0)
         single = kernels.expected_action("single", Constant(1.0), params)
         expected = kernels.expectation_constant(1.0, 3) * 2.0
@@ -384,7 +383,7 @@ def _cmd_sweep(args) -> int:
             )
             row["critical_coupling"] = B.critical_coupling(model.d)
         if model.jensen_kind is not None:
-            row["jensen"] = B.jensen_lower_bound(model, T)
+            row["jensen"] = model.expected_action(T).value
         if args.mc:
             est = mc.estimate(model.action_spec(T), args.paths, args.steps,
                               args.seed, threads=args.threads)

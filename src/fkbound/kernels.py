@@ -330,7 +330,7 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
     if is_zero(f) or T == 0.0:
         return ExpectationFormula(kind, K, 0.0)
     if kind == "single":
-        val = K * norm(f, 1.0, T, weight=theta / 2.0).value
+        val = K * norm(f, 1.0, T, weight=theta / 2.0)
         up = offset_radius > 0.0
         return ExpectationFormula(
             kind, K, val,
@@ -426,4 +426,4 @@ def clark_ocone_variance_bound(f: CouplingFunction, d: int, T: float) -> float:
     """
     if d < 2:
         raise DomainError(f"dimension must be >= 2, got {d}")
-    return (2.0 / (d - 1.0)) ** 2 * norm(f, 2.0, T).value ** 2
+    return (2.0 / (d - 1.0)) ** 2 * norm(f, 2.0, T) ** 2

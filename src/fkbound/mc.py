@@ -128,8 +128,9 @@ class ActionSpec:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
         if not 0 < self.T < math.inf:
             raise DomainError(f"horizon must be positive and finite, got {self.T}")
-        if not 0 <= self.epsilon < math.inf:
-            raise DomainError(f"epsilon must be nonnegative and finite, got {self.epsilon}")
+        if not 0 <= self.epsilon < 2.0 ** 511:  # the samplers square it
+            raise DomainError(
+                f"epsilon must be nonnegative with a finite square, got {self.epsilon}")
         if not math.isfinite(self.offset):
             raise DomainError(f"offset must be finite, got {self.offset}")
 

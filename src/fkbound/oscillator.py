@@ -24,7 +24,7 @@ not cover.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
@@ -110,9 +110,11 @@ class OscillatorExpectation:
     closed_form: float       # -ln(cosh(w T)) / 2
     reconstructed: float     # -w^2 T^2/4 + (1/2) int r^2 s ds
     residual: float
+    riccati: RiccatiSolution = field(repr=False, compare=False)  # the solve behind it
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {"closed_form": self.closed_form, "reconstructed": self.reconstructed,
+                "residual": self.residual}
 
 
 def _log_cosh(x: float) -> float:
@@ -130,9 +132,9 @@ def log_expectation(cfg: OscillatorConfig) -> OscillatorExpectation:
     """
     w, T = cfg.omega, cfg.T
     closed = -0.5 * _log_cosh(w * T)
-    if w == 0.0:
-        return OscillatorExpectation(0.0, 0.0, 0.0)
     sol = solve_riccati(cfg)
+    if w == 0.0:
+        return OscillatorExpectation(0.0, 0.0, 0.0, sol)
     recon = -w * w * T * T / 4.0 + 0.5 * float(
         simpson(sol.values ** 2 * sol.nodes, x=sol.nodes)
     )
@@ -141,7 +143,7 @@ def log_expectation(cfg: OscillatorConfig) -> OscillatorExpectation:
         raise VerificationError(
             f"oscillator reconstruction residual {residual:.3e} exceeds 1e-7"
         )
-    return OscillatorExpectation(closed, recon, residual)
+    return OscillatorExpectation(closed, recon, residual, sol)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import gammaln, hyp2f1
 
+from . import bounds as B
 from .config import PEKAR_GRAD, PEKAR_ITERATIONS
 from .errors import DomainError, GridTooSmall, NoConvergence, NotPositiveDefinite, NumericalFailure
 from .kernels import expectation_constant
@@ -277,15 +278,9 @@ def solve(problem: PekarProblem) -> PekarSolution:
         raise GridTooSmall(
             f"mass {tail_mass:.3e} in the last grid cells; increase r_max"
         )
-    # dilation stationarity: E(lambda) = lambda^2 K - lambda^theta g I,
-    # finite-difference derivative at lambda = 1 relative to the energy scale
-    delta = 1e-5
-
-    def e_of_lambda(lam: float) -> float:
-        return lam ** 2 * kin - lam ** theta * inter
-
-    virial = abs(e_of_lambda(1.0 + delta) - e_of_lambda(1.0 - delta)) / (2.0 * delta)
-    virial /= max(abs(E), kin)
+    # dilation stationarity: E(lambda) = lambda^2 K - lambda^theta I has the
+    # derivative 2 K - theta I at lambda = 1, taken relative to the energy scale
+    virial = abs(2.0 * kin - theta * inter) / max(abs(E), kin)
     psi = v / np.sqrt(_sphere_area(d) * r ** (d - 1))
     return PekarSolution(energy=E, radii=r, psi=psi, iterations=iterations,
                          residual=pg_norm, kinetic=kin, interaction=inter,
@@ -325,22 +320,19 @@ def lower_bound_sandwich(model, nodes: int = 320) -> SandwichReport:
     """Slope triple (Jensen, variational, norm-bound) for a self-interaction model.
 
     Requires the model's coupling to extend to a symmetric positive definite
-    function with finite mass; exponential decay qualifies, a sharp cutoff
+    function with finite mass g; exponential decay qualifies, a sharp cutoff
     does not (its symmetric extension has a sign-changing transform) and is
     rejected.
     """
-    from . import bounds as B
-    from .schedule import ExpDecay
-
     if model.mc_kind != "self_double":
         raise DomainError("sandwich applies to self-interaction models")
     f = model.mc_f
-    if not isinstance(f, ExpDecay):
+    if not f.positive_definite_extension():
         raise NotPositiveDefinite(
             f"{type(f).__name__} coupling has no positive definite symmetric extension"
         )
-    g = f.amplitude / f.rate
-    jens = B.jensen_slope(model)
+    g = f.mass_limit()
+    jens = model.jensen_slope()
     upper = B.analytic_slope(2, f, model.theta, model.d)
     if g == 0.0:
         return SandwichReport(model.name, 0.0, 0.0, 0.0, True, True)

@@ -21,10 +21,10 @@ implements ``at(t)`` (values on a float array), ``is_zero()`` and
 [0, s], vectorised over s).  It overrides the ``_Coupling`` defaults
 where they do not hold: the JSON form, ``normalized()`` (f over a power of
 two), ``majorant(T)`` (the envelope as a coupling), ``breakpoints``,
-``support_start``, the large-T limits, ``non_increasing()`` and
-``shifted_profile``.  The outer time integrals
-``iterated_norm`` and ``integral_against`` (f times a kernel) are one
-composite Gauss-Legendre rule for every variant, O(G) for G table cells;
+``support_start``, the large-T limits, ``non_increasing()``,
+``positive_definite_extension()`` and ``shifted_profile``.  The outer time
+integrals ``iterated_norm`` and ``integral_against`` (f times a kernel) are
+one composite Gauss-Legendre rule for every variant, O(G) for G table cells;
 :class:`Tabulated` keeps an exact per-cell sum for ``integral_against``.
 
 Tabulated data uses step-left (previous-value) interpolation, so envelopes
@@ -56,8 +56,6 @@ __all__ = [
     "PowerLaw",
     "Tabulated",
     "CouplingFunction",
-    "Envelope",
-    "NormValue",
     "coupling_from_dict",
     "coupling_to_dict",
     "envelope",
@@ -157,6 +155,11 @@ class _Coupling:
     def non_increasing(self) -> bool:
         return True
 
+    def positive_definite_extension(self) -> bool:
+        """Whether f(|t|) is vouched for as a positive definite function of
+        finite mass, as the variational lower bound needs."""
+        return False
+
     def shifted_profile(self, u: float, T: float) -> tuple:
         """(amplitude, rate, length) with f(u + x) = amplitude * exp(-rate x)
         for 0 <= x < length <= T - u and zero beyond; length <= 0 means f
@@ -235,6 +238,10 @@ class ExpDecay(_Coupling):
 
     def mass_limit(self) -> float:
         return self.amplitude / self.rate
+
+    def positive_definite_extension(self) -> bool:
+        # e^(-rate |t|) has the positive Fourier transform 2 rate / (rate^2 + k^2)
+        return True
 
     def weighted_limit(self, a: float) -> float:
         return self.amplitude * math.exp(gammaln(1.0 - a)) * self.rate ** (a - 1.0)
@@ -448,21 +455,9 @@ def is_zero(f: CouplingFunction) -> bool:
 # envelope
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Envelope:
-    """Non-increasing majorant of a coupling on [0, T].
-
-    ``representation`` is itself a coupling function, so every norm below
-    applies to it unchanged.
-    """
-
-    source: CouplingFunction
-    horizon: float
-    representation: CouplingFunction
-
-
-def envelope(f: CouplingFunction, T: float) -> Envelope:
-    """Non-increasing envelope of f over [0, T].
+def envelope(f: CouplingFunction, T: float) -> CouplingFunction:
+    """Non-increasing envelope of f over [0, T], itself a coupling, so every
+    norm below applies to it unchanged.
 
     Constant, ExpDecay, Indicator and non-increasing PowerLaw are fixed
     points.  An increasing PowerLaw flattens to its value at T; a table is
@@ -470,29 +465,19 @@ def envelope(f: CouplingFunction, T: float) -> Envelope:
     """
     if not T > 0:
         raise DomainError(f"horizon must be positive, got {T}")
-    return Envelope(source=f, horizon=float(T), representation=f.majorant(T))
+    return f.majorant(T)
 
 
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormValue:
-    """(integral of |f(t) t^-weight|^p over [0,s])^(1/p)."""
-
-    p: float
-    s: float
-    value: float
-    weight: float = 0.0
-
-
 def norm(
     f: CouplingFunction,
     p: float,
     s: float,
     weight: float = 0.0,
-) -> NormValue:
+) -> float:
     """L^p norm of f(t) * t^(-weight) on [0, s], exact per variant.
 
     ``weight`` is the exponent a of the singular factor t^(-a); a = 0.5 is
@@ -513,12 +498,15 @@ def norm(
     elif b >= 1.0:
         raise NonIntegrable(f"weight exponent {b} >= 1 makes t=0 non-integrable")
     else:
-        val = float(f.power_integral(p, b, s))
+        try:
+            val = float(f.power_integral(p, b, s))
+        except OverflowError:  # a scalar f^p out of range
+            raise NumericalFailure(f"order-{p} norm overflows on [0, {s}]") from None
         if val < sys.float_info.min:
             # f^p underflowed: integrate (2^-k f)^p, 2^k near the scale of f
             k, unit = f.normalized()
             val = float(unit.power_integral(p, b, s))
-    return NormValue(p=p, s=s, value=math.ldexp(val ** (1.0 / p), k), weight=weight)
+    return math.ldexp(val ** (1.0 / p), k)
 
 
 def iterated_norm(

@@ -99,8 +99,9 @@ def test_branch_agreement_at_theta_one(theorem, f, d):
     assert math.isfinite(rep.log_bound)
     # explicit comparison at the term level
     if theorem == 1:
-        hi = B._report(B._t1_terms(f, B.BoundParams(1.0, d, 2.0), "theta_geq_1"), B.BoundParams(1.0, d, 2.0), "T1", "hi")
-        lo = B._report(B._t1_terms(f, B.BoundParams(1.0, d, 2.0), "theta_leq_1"), B.BoundParams(1.0, d, 2.0), "T1", "lo")
+        params = B.BoundParams(1.0, d, 2.0)
+        hi = B._report(B._t1_terms, f, params, "T1", "theta_geq_1")
+        lo = B._report(B._t1_terms, f, params, "T1", "theta_leq_1")
         assert hi.log_bound == pytest.approx(lo.log_bound, rel=1e-10)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fkbound import cli, pekar
+from fkbound import cli, oscillator, pekar
 
 
 def run_cli(argv, capsys):
@@ -64,6 +64,16 @@ def test_oscillator_pretty(capsys):
     assert "ground_state_energy: 0.5" in out
 
 
+def test_oscillator_solves_the_riccati_problem_once(monkeypatch, capsys):
+    calls = []
+    solve = oscillator.solve_riccati
+    monkeypatch.setattr(oscillator, "solve_riccati", lambda cfg: calls.append(cfg) or solve(cfg))
+    code, out, _ = run_cli(["oscillator", "--omega", "1", "--T", "2", "--grid", "64"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["riccati"]["tanh_max_error"] < 1e-6
+
+
 def test_oscillator_mc_verifies(capsys):
     code, out, _ = run_cli(["oscillator", "--omega", "1", "--T", "2", "--mc",
                             "--paths", "5000", "--steps", "128", "--seed", "2"], capsys)
@@ -104,7 +114,8 @@ def test_simulate_missing_model_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("extra", [["--epsilon", "nan"], ["--offset", "inf"], ["--T", "inf"]])
+@pytest.mark.parametrize("extra", [["--epsilon", "nan"], ["--offset", "inf"], ["--T", "inf"],
+                                   ["--epsilon", "1e300"]])
 def test_simulate_non_finite_input_exit_2(extra, capsys):
     code, out, err = run_cli(["simulate", "--model", "hydrogen", "--alpha", "0.5",
                               "--T", "1", "--paths", "100", "--steps", "16",
@@ -303,6 +314,14 @@ def test_model_rejects_unused_parameter_exit_2(name, params, unused, capsys):
     assert f"not {unused}" in err
 
 
+def test_sweep_non_integer_dimension_exit_2(capsys):
+    code, out, err = run_cli(["sweep", "--model", "inverse_square", "--alpha", "0.1",
+                              "--param", "d", "--grid", "3.5", "--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "integer d" in err
+
+
 def test_sweep_rejects_parameter_the_model_does_not_use(capsys):
     code, out, err = run_cli(["sweep", "--model", "hydrogen", "--alpha", "0.5",
                               "--param", "d", "--grid", "3,4"], capsys)
@@ -315,6 +334,10 @@ def test_sweep_rejects_parameter_the_model_does_not_use(capsys):
      "--coupling", '{"kind":"constant","level":1}'],
     ["sweep", "--model", "inverse_square", "--alpha", "0.2", "--param", "theta",
      "--grid", "1.999999999", "--T", "400"],
+    ["model", "--name", "hydrogen", "--alpha", "1e300", "show"],
+    ["model", "--name", "bipolaron", "--alpha", "1e200", "show"],
+    ["bound", "--theorem", "1", "--theta", "1", "--dim", "3", "--T", "1",
+     "--coupling", '{"kind":"tabulated","grid":[0,1],"values":[1e308,1e308]}'],
 ])
 def test_overflowing_bound_exit_3(argv, capsys):
     code, out, err = run_cli(argv, capsys)

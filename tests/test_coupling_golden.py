@@ -88,12 +88,12 @@ def _cases():
                 yield f"bound:{name}:T{theorem}:{theta}", lambda: _bound(theorem, f, theta)
         for p, s, w in ((1.0, 1.5, 0.0), (2.0, 2.0, 0.25), (1.0, 2.0, 0.5),
                         (1.5, 0.7, 0.3), (1.0, 0.0, 0.75), (3.0, 1.0, 0.0)):
-            yield f"norm:{name}:{p}:{s}:{w}", lambda: norm(f, p, s, weight=w).value
+            yield f"norm:{name}:{p}:{s}:{w}", lambda: norm(f, p, s, weight=w)
         yield f"evaluate:{name}", lambda: evaluate(f, [0.0, 0.5, 1.3, 1.9, 2.0]).tolist()
         yield f"evaluate_scalar:{name}", lambda: evaluate(f, 0.7)
         yield f"is_zero:{name}", lambda: is_zero(f)
-        yield f"envelope:{name}", lambda: coupling_to_dict(envelope(f, T).representation)
-        yield f"envelope_T3:{name}", lambda: coupling_to_dict(envelope(f, 3.0).representation)
+        yield f"envelope:{name}", lambda: coupling_to_dict(envelope(f, T))
+        yield f"envelope_T3:{name}", lambda: coupling_to_dict(envelope(f, 3.0))
         for theorem in (1, 2, 3):
             for theta in (0.8, 1.0, 1.5):
                 yield (f"analytic_slope:{name}:T{theorem}:{theta}",

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fkbound import bounds as B
-from fkbound import models
+from fkbound import kernels, models
 from fkbound.errors import DomainError
 from fkbound.schedule import Constant, ExpDecay
 
@@ -84,11 +84,11 @@ def test_inverse_square_model_threshold_note():
 
 def test_jensen_values():
     m = models.build("hydrogen", alpha=0.5)
-    assert B.jensen_lower_bound(m, 1.0) == pytest.approx(
+    assert m.expected_action(1.0).value == pytest.approx(
         2 * math.sqrt(2 / math.pi) * 0.5, rel=1e-12)
-    assert B.jensen_slope(m) == 0.0
+    assert m.jensen_slope() == 0.0
     mp = models.build("polaron", alpha=2.0)
-    assert B.jensen_slope(mp) == pytest.approx(2.0, rel=1e-12)
+    assert mp.jensen_slope() == pytest.approx(2.0, rel=1e-12)
 
 
 def test_jensen_below_bound_strictly():
@@ -97,7 +97,7 @@ def test_jensen_below_bound_strictly():
                      ("nelson_q", {"gamma": 0.5, "tau": 1.0, "theta": 1.5})):
         m = models.build(name, **kw)
         T = 2.0
-        jens = B.jensen_lower_bound(m, T)
+        jens = m.expected_action(T).value
         bnd = models.composed_bound(m, T)["log_bound"]
         assert jens < bnd
 
@@ -111,6 +111,8 @@ def test_build_validation():
         models.build("nelson_q", gamma=1.0, tau=1.0, theta=1.0)
     with pytest.raises(DomainError):
         models.build("inverse_square", alpha=0.1, d=2)
+    with pytest.raises(DomainError, match="integer"):
+        models.build("inverse_square", alpha=0.1, d=3.5)
     with pytest.raises(DomainError):
         models.build("unknown", alpha=1.0)
 
@@ -122,6 +124,17 @@ def test_verify_hydrogen_small_budget_passes():
     names = {r.check for r in rep.rows}
     assert {"mc_below_bound", "sample_jensen", "jensen_below_mc",
             "action_mean_below_expectation"} <= names
+
+
+@pytest.mark.parametrize("name, kw", [("hydrogen", {"alpha": 0.5}), ("polaron", {"alpha": 0.5})])
+def test_verify_reads_one_expectation(name, kw, monkeypatch):
+    # the Jensen row and the action-mean row judge against the same E[action]
+    calls = []
+    expected_action = kernels.expected_action
+    monkeypatch.setattr(kernels, "expected_action",
+                        lambda *a, **k: calls.append(a) or expected_action(*a, **k))
+    models.verify(models.build(name, **kw), T=1.0, paths=200, steps=32, seed=1)
+    assert len(calls) == 1
 
 
 def test_verify_polaron_small_budget_passes():

@@ -205,6 +205,13 @@ def test_sandwich_weak_coupling_slopes_agree_to_first_order():
     assert rep.upper_slope == pytest.approx(alpha, rel=0.02)
 
 
+def test_virial_residual_is_the_exact_dilation_derivative():
+    # E(lambda) = lambda^2 K - lambda^theta I has the derivative 2 K - theta I at 1
+    sol = pekar.solve(pekar.PekarProblem(theta=1.3, coupling=1.0, nodes=128))
+    exact = abs(2.0 * sol.kinetic - 1.3 * sol.interaction) / max(abs(sol.energy), sol.kinetic)
+    assert sol.virial_residual == exact
+
+
 def test_sandwich_rejects_indicator_coupling():
     model = models.build("nelson_q", gamma=1.0, tau=1.0, theta=1.5)
     with pytest.raises(NotPositiveDefinite):

@@ -35,33 +35,39 @@ def brute_force_running_max(values):
 # ---------------------------------------------------------------------------
 
 def test_envelope_indicator_is_fixed_point():
-    env = envelope(Indicator(1.0, 2.0), 3.0)
-    rep = env.representation
+    rep = envelope(Indicator(1.0, 2.0), 3.0)
     assert rep == Indicator(1.0, 2.0)
     assert evaluate(rep, 1.0) == 1.0
     assert evaluate(rep, 2.5) == 0.0
 
 
+def test_only_exp_decay_vouches_for_a_positive_definite_extension():
+    couplings = (Constant(1.0), ExpDecay(1.0, 2.0), Indicator(1.0, 1.0), PowerLaw(1.0, -0.5),
+                 Tabulated((0, 1), (1, 1)))
+    vouched = [f.positive_definite_extension() for f in couplings]
+    assert vouched == [False, True, False, False, False]
+
+
 def test_envelope_exp_decay_identity():
     f = ExpDecay(0.7, 1.0)
-    assert envelope(f, 5.0).representation == f
+    assert envelope(f, 5.0) == f
 
 
 def test_envelope_tabulated_worked_example():
     f = Tabulated((0, 1, 2, 3), (1, 3, 2, 4))
-    rep = envelope(f, 3.0).representation
+    rep = envelope(f, 3.0)
     assert rep.values == brute_force_running_max(f.values) == (4.0, 4.0, 4.0, 4.0)
 
 
 def test_envelope_increasing_power_law_flattens():
-    rep = envelope(PowerLaw(2.0, 1.5), 4.0).representation
+    rep = envelope(PowerLaw(2.0, 1.5), 4.0)
     assert isinstance(rep, Constant)
     assert rep.level == pytest.approx(2.0 * 4.0 ** 1.5)
 
 
 def test_envelope_decreasing_power_law_identity():
     f = PowerLaw(1.0, -0.5)
-    assert envelope(f, 2.0).representation == f
+    assert envelope(f, 2.0) == f
 
 
 tabulated_data = st.lists(
@@ -75,8 +81,8 @@ def test_envelope_idempotent_and_dominating(values):
     grid = tuple(float(i) for i in range(len(values)))
     f = Tabulated(grid, tuple(values))
     T = grid[-1]
-    rep = envelope(f, T).representation
-    rep2 = envelope(rep, T).representation
+    rep = envelope(f, T)
+    rep2 = envelope(rep, T)
     assert rep2.values == rep.values
     assert all(e >= v for e, v in zip(rep.values, f.values))
     assert rep.values == brute_force_running_max(f.values)
@@ -91,8 +97,8 @@ def test_envelope_scaling_equivariance(values, factor):
     f = Tabulated(grid, tuple(values))
     T = grid[-1]
     scaled = Tabulated(grid, tuple(factor * v for v in values))
-    lhs = envelope(scaled, T).representation.values
-    rhs = tuple(factor * v for v in envelope(f, T).representation.values)
+    lhs = envelope(scaled, T).values
+    rhs = tuple(factor * v for v in envelope(f, T).values)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -109,32 +115,32 @@ def test_envelope_rejects_bad_horizon():
 
 def test_norm_exp_decay_mass():
     f = ExpDecay(0.9, 1.0)
-    assert norm(f, 1.0, 2.0).value == pytest.approx(0.9 * (1 - math.exp(-2.0)), rel=1e-14)
+    assert norm(f, 1.0, 2.0) == pytest.approx(0.9 * (1 - math.exp(-2.0)), rel=1e-14)
 
 
 def test_norm_constant_inverse_sqrt_weight():
     # int_0^T alpha t^-1/2 dt = 2 alpha sqrt(T)
-    assert norm(Constant(0.4), 1.0, 9.0, weight=0.5).value == pytest.approx(2 * 0.4 * 3.0)
+    assert norm(Constant(0.4), 1.0, 9.0, weight=0.5) == pytest.approx(2 * 0.4 * 3.0)
 
 
 def test_norm_constant_l2():
-    assert norm(Constant(1.0), 2.0, 3.0).value == pytest.approx(math.sqrt(3.0))
+    assert norm(Constant(1.0), 2.0, 3.0) == pytest.approx(math.sqrt(3.0))
 
 
 def test_norm_indicator_stops_at_cutoff():
     f = Indicator(2.0, 1.0)
-    assert norm(f, 1.0, 5.0).value == pytest.approx(2.0)
-    assert norm(f, 1.0, 0.5).value == pytest.approx(1.0)
+    assert norm(f, 1.0, 5.0) == pytest.approx(2.0)
+    assert norm(f, 1.0, 0.5) == pytest.approx(1.0)
 
 
 def test_norm_tabulated_exact_piecewise():
     f = Tabulated((0.0, 1.0, 2.0), (2.0, 1.0, 1.0))
-    assert norm(f, 1.0, 2.0).value == pytest.approx(3.0)
-    assert norm(f, 1.0, 1.5).value == pytest.approx(2.5)
-    assert norm(f, 2.0, 2.0).value == pytest.approx(math.sqrt(5.0))
+    assert norm(f, 1.0, 2.0) == pytest.approx(3.0)
+    assert norm(f, 1.0, 1.5) == pytest.approx(2.5)
+    assert norm(f, 2.0, 2.0) == pytest.approx(math.sqrt(5.0))
     # f^4 underflows: (1 + 16)^(1/4) 1e-100, not 0
     tiny = Tabulated((0.0, 1.0, 2.0), (1e-100, 2e-100, 0.0))
-    assert norm(tiny, 4.0, 2.0).value == pytest.approx(17.0 ** 0.25 * 1e-100, rel=1e-14, abs=0.0)
+    assert norm(tiny, 4.0, 2.0) == pytest.approx(17.0 ** 0.25 * 1e-100, rel=1e-14, abs=0.0)
 
 
 def test_norm_power_law_divergence_raises():
@@ -159,8 +165,8 @@ def test_norm_weight_exponent_must_converge():
 @example(level=1e-100, p=3.25, factor=3.0)  # level^p underflows to 0
 def test_norm_scaling_homogeneity(level, p, factor):
     f = Constant(level)
-    lhs = norm(Constant(factor * level), p, 2.0).value
-    rhs = factor * norm(f, p, 2.0).value
+    lhs = norm(Constant(factor * level), p, 2.0)
+    rhs = factor * norm(f, p, 2.0)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
 
 
@@ -169,7 +175,7 @@ def test_norm_scaling_homogeneity(level, p, factor):
 def test_norm_monotone_in_upper_time(s1, s2):
     lo, hi = sorted((s1, s2))
     f = ExpDecay(1.3, 0.7)
-    assert norm(f, 1.0, lo).value <= norm(f, 1.0, hi).value + 1e-15
+    assert norm(f, 1.0, lo) <= norm(f, 1.0, hi) + 1e-15
 
 
 def test_analytic_vs_tabulated_quadrature_agreement():
@@ -179,8 +185,8 @@ def test_analytic_vs_tabulated_quadrature_agreement():
     grid = np.linspace(0.0, T, n + 1)
     mids = (grid[:-1] + grid[1:]) / 2.0
     tab = Tabulated(tuple(grid), tuple(np.exp(-mids)) + (math.exp(-T),))
-    exact = norm(ExpDecay(1.0, 1.0), 1.0, T).value
-    assert norm(tab, 1.0, T).value == pytest.approx(exact, rel=1e-6)
+    exact = norm(ExpDecay(1.0, 1.0), 1.0, T)
+    assert norm(tab, 1.0, T) == pytest.approx(exact, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
 one outer quadrature rule, the Monte Carlo engine makes no BLAS call and
-builds no O(N^2) pair-index table, and the Pekar kernel is assembled only
-through its unit-grid cache.
+builds no O(N^2) pair-index table, the Pekar kernel is assembled only
+through its unit-grid cache, and the modules import each other one way.
 
 Every per-variant fact is a method of the variant's class, so no other
 module branches on the variant with ``isinstance``, and ``bounds`` and
-``kernels`` do not name a variant at all.  The one exemption is the
-positive-definiteness test of ``pekar.lower_bound_sandwich``.
+``kernels`` do not name a variant at all.  Every package import sits at
+module level, and those imports form an acyclic graph.
 """
 
 import ast
@@ -16,7 +16,6 @@ import fkbound
 
 VARIANTS = {"Constant", "ExpDecay", "Indicator", "PowerLaw", "Tabulated"}
 COUPLING_CLASSES = VARIANTS | {"CouplingFunction", "_Coupling"}
-EXEMPT = {("pekar.py", "lower_bound_sandwich", "ExpDecay")}
 SRC = Path(fkbound.__file__).parent
 
 
@@ -62,8 +61,7 @@ def test_only_schedule_branches_on_the_coupling_variant():
         if path.name == "schedule.py":
             continue
         offenders += [(path.name, func, name)
-                      for func, name in _coupling_isinstance(path.read_text())
-                      if (path.name, func, name) not in EXEMPT]
+                      for func, name in _coupling_isinstance(path.read_text())]
     assert offenders == []
 
 
@@ -171,3 +169,74 @@ def test_only_the_unit_grid_cache_assembles_the_pekar_kernel():
     callers = [(path.name, func) for path in sorted(SRC.glob("*.py"))
                for func in _callers(path.read_text(), "_assemble_kernel")]
     assert callers == [("pekar.py", "_unit_kernel")]
+
+
+def _package_imports(source: str) -> list:
+    """(enclosing function or None, imported module) of each package import;
+    ``from . import a, b`` imports the modules a and b."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom) and (child.level
+                                                      or child.module.startswith("fkbound")):
+                base = (child.module or "").removeprefix("fkbound").lstrip(".")
+                found.extend((func, base or alias.name) for alias in child.names)
+            elif isinstance(child, ast.Import):
+                found.extend((func, alias.name.removeprefix("fkbound.")) for alias in child.names
+                             if alias.name.startswith("fkbound."))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_guard_sees_package_imports():
+    source = ("import numpy as np\n"
+              "from . import bounds as B, mc\n"
+              "from .schedule import norm\n"
+              "def f():\n"
+              "    from . import kernels\n"
+              "    import fkbound.pekar\n")
+    assert _package_imports(source) == [(None, "bounds"), (None, "mc"), (None, "schedule"),
+                                        ("f", "kernels"), ("f", "pekar")]
+
+
+def test_no_package_import_inside_a_function():
+    # a function-level import hides a dependency that points back up the stack
+    inside = [(path.name, func, module) for path in sorted(SRC.glob("*.py"))
+              for func, module in _package_imports(path.read_text()) if func is not None]
+    assert inside == []
+
+
+def _cycle(graph: dict) -> list:
+    """One cycle of a {module: imported modules} graph as a closed path, or []."""
+    state = {}
+
+    def visit(node, path):
+        state[node] = "open"
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state and (found := visit(nxt, path + [nxt])):
+                return found
+        state[node] = "done"
+        return []
+
+    for start in sorted(graph):
+        if start not in state and (found := visit(start, [start])):
+            return found
+    return []
+
+
+def test_guard_sees_import_cycles():
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}) == ["a", "b", "c", "a"]
+    assert _cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def test_module_import_graph_is_acyclic():
+    graph = {path.stem: {module for func, module in _package_imports(path.read_text())
+                         if func is None}
+             for path in SRC.glob("*.py") if path.stem != "__init__"}
+    assert _cycle(graph) == []
