@@ -12,28 +12,30 @@ and every reduction over paths runs in index order.  The engine makes no
 BLAS call, whose threads would split a long sum, so no result depends on
 the worker count, the batch size or the BLAS thread count.
 
-Draw order within a path is part of the reproducibility contract; one
-block of 2N rows draws exactly the two N-row draws listed, in order:
+Draw order within a path is part of the reproducibility contract; each
+path draws one block holding the N-row draws listed, in order:
 
-* single action:     grid increments (N, d), then midpoint-bridge noise (N, d)
+* single action:     grid increments (N, d)
 * self-pair action:  grid increments (N, d)
 * cross-pair action: grid increments of X (N, d), then of Y (N, d)
 * bipolaron action:  grid increments of X (N, d), then of Y (N, d)
-* affine action (martingale check): grid increments (N, d)
-* quadratic action (oscillator): grid increments (N, 1), then bridge noise (N, 1)
+* affine action (martingale check): grid increments (N, 1)
+* quadratic action (oscillator): grid increments (N, 1)
 
-Time discretisation: the single action uses midpoint times with the path
-value sampled from the Brownian bridge between grid nodes (exact midpoint
-law); double actions sum over grid-node pairs with the diagonal excluded.
-Both choices bias the singular integrals low, so Monte Carlo means sit
-slightly below their continuum targets, by O(dt^(1-theta/2)).
+Time discretisation: the single and quadratic actions use midpoint times,
+with each midpoint term replaced by its exact expectation given the two
+grid nodes (Rao-Blackwell; the midpoint is N(node mean, dt/4 I_d)); double
+actions sum over grid-node pairs with the diagonal excluded.  Both choices
+bias the singular integrals low, so Monte Carlo means sit slightly below
+their continuum targets, by O(dt^(1-theta/2)).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -216,31 +218,86 @@ def _run(sampler, ensemble: PathEnsemble, threads: int = 1,
     return np.concatenate(parts, axis=-1).reshape(-1, len(paths))
 
 
-def _bridge_midpoints(z: np.ndarray, sq: float) -> np.ndarray:
-    """Grid-midpoint path values from (2N, d) normal blocks: increments / sq, then bridge noise."""
-    n = z.shape[1] // 2
-    inc = sq * z[:, :n]
-    return np.cumsum(inc, axis=1) - 0.5 * inc + (0.5 * sq) * z[:, n:]
+def _midpoint_means(z: np.ndarray, sq: float) -> np.ndarray:
+    """Means X_k + inc_k / 2 of the grid midpoints given the nodes, from (N, d) increments / sq."""
+    mu = np.cumsum(z, axis=1)
+    mu -= 0.5 * z
+    mu *= sq
+    return mu
+
+
+# E(y) = G(xi) (y + y0)^(-theta/2), xi = y / (y + y0), y0 = (_X0 + c) 2 s^2: G is a
+# degree-_DEGREE polynomial on each of _CELLS equal cells of [0, 1), to about 1e-13
+_CELLS, _DEGREE, _X0 = 64, 6, 8.0
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
+    """Row p: each cell's coefficient of u^p in G, u = xi * cells - cell - 1/2 (last cell: G = 1).
+
+    E(y) = E[(|Z|^2 + eps^2)^-a], Z ~ N(mu, s^2 I_d), |mu|^2 = y, a = theta/2.  With x = y/(2 s^2)
+    and c = eps^2/(2 s^2), the Gamma integral of the power gives
+        E = (2 s^2)^-a / Gamma(a) int exp(a w - c e^w - (d/2) log(1 + e^w) - x / (1 + e^-w)) dw
+    (at c = 0, Gamma((d-theta)/2)/Gamma(d/2) 1F1(a; d/2; -x), A&S 13.2.1): a trapezoid sum at step
+    0.2 (error near 1e-17: analytic in |Im w| < pi/2) plus geometric sums of the tails' leading terms.
+    """
+    table = np.zeros((_DEGREE + 1, _CELLS + 1))
+    table[0] = 1.0
+    if theta == 0.0:
+        return table
+    a, b, h, kappa = theta / 2.0, (d - theta) / 2.0, 0.2, _X0 + c
+    u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)) / 2.0  # Chebyshev points
+    x = kappa / (_CELLS / (np.arange(_CELLS)[:, None] + 0.5 + u) - 1.0)  # kappa xi / (1 - xi)
+    lo = math.log(1e-8 / (x.max() + c + d / 2.0))
+    w = np.arange(lo, max(math.log(50.0) - math.log(c) if c else 18.5 + math.log(50.0 + d), lo + 2.0), h)
+    base, den = a * w - c * np.exp(w) - (d / 2.0) * np.logaddexp(0.0, w), 1.0 + np.exp(-w)
+    # eight cells at a time: one (cells, points, len(w)) buffer would add about 1 MB to peak memory
+    sums = np.concatenate([np.exp(base - xc[..., None] / den).sum(axis=-1) for xc in np.split(x, 8)])
+    geo = lambda p: 1.0 / math.expm1(p * h)  # noqa: E731
+    sums += math.exp(a * w[0]) * geo(a) - (x + c + d / 2.0) * math.exp((a + 1.0) * w[0]) * geo(a + 1.0)
+    if not c:  # c > 0 has killed the upper tail by w[-1]
+        sums += np.exp(-x - b * w[-1]) * (geo(b) + (x - d / 2.0) * math.exp(-w[-1]) * geo(b + 1.0))
+    g = h * sums * (x + kappa) ** a / math.gamma(a)
+    lagrange = [np.polynomial.polynomial.polyfromroots(np.delete(u, m)) / np.prod(v - np.delete(u, m))
+                for m, v in enumerate(u)]
+    table[:, :-1] = (g[:, :, None] * np.array(lagrange)).sum(axis=1).T
+    table.flags.writeable = False
+    return table
 
 
 class _SingleSampler:
-    """Midpoint-rule single action, one output row per starting offset."""
+    """Midpoint-rule single action, one output row per starting offset; each midpoint
+    term is its expectation E(|mu + offset e_1|^2) given the grid nodes (``_moment_table``)."""
 
     def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
         dt = spec.T / steps
-        self.rows, self.sq = 2 * steps, math.sqrt(dt)
+        self.rows, self.sq = steps, math.sqrt(dt)
         self.fw = np.asarray(evaluate(spec.f, (np.arange(steps) + 0.5) * dt), dtype=float) * dt
-        self.theta, self.eps2, self.offsets = spec.theta, spec.epsilon ** 2, offsets
+        c = spec.epsilon ** 2 / (dt / 2.0)  # eps^2 / (2 s^2), s^2 = dt / 4
+        if not (c < 1e200 and (c or spec.theta < spec.d)):
+            raise DomainError(f"E|X_mid|^-theta is infinite or overflows: theta {spec.theta}, "
+                              f"d {spec.d}, epsilon {spec.epsilon}, dt {dt}")
+        self.table, self.y0 = _moment_table(spec.theta, spec.d, c), (_X0 + c) * dt / 2.0
+        self.theta, self.offsets = spec.theta, offsets
+
+    def _moment(self, y: np.ndarray) -> np.ndarray:
+        q = y + self.y0
+        u = y / q * _CELLS
+        cell = u.astype(np.intp)
+        u -= cell + 0.5
+        g = self.table[_DEGREE][cell]
+        for coeff in self.table[_DEGREE - 1::-1]:
+            g *= u
+            g += coeff[cell]
+        return g / np.sqrt(q) if self.theta == 1.0 else g * q ** (-self.theta / 2.0)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        mids = _bridge_midpoints(z, self.sq)
-        r2 = np.einsum("bij,bij->bi", mids, mids)
+        mu = _midpoint_means(z, self.sq)
+        r2 = np.einsum("bij,bij->bi", mu, mu)
         out = np.empty((len(self.offsets), len(z)))
         for row, offset in zip(out, self.offsets):
-            r2o = r2 if offset == 0.0 else r2 + 2.0 * offset * mids[:, :, 0] + offset * offset
-            with np.errstate(divide="ignore"):
-                vals = (r2o + self.eps2) ** (-self.theta / 2.0)
-            row[:] = (vals * self.fw).sum(axis=1)
+            r2o = r2 if offset == 0.0 else r2 + 2.0 * offset * mu[:, :, 0] + offset * offset
+            row[:] = (self._moment(r2o) * self.fw).sum(axis=1)
         return out
 
 
@@ -312,15 +369,18 @@ class _AffineSampler:
 
 
 class _QuadraticSampler:
-    """-(w^2/2) int_0^T X_t^2 dt, midpoint rule with bridge-sampled midpoints."""
+    """ln E[exp(-(w^2/2) sum_k |X_mid,k|^2 dt) | grid nodes], the midpoint rule's exact
+    conditional log-moment: a midpoint N(mu, s^2 I_d) gives -a|mu|^2/(1 + 2as^2) - (d/2) ln(1 + 2as^2)."""
 
     def __init__(self, omega: float, ensemble: PathEnsemble):
-        self.rows, self.sq = 2 * ensemble.steps, math.sqrt(ensemble.dt)
-        self.coeff = -0.5 * omega * omega * ensemble.dt
+        a2s2 = 0.25 * omega * omega * ensemble.dt ** 2  # 2 a s^2, a = w^2 dt / 2, s^2 = dt / 4
+        self.rows, self.sq = ensemble.steps, math.sqrt(ensemble.dt)
+        self.coeff = -0.5 * omega * omega * ensemble.dt / (1.0 + a2s2)
+        self.shift = -0.5 * ensemble.dim * ensemble.steps * math.log1p(a2s2)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        mids = _bridge_midpoints(z, self.sq)
-        return self.coeff * np.sum(mids * mids, axis=(1, 2))
+        mu = _midpoint_means(z, self.sq)
+        return self.coeff * np.sum(mu * mu, axis=(1, 2)) + self.shift
 
 
 def _make_sampler(spec: ActionSpec, steps: int):
@@ -413,32 +473,18 @@ def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
     """
     if spec.kind != "single":
         raise DomainError("maximality check applies to the single action")
-    radii = [float(r) for r in offsets]
-    ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps,
-                            horizon=spec.T, dim=spec.d)
-    all_r = [0.0] + radii
-    acts = _run(_SingleSampler(spec, steps, all_r), ensemble, threads)
-    ests = [summarize_actions(acts[k], seed, steps) for k in range(len(all_r))]
+    radii = [0.0] + [float(r) for r in offsets]
+    ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=spec.T, dim=spec.d)
+    acts = _run(_SingleSampler(spec, steps, radii), ensemble, threads)
+    ests = [summarize_actions(a, seed, steps) for a in acts]
     B = int(math.isqrt(paths))
     bs = paths // B
-    rows = []
     mx = acts.max(axis=1, keepdims=True)
-    w = np.exp(acts[:, : B * bs] - mx)
-    logs_b = np.log(w.reshape(len(all_r), B, bs).mean(axis=2)) + mx
-    for k, r in enumerate(radii, start=1):
-        gaps = logs_b[0] - logs_b[k]
-        gap = ests[0].log_mean - ests[k].log_mean
-        gap_se = float(gaps.std(ddof=1) / math.sqrt(B))
-        rows.append(MaximalityRow(
-            radius=r,
-            log_mean=ests[k].log_mean,
-            stderr_log=ests[k].stderr_log,
-            gap_from_origin=gap,
-            gap_stderr=gap_se,
-            ok=bool(gap >= -3.0 * gap_se),
-        ))
-    rows.insert(0, MaximalityRow(0.0, ests[0].log_mean, ests[0].stderr_log,
-                                 0.0, 0.0, True))
+    logs_b = np.log(np.exp(acts[:, : B * bs] - mx).reshape(len(radii), B, bs).mean(axis=2)) + mx
+    rows = [MaximalityRow(0.0, ests[0].log_mean, ests[0].stderr_log, 0.0, 0.0, True)]
+    for r, est, logs in zip(radii[1:], ests[1:], logs_b[1:]):
+        gap, gap_se = ests[0].log_mean - est.log_mean, float((logs_b[0] - logs).std(ddof=1) / math.sqrt(B))
+        rows.append(MaximalityRow(r, est.log_mean, est.stderr_log, gap, gap_se, bool(gap >= -3.0 * gap_se)))
     return rows
 
 
@@ -475,7 +521,8 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
     standard errors (equality case); with truncation the estimate must sit
     strictly below it.
     """
-    ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=d)
+    # only X_T^(1) enters the action, and its law does not depend on d: draw one coordinate
+    ensemble = replace(PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=d), dim=1)
     actions = _run(_AffineSampler(lam, ensemble, truncation), ensemble)[0]
     est = summarize_actions(actions, seed, steps)
     ceiling = lam * lam * T / 2.0

@@ -50,10 +50,10 @@ class OscillatorConfig:
     grid: int = 2048
 
     def __post_init__(self):
-        if not self.omega >= 0:
-            raise DomainError(f"frequency must be nonnegative, got {self.omega}")
-        if not self.T > 0:
-            raise DomainError(f"horizon must be positive, got {self.T}")
+        if not 0 <= self.omega < 2.0 ** 511:  # the Riccati solve squares it
+            raise DomainError(f"frequency must be nonnegative with a finite square, got {self.omega}")
+        if not 0 < self.T < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.T}")
         if self.grid < 8:
             raise DomainError(f"grid must have at least 8 steps, got {self.grid}")
 
@@ -163,10 +163,10 @@ def mc_crosscheck(cfg: OscillatorConfig, paths: int, steps: int,
                   seed: int) -> OscillatorMcReport:
     """Monte Carlo estimate of E[exp(S_T)] against the closed form.
 
-    One-dimensional paths, midpoint rule with bridge-sampled midpoints
-    (same scheme and draw order as the singular single action), run as the
-    quadratic sampler of the batched path engine in ``mc``: bit-identical
-    for given (omega, T, paths, steps, seed) whatever the batch size.
+    One-dimensional paths, midpoint rule: each path gives its exact log-moment
+    given the grid nodes (``mc``'s quadratic sampler draws only increments), so
+    E[exp] is that of bridge-sampled midpoints.  Bit-identical for given
+    (omega, T, paths, steps, seed) whatever the batch size.
     Restricted to w T <= 4, where the exponential moment is comfortably
     estimable.
     """

@@ -125,6 +125,16 @@ def test_simulate_non_finite_input_exit_2(extra, capsys):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("extra", [["--omega", "inf", "--T", "2"], ["--omega", "1", "--T", "inf"],
+                                   ["--omega", "1e200", "--T", "2"]])
+def test_oscillator_non_finite_input_exit_2(extra, capsys):
+    # omega = 1e200 is finite, but the Riccati solve squares it
+    code, out, err = run_cli(["oscillator", *extra], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_model_show_energy(capsys):
     code, out, _ = run_cli(["model", "--name", "polaron", "--alpha", "1.0", "show"],
                            capsys)

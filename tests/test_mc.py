@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -256,6 +257,100 @@ def test_infinite_path_flagged_not_clamped():
 
 
 # ---------------------------------------------------------------------------
+# Rao-Blackwellised midpoints
+# ---------------------------------------------------------------------------
+
+def _moment_reference(theta, d, eps, dt, r):
+    """E[(|Z|^2 + eps^2)^(-theta/2)] for Z ~ N(r e_1, (dt/4) I_d), by mpmath.
+
+    With a = theta/2, b = (d - theta)/2, s^2 = dt/4, x = r^2/(2 s^2) and
+    c = eps^2/(2 s^2) it is (2 s^2)^-a / Gamma(a) times the integral over [0, 1]
+    of u^(a-1) (1-u)^(b-1) exp(-c u/(1-u) - x u); at eps = 0 that is
+    (2 s^2)^-a Gamma(b)/Gamma(d/2) 1F1(a; d/2; -x).  The substitutions
+    u = t^(1/a) and 1 - u = t^(1/b) remove the weight's endpoint powers, whose
+    mass near the endpoints the tanh-sinh rule would otherwise cut off.
+    """
+    a, b = mp.mpf(theta) / 2, mp.mpf(d - theta) / 2
+    x, c = mp.mpf(r) ** 2 / (mp.mpf(dt) / 2), mp.mpf(eps) ** 2 / (mp.mpf(dt) / 2)
+    if c == 0:
+        beta = mp.gamma(b) / mp.gamma(a + b) * mp.hyp1f1(a, a + b, -x)
+    else:
+        def g(u, v):  # u and v = 1 - u, each to full relative precision
+            return mp.exp(-c * u / v - x * u)
+
+        m = min(mp.mpf(1) / 2, 1 / (x + c + d))
+        low = mp.quad(lambda t: (1 - t ** (1 / a)) ** (b - 1) * g(t ** (1 / a), 1 - t ** (1 / a)),
+                      [0, (m / 4) ** a, m ** a]) / a
+        high = mp.quad(lambda t: (1 - t ** (1 / b)) ** (a - 1) * g(1 - t ** (1 / b), t ** (1 / b)),
+                       [0, (1 - m) ** b]) / b
+        beta = (low + high) / mp.gamma(a)
+    return (mp.mpf(dt) / 2) ** -a * beta
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.3, 1.6, 1.9])
+def test_midpoint_moment_matches_mpmath(theta):
+    # r in units of the midpoint's standard deviation s, from 0 into the 1/r^theta tail
+    worst = 0.0
+    for d in range(math.floor(theta) + 1, 6):
+        for eps in (0.0, 0.05, 0.2):
+            for dt in (1 / 16, 1 / 512):
+                spec = mc.ActionSpec("single", Constant(1.0), theta, d, 1.0, epsilon=eps)
+                sampler = mc._SingleSampler(spec, round(1 / dt), (0.0,))
+                units = [0.0, 0.3, 1.0, 3.0, 10.0, 100.0] if eps == 0 else [0.0, 1.0, 3.0, 30.0]
+                r = math.sqrt(dt) / 2 * np.array(units)
+                got = sampler._moment(r * r)
+                with mp.workdps(20):
+                    want = [float(_moment_reference(theta, d, eps, dt, v)) for v in r]
+                worst = max(worst, float(np.abs(got / want - 1.0).max()))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("theta, d, eps, offset", [(1.0, 3, 0.0, 0.0), (1.3, 3, 0.05, 0.4),
+                                                   (1.2, 4, 0.0, 0.2)])
+def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offset):
+    # for fixed increments, the action is the mean of the bridge-sampled midpoint action
+    steps, T, draws = 16, 1.0, 40_000
+    spec = mc.ActionSpec("single", ExpDecay(0.7, 1.0), theta, d, T, offset=offset, epsilon=eps)
+    z = np.random.default_rng(3).standard_normal((1, steps, d))
+    sampler = mc._SingleSampler(spec, steps, (offset,))
+    value = sampler(z)[0, 0]
+    sq = math.sqrt(T / steps)
+    mids = np.cumsum(sq * z[0], axis=0) - 0.5 * sq * z[0] + offset * np.eye(1, d)
+    mids = mids + 0.5 * sq * np.random.default_rng(4).standard_normal((draws, steps, d))
+    old = ((np.sum(mids * mids, axis=2) + eps * eps) ** (-theta / 2.0) * sampler.fw).sum(axis=1)
+    assert abs(value - old.mean()) <= 4.0 * old.std(ddof=1) / math.sqrt(draws)
+
+
+@pytest.mark.parametrize("theta, d", [(1.0, 3), (1.5, 3), (1.9, 2), (0.5, 1)])
+def test_single_actions_stay_below_the_midpoint_cap(theta, d):
+    # at epsilon = 0, E(y) <= E(0) = Gamma((d-theta)/2)/Gamma(d/2) (dt/2)^(-theta/2)
+    f, T, steps = ExpDecay(0.7, 1.0), 1.0, 64
+    sampler = mc._SingleSampler(mc.ActionSpec("single", f, theta, d, T), steps, (0.0,))
+    unit = math.exp(math.lgamma((d - theta) / 2) - math.lgamma(d / 2)) * (T / steps / 2) ** (-theta / 2)
+    assert sampler._moment(np.zeros(1))[0] == pytest.approx(unit, rel=1e-12)
+    ens = mc.PathEnsemble(seed=5, paths=2000, steps=steps, horizon=T, dim=d)
+    assert mc._run(sampler, ens)[0].max() <= sampler.fw.sum() * unit
+
+
+def test_raw_singularity_at_theta_one_point_five_has_a_finite_moment():
+    # bridge-sampled midpoints gave this action an infinite exponential moment
+    spec = mc.ActionSpec("single", Constant(0.5), 1.5, 3, 1.0)
+    est = mc.estimate(spec, 20_000, 256, 11)
+    bound = theorem1_bound(Constant(0.5), BoundParams(1.5, 3, 1.0)).log_bound
+    assert est.infinite_paths == 0
+    assert math.isfinite(est.stderr_log)
+    assert est.log_mean < bound
+
+
+@pytest.mark.parametrize("theta, d", [(1.0, 1), (1.5, 1), (2.0, 2)])
+def test_single_action_rejects_an_infinite_midpoint_moment(theta, d):
+    with pytest.raises(DomainError, match="infinite"):
+        mc.estimate(mc.ActionSpec("single", Constant(0.5), theta, d, 1.0), 100, 16, 1)
+    est = mc.estimate(mc.ActionSpec("single", Constant(0.5), theta, d, 1.0, epsilon=0.1), 100, 16, 1)
+    assert math.isfinite(est.log_mean)
+
+
+# ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
 
@@ -361,6 +456,12 @@ def test_martingale_identity_cases():
     assert trunc.log_mean == pytest.approx(exact, abs=4 * trunc.stderr_log)
 
 
+def test_martingale_check_draws_one_coordinate():
+    # only X_T^(1) enters the affine action, so d does not change a bit
+    assert (mc.martingale_lemma_check(0.7, 1.0, 1, 300, 16, 3, truncation=0.2)
+            == mc.martingale_lemma_check(0.7, 1.0, 3, 300, 16, 3, truncation=0.2))
+
+
 def test_maximality_rows_decreasing_with_crn():
     rows = mc.maximality_check(hydrogen_spec(), [0.5, 1.0, 2.0], 5000, 64, 13)
     assert rows[0].radius == 0.0
@@ -422,20 +523,20 @@ def _fingerprint(result) -> list:
 
 GOLDEN = {
     'single': [
-        '0x1.9892fbe5a5c90p-1', '0x1.5a25fe6cfc27fp-6', '0x1.899ed37651e48p-1',
-        '0x1.b7d0384feca76p-7',
+        '0x1.969fbd8e13348p-1', '0x1.3d691cf395614p-6', '0x1.88f594c29ba55p-1',
+        '0x1.a7e4009076bedp-7',
     ],
     'single_offset_eps': [
-        '0x1.63194da4ff908p-1', '0x1.5239233008e2cp-6', '0x1.40e2b229f2aebp-1',
-        '0x1.647600cbd466cp-6',
+        '0x1.611b43172103ep-1', '0x1.59cdaa1c51a1cp-6', '0x1.4019399f92bc8p-1',
+        '0x1.5ef15d425014ap-6',
     ],
     'single_max_seed': [
-        '0x1.8c578bbef18ebp-1', '0x1.316c8329b34b4p-5', '0x1.77f6efaabbcf0p-1',
-        '0x1.8a6d3a1b8864ap-6',
+        '0x1.809500c3b6e11p-1', '0x1.87fd919cef116p-6', '0x1.73ef17d028954p-1',
+        '0x1.3ce9e86c27862p-6',
     ],
     'single_threads': [
-        '0x1.86e541bb2ef40p-1', '0x1.1050f4e08fbfap-6', '0x1.7962ecc9064eep-1',
-        '0x1.f149922c2c2f5p-7',
+        '0x1.877dbb31567e8p-1', '0x1.0450cd693cc39p-6', '0x1.7aa6537cf6798p-1',
+        '0x1.e514321c0e740p-7',
     ],
     'self_double': [
         '0x1.27dc81d518dfep-2', '0x1.353904360c4cap-8', '0x1.26e18c218f3a5p-2',
@@ -450,30 +551,30 @@ GOLDEN = {
         '0x1.78e0deee03f13p-7',
     ],
     'maximality_0.0': [
-        '0x0.0p+0', '0x1.746d5cdf64544p-1', '0x1.023d5ffd3c15dp-6',
+        '0x0.0p+0', '0x1.7459101ea3e5cp-1', '0x1.e8c1bbc707954p-7',
         '0x0.0p+0', '0x0.0p+0',
     ],
     'maximality_0.5': [
-        '0x1.0000000000000p-1', '0x1.33eba508c51fbp-1', '0x1.62fa12bcc99fdp-7',
-        '0x1.0206df5a7cd24p-3', '0x1.e0c88fd787c8ap-7',
+        '0x1.0000000000000p-1', '0x1.324fbaa40bc18p-1', '0x1.3e9886286209fp-7',
+        '0x1.082555ea60910p-3', '0x1.a3f23c0a739c4p-7',
     ],
     'maximality_1.0': [
-        '0x1.0000000000000p+0', '0x1.c9cbb450dab54p-2', '0x1.326a3d12761e6p-7',
-        '0x1.1f0f056dedf34p-2', '0x1.2b2eea9293220p-6',
+        '0x1.0000000000000p+0', '0x1.c81fd8ea22d2cp-2', '0x1.2693c5f218976p-7',
+        '0x1.2092475324f8cp-2', '0x1.1cb375343cfe2p-6',
     ],
     'martingale_equality': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', 'nan',
-        '0x1.6c9c3ce3fc8d8p-2', '0x1.466e8c2abf3a1p-4', '0x1.0000000000000p-1',
-        '0x1.26c7863806e50p-3',
+        '0x1.f764b192b1310p-2', '0x1.690eb901a80c0p-4', '0x1.0000000000000p-1',
+        '0x1.1369cda9d9e00p-7',
     ],
     'martingale_truncated': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
-        '-0x1.2b6ba274a0515p-2', '0x1.57ebd4af7bb7bp-6', '0x1.0000000000000p-1',
-        '0x1.95b5d13a5028ap-1',
+        '-0x1.01994ef3a7a7ep-2', '0x1.7a8769dae93cep-6', '0x1.0000000000000p-1',
+        '0x1.80cca779d3d3fp-1',
     ],
     'oscillator': [
-        '-0x1.6c46dbc4f779dp-1', '0x1.9a24f3ddeef44p-5', '-0x1.1362acca6afffp+0',
-        '0x1.4a575e1bdebe9p-4', '-0x1.5333614b031e2p-1', '-0x1.9137a79f45bb0p-5',
+        '-0x1.6caa54b22357fp-1', '0x1.9bbac5a2c5840p-5', '-0x1.13ac7146551d2p+0',
+        '0x1.4a4b75962a1c0p-4', '-0x1.5333614b031e2p-1', '-0x1.976f3672039d0p-5',
     ],
 }
 

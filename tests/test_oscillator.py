@@ -67,9 +67,34 @@ def test_mc_crosscheck_small_budget():
     assert rep.estimate.infinite_paths == 0
 
 
+def _discrete_log_moment(omega, T, steps):
+    """ln E[exp(-(omega^2/2) sum_k X(t_k)^2 dt)] at the midpoints t_k, exactly.
+
+    The midpoint values are a Gaussian random walk with steps of variance dt/2
+    and then dt; integrating them out from the last one back maps a step of
+    variance v to b -> b / (1 + 2 b v) and multiplies by (1 + 2 b v)^(-1/2).
+    """
+    dt = T / steps
+    a = 0.5 * omega * omega * dt
+    b, log_c = a, 0.0
+    for _ in range(steps - 1):
+        log_c -= 0.5 * math.log1p(2.0 * b * dt)
+        b = a + b / (1.0 + 2.0 * b * dt)
+    return log_c - 0.5 * math.log1p(b * dt)
+
+
+@pytest.mark.parametrize("omega, T, steps", [(1.0, 2.0, 64), (1.5, 2.5, 32)])
+def test_mc_crosscheck_matches_the_exact_discrete_moment(omega, T, steps):
+    # each path's conditional log-moment has E[exp] equal to the midpoint rule's moment
+    rep = osc.mc_crosscheck(osc.OscillatorConfig(omega, T), paths=20_000, steps=steps, seed=5)
+    exact = _discrete_log_moment(omega, T, steps)
+    assert abs(rep.estimate.log_mean - exact) <= 4.0 * rep.estimate.stderr_log
+
+
 def test_mc_crosscheck_zero_frequency_exact():
     rep = osc.mc_crosscheck(osc.OscillatorConfig(0.0, 2.0), paths=200, steps=32, seed=1)
     assert rep.estimate.log_mean == 0.0
+    assert rep.estimate.stderr_log == 0.0
     assert rep.closed_form == 0.0
 
 

@@ -1,7 +1,8 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
 one outer quadrature rule, the Monte Carlo engine makes no BLAS call and
-builds no O(N^2) pair-index table, the Pekar kernel is assembled only
-through its unit-grid cache, and the modules import each other one way.
+builds no O(N^2) pair-index table, its single and quadratic samplers draw
+no midpoint noise, the Pekar kernel is assembled only through its unit-grid
+cache, and the modules import each other one way.
 
 Every per-variant fact is a method of the variant's class, so no other
 module branches on the variant with ``isinstance``, and ``bounds`` and
@@ -13,6 +14,8 @@ import ast
 from pathlib import Path
 
 import fkbound
+from fkbound import mc
+from fkbound.schedule import Constant
 
 VARIANTS = {"Constant", "ExpDecay", "Indicator", "PowerLaw", "Tabulated"}
 COUPLING_CLASSES = VARIANTS | {"CouplingFunction", "_Coupling"}
@@ -240,3 +243,11 @@ def test_module_import_graph_is_acyclic():
                          if func is None}
              for path in SRC.glob("*.py") if path.stem != "__init__"}
     assert _cycle(graph) == []
+
+
+def test_single_and_quadratic_samplers_draw_only_the_increments():
+    # each midpoint term is its expectation given the grid nodes: no bridge noise is drawn
+    spec = mc.ActionSpec("single", Constant(0.5), 1.2, 3, 1.0, epsilon=0.1)
+    ensemble = mc.PathEnsemble(seed=1, paths=10, steps=48, horizon=1.0, dim=1)
+    assert mc._SingleSampler(spec, 48, (0.0, 0.5)).rows == 48
+    assert mc._QuadraticSampler(1.0, ensemble).rows == 48
