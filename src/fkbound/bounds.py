@@ -173,11 +173,6 @@ def _report(term_fn, f: CouplingFunction, params, theorem, branch) -> BoundRepor
     return BoundReport(log_bound, tuple(terms), params, theorem, branch)
 
 
-def _zero_report(params: BoundParams, theorem: str) -> BoundReport:
-    branch = "theta_geq_1" if params.theta >= 1.0 else "theta_leq_1"
-    return BoundReport(0.0, (), params, theorem, branch, zero_coupling=True)
-
-
 def _t1_terms(f_env, params, branch) -> list:
     theta, d, T = params.theta, params.d, params.T
     co = coefficients(theta, d)
@@ -262,11 +257,10 @@ def _t3_terms(f, params, branch) -> list:
 
 
 def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundReport:
-    if is_zero(f):
-        return _zero_report(params, theorem)
-    if params.T == 0.0:
+    zero = bool(is_zero(f))
+    if zero or params.T == 0.0:
         branch = "theta_geq_1" if params.theta >= 1.0 else "theta_leq_1"
-        return BoundReport(0.0, (), params, theorem, branch)
+        return BoundReport(0.0, (), params, theorem, branch, zero_coupling=zero)
     if theorem == "T3":
         g: CouplingFunction = f
         term_fn = _t3_terms

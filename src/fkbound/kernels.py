@@ -15,16 +15,18 @@ Contents:
 
 The a(theta, r, h) evaluation starts from the final two-time-variable
 integral representation (not the d-dimensional convolution) and applies the
-same changes of variables used to prove its bound; for the supported weight
-shapes the inner integral collapses to incomplete-gamma or Bessel-K terms,
-leaving one adaptive quadrature with an algebraic endpoint weight.
+same changes of variables used to prove its bound.  Every weight h is one
+profile, amplitude * exp(-rate x) on [0, length], and the closed form is
+picked from those values: a flat profile makes the inner integral an
+incomplete gamma, an unbounded decaying one a Bessel-K term, leaving one
+adaptive quadrature with an algebraic endpoint weight.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 from scipy import integrate
 from scipy.special import gammaincc, gammaln, hyp2f1, kv
@@ -135,11 +137,16 @@ def subordination_check(theta: float, r: float, d: int) -> float:
 # convolution coefficient a(theta, r, h)
 # ---------------------------------------------------------------------------
 
+# Every weight is the profile h(x) = amplitude * exp(-rate x) on [0, length],
+# zero beyond; a weight class only names its (amplitude, rate, length).
+
 @dataclass(frozen=True)
 class One:
-    """h identically 1."""
+    """h identically amplitude."""
 
     amplitude: float = 1.0
+    rate = 0.0
+    length = math.inf
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,7 @@ class IndicatorWeight:
 
     length: float
     amplitude: float = 1.0
+    rate = 0.0
 
     def __post_init__(self):
         if not self.length > 0:
@@ -160,23 +168,11 @@ class ExpWeight:
 
     rate: float
     amplitude: float = 1.0
+    length = math.inf
 
     def __post_init__(self):
         if not self.rate > 0:
             raise DomainError(f"weight rate must be positive, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class _ProfileWeight:
-    """h(x) = amplitude * exp(-rate x) on [0, length]; internal, used to carry
-    a shifted coupling profile into the conditioned-derivative check."""
-
-    amplitude: float
-    rate: float
-    length: float
-
-
-Weight = Union[One, IndicatorWeight, ExpWeight, _ProfileWeight]
 
 
 @dataclass(frozen=True)
@@ -195,28 +191,27 @@ def convolution_bound(theta: float, d: int, sup_h: float = 1.0) -> float:
     return 2.0 * sup_h / (theta * (d - theta))
 
 
-def _inner_over_gamma(h: Weight, theta: float, x2: float) -> Callable[[float], float]:
+def _inner_over_gamma(profile: tuple, theta: float, x2: float) -> Callable[[float], float]:
     """Returns xi -> J(xi) / (Gamma(theta/2) theta) where
 
-        J(xi) = int_0^inf h(xi x2 / (2u)) u^(theta/2 - 1) e^-u du.
+        J(xi) = int_0^inf h(xi x2 / (2u)) u^(theta/2 - 1) e^-u du
 
-    For the supported shapes J is an (incomplete-)gamma or Bessel-K value;
-    the mixed profile falls back to one adaptive quadrature in u.
+    for the profile h(x) = amplitude * exp(-rate x) on [0, length].  A flat
+    profile gives an upper incomplete gamma (a constant when unbounded), an
+    unbounded decaying one a Bessel-K value; the bounded decaying profile
+    falls back to one adaptive quadrature in u.
     """
+    amplitude, rate, length = profile
     half = theta / 2.0
     lg = gammaln(half)
+    c = amplitude / theta
 
-    if isinstance(h, One):
-        c = h.amplitude / theta
-        return lambda xi: c
-    if isinstance(h, IndicatorWeight):
-        # h != 0 iff u >= xi x2 / (2 length): upper incomplete gamma
-        scale = x2 / (2.0 * h.length)
-        c = h.amplitude / theta
+    if rate == 0.0:
+        # h != 0 iff u >= xi x2 / (2 length); Q(half, 0) = 1 when length is inf
+        scale = x2 / (2.0 * length)
         return lambda xi: c * float(gammaincc(half, xi * scale))
-    if isinstance(h, ExpWeight):
-        scale = h.rate * x2 / 2.0
-        c = h.amplitude / theta
+    if length == math.inf:
+        scale = rate * x2 / 2.0
 
         def g(xi: float) -> float:
             beta = xi * scale
@@ -226,33 +221,31 @@ def _inner_over_gamma(h: Weight, theta: float, x2: float) -> Callable[[float], f
             return c * val * math.exp(-lg)
 
         return g
-    if isinstance(h, _ProfileWeight):
-        ustar_scale = x2 / (2.0 * h.length) if h.length > 0 else math.inf
-        beta_scale = h.rate * x2 / 2.0
-        c = h.amplitude / theta
+    ustar_scale = x2 / (2.0 * length)
+    beta_scale = rate * x2 / 2.0
 
-        def g(xi: float) -> float:
-            lo = xi * ustar_scale
-            beta = xi * beta_scale
+    def g(xi: float) -> float:
+        lo = xi * ustar_scale
+        beta = xi * beta_scale
 
-            def f(u: float) -> float:
-                return u ** (half - 1.0) * math.exp(-u - (beta / u if u > 0 else 0.0))
+        def f(u: float) -> float:
+            return u ** (half - 1.0) * math.exp(-u - (beta / u if u > 0 else 0.0))
 
-            # split at the peak of e^(-u - beta/u), where the integrand turns
-            top = max(lo, math.sqrt(beta), 1e-300)
-            val = sum(_checked(integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200),
-                               "profile weight")
-                      for a, b in ((max(lo, 1e-300), top), (top, math.inf)))
-            if lo < 1e-300 and beta == 0.0:
-                val = math.exp(lg)
-            return c * val * math.exp(-lg)
+        # split at the peak of e^(-u - beta/u), where the integrand turns
+        top = max(lo, math.sqrt(beta), 1e-300)
+        val = sum(_checked(integrate.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200),
+                           "profile weight")
+                  for a, b in ((max(lo, 1e-300), top), (top, math.inf)))
+        if lo < 1e-300 and beta == 0.0:
+            val = math.exp(lg)
+        return c * val * math.exp(-lg)
 
-        return g
-    raise DomainError(f"unknown weight variant {type(h).__name__}")
+    return g
 
 
-def convolution_coefficient(theta: float, r: float, h: Weight, d: int) -> ConvolutionCoefficient:
-    """Coefficient a(theta, r, h) of the smoothed singular gradient.
+def convolution_coefficient(theta: float, r: float, h, d: int) -> ConvolutionCoefficient:
+    """Coefficient a(theta, r, h) of the smoothed singular gradient, for a
+    weight h (:class:`One`, :class:`IndicatorWeight` or :class:`ExpWeight`).
 
     Defined through
 
@@ -264,20 +257,25 @@ def convolution_coefficient(theta: float, r: float, h: Weight, d: int) -> Convol
 
         a = 1/(Gamma(theta/2) theta) int_0^1 (1 - xi)^((d-theta-2)/2)
             int_0^inf h(xi r^2 / (2u)) u^(theta/2 - 1) e^-u du dxi.
+    """
+    return _coefficient(theta, r, (h.amplitude, h.rate, h.length), d)
+
+
+def _coefficient(theta: float, r: float, profile: tuple, d: int) -> ConvolutionCoefficient:
+    """a(theta, r, h) for the profile (amplitude, rate, length) of h.
 
     For h identically constant the double integral collapses exactly to
     2 h / (theta (d - theta)), which is returned without quadrature so that
     the coefficient never exceeds its bound by roundoff.
     """
-    if not 0.0 < theta < 2.0 or theta >= d:
-        raise DomainError(f"need 0 < theta < min(2, d), got theta={theta}, d={d}")
+    amplitude, rate, length = profile
+    bound = convolution_bound(theta, d, abs(amplitude))
     if not r > 0:
         raise DomainError(f"radius must be positive, got {r}")
-    bound = convolution_bound(theta, d, abs(h.amplitude))
-    if isinstance(h, One):
-        value = h.amplitude * 2.0 / (theta * (d - theta))
-        return ConvolutionCoefficient(theta, r, d, value, bound)
-    value = _quadrature_value(theta, r, h, d)
+    if rate == 0.0 and length == math.inf:
+        value = amplitude * 2.0 / (theta * (d - theta))
+    else:
+        value = _quadrature_value(theta, r, profile, d)
     return ConvolutionCoefficient(theta, r, d, value, bound)
 
 
@@ -289,9 +287,9 @@ def _checked(quad_result: tuple, what: str) -> float:
     return val
 
 
-def _quadrature_value(theta: float, r: float, h: Weight, d: int) -> float:
-    """Quadrature path for a(theta, r, h); also the cross-check for h = One."""
-    g = _inner_over_gamma(h, theta, r * r)
+def _quadrature_value(theta: float, r: float, profile: tuple, d: int) -> float:
+    """Quadrature path for a(theta, r, h); also the cross-check for constant h."""
+    g = _inner_over_gamma(profile, theta, r * r)
     gamma_exp = (d - theta - 2.0) / 2.0
     return _checked(integrate.quad(g, 0.0, 1.0, weight="alg", wvar=(0.0, gamma_exp),
                                    epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=200),
@@ -406,14 +404,10 @@ def conditioned_derivative_magnitude(f: CouplingFunction, theta: float, d: int,
     if not 0.0 <= u < T:
         raise DomainError(f"need 0 <= u < T, got u={u}, T={T}")
     _require_non_increasing(f)
-    amplitude, rate, length = f.shifted_profile(u, T)
-    if length <= 0.0:
+    profile = f.shifted_profile(u, T)
+    if profile[2] <= 0.0:  # zero length: f vanishes after u
         return 0.0
-    if rate == 0.0:
-        h: Weight = IndicatorWeight(length=length, amplitude=amplitude)
-    else:
-        h = _ProfileWeight(amplitude=amplitude, rate=rate, length=length)
-    a = convolution_coefficient(theta, x_radius, h, d)
+    a = _coefficient(theta, x_radius, profile, d)
     return theta * abs(a.value) * x_radius ** (1.0 - theta)
 
 

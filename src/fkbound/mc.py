@@ -427,23 +427,30 @@ def summarize_actions(actions: np.ndarray, seed: int, steps: int) -> McEstimate:
                       M, steps, seed, n_inf)
 
 
+def _estimates(sampler, ensemble: PathEnsemble, threads: int = 1) -> tuple:
+    """(per-path outputs, one estimate per output row) of ``sampler``.
+
+    Budget floor M >= 100, N >= 16 keeps the batch-means error estimate
+    meaningful; every Monte Carlo estimate is reduced here.
+    """
+    if ensemble.paths < 100:
+        raise DomainError(f"need at least 100 paths, got {ensemble.paths}")
+    if ensemble.steps < 16:
+        raise DomainError(f"need at least 16 steps, got {ensemble.steps}")
+    acts = _run(sampler, ensemble, threads)
+    return acts, [summarize_actions(a, ensemble.seed, ensemble.steps) for a in acts]
+
+
 def estimate(spec: ActionSpec, paths: int, steps: int, seed: int,
              threads: int = 1) -> McEstimate:
     """Monte Carlo estimate of ln E[exp(action)] with error bars.
 
-    Budget floor M >= 100, N >= 16 keeps the batch-means error estimate
-    meaningful.  Paths that hit an exact singularity at epsilon = 0 come
-    back +inf; they are excluded from the estimate and counted in
-    ``infinite_paths``.
+    Paths that hit an exact singularity at epsilon = 0 come back +inf; they
+    are excluded from the estimate and counted in ``infinite_paths``.
     """
-    if paths < 100:
-        raise DomainError(f"need at least 100 paths, got {paths}")
-    if steps < 16:
-        raise DomainError(f"need at least 16 steps, got {steps}")
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps,
                             horizon=spec.T, dim=spec.d)
-    actions = _run(_make_sampler(spec, steps), ensemble, threads)[0]
-    return summarize_actions(actions, seed, steps)
+    return _estimates(_make_sampler(spec, steps), ensemble, threads)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +482,7 @@ def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
         raise DomainError("maximality check applies to the single action")
     radii = [0.0] + [float(r) for r in offsets]
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=spec.T, dim=spec.d)
-    acts = _run(_SingleSampler(spec, steps, radii), ensemble, threads)
-    ests = [summarize_actions(a, seed, steps) for a in acts]
+    acts, ests = _estimates(_SingleSampler(spec, steps, radii), ensemble, threads)
     B = int(math.isqrt(paths))
     bs = paths // B
     mx = acts.max(axis=1, keepdims=True)
@@ -523,11 +529,9 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
     """
     # only X_T^(1) enters the action, and its law does not depend on d: draw one coordinate
     ensemble = replace(PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=d), dim=1)
-    actions = _run(_AffineSampler(lam, ensemble, truncation), ensemble)[0]
-    est = summarize_actions(actions, seed, steps)
+    est = _estimates(_AffineSampler(lam, ensemble, truncation), ensemble)[1][0]
     ceiling = lam * lam * T / 2.0
-    gap = ceiling - est.log_mean
-    se = est.stderr_log if math.isfinite(est.stderr_log) else 0.0
+    gap, se = ceiling - est.log_mean, est.stderr_log
     return MartingaleCheck(
         lam=lam, T=T,
         truncation=math.nan if truncation is None else truncation,

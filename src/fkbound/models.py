@@ -61,9 +61,13 @@ class ModelSpec:
     bound_components: tuple
     mc_kind: str                      # action kind for the Monte Carlo engine
     mc_f: CouplingFunction            # its coupling (base coupling for bipolaron)
-    jensen_kind: Optional[str]        # closed-form expectation kind, or None
     params: dict = field(default_factory=dict)
     note: str = ""
+
+    @property
+    def jensen_kind(self) -> Optional[str]:
+        """Closed-form expectation kind of the action, or None."""
+        return self.mc_kind if self.mc_kind in ("single", "self_double") else None
 
     def action_spec(self, T: float, offset: float = 0.0,
                     epsilon: float = 0.0) -> mc.ActionSpec:
@@ -115,7 +119,7 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
         return ModelSpec(
             name="hydrogen", theta=1.0, d=3,
             bound_components=(BoundComponent(1, f),),
-            mc_kind="single", mc_f=f, jensen_kind="single",
+            mc_kind="single", mc_f=f,
             params={"alpha": alpha},
         )
     if name == "inverse_square":
@@ -130,7 +134,7 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
         return ModelSpec(
             name="inverse_square", theta=theta, d=d,
             bound_components=(BoundComponent(1, f),),
-            mc_kind="single", mc_f=f, jensen_kind="single",
+            mc_kind="single", mc_f=f,
             params={"alpha": alpha, "theta": theta, "d": d},
             note=f"critical coupling {B.critical_coupling(d)} at theta -> 2",
         )
@@ -139,7 +143,7 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
         return ModelSpec(
             name="polaron", theta=1.0, d=3,
             bound_components=(BoundComponent(2, f),),
-            mc_kind="self_double", mc_f=f, jensen_kind="self_double",
+            mc_kind="self_double", mc_f=f,
             params={"alpha": alpha},
         )
     if name == "bipolaron":
@@ -150,7 +154,7 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
             name="bipolaron", theta=1.0, d=3,
             bound_components=(BoundComponent(3, quad, power=0.5),
                               BoundComponent(2, doub, power=1.0)),
-            mc_kind="bipolaron", mc_f=base, jensen_kind=None,
+            mc_kind="bipolaron", mc_f=base,
             params={"alpha": alpha},
             note=("strong-coupling literature upper bound for comparison: "
                   "about -0.87 alpha^2 (Pekar-Tomasevich); printed, not asserted"),
@@ -172,7 +176,7 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
         return ModelSpec(
             name="nelson_q", theta=theta, d=3,
             bound_components=(BoundComponent(2, f),),
-            mc_kind="self_double", mc_f=f, jensen_kind="self_double",
+            mc_kind="self_double", mc_f=f,
             params={"gamma": gamma, "tau": tau, "theta": theta},
             note=(f"log-linear constant c = {c1 + c2:.6g} "
                   f"(coupling-power part {c1:.6g} + linear part {c2:.6g}); "

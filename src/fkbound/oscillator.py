@@ -31,7 +31,7 @@ from scipy.integrate import cumulative_simpson, simpson
 
 from .config import ODE_RESIDUAL
 from .errors import DomainError, StepSizeFailure, VerificationError
-from .mc import McEstimate, PathEnsemble, _QuadraticSampler, _run, summarize_actions
+from .mc import McEstimate, PathEnsemble, _QuadraticSampler, _estimates
 
 __all__ = [
     "OscillatorConfig",
@@ -174,8 +174,7 @@ def mc_crosscheck(cfg: OscillatorConfig, paths: int, steps: int,
     if w * T > 4.0:
         raise DomainError(f"crosscheck restricted to omega*T <= 4, got {w * T}")
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=1)
-    actions = _run(_QuadraticSampler(w, ensemble), ensemble)[0]
-    est = summarize_actions(actions, seed, steps)
+    est = _estimates(_QuadraticSampler(w, ensemble), ensemble)[1][0]
     closed = -0.5 * _log_cosh(w * T)
     return OscillatorMcReport(estimate=est, closed_form=closed,
                               log_difference=est.log_mean - closed)

@@ -82,6 +82,19 @@ def test_oscillator_mc_verifies(capsys):
     assert payload["mc_within_tolerance"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["oscillator", "--omega", "1", "--T", "2", "--mc", "--paths", "3", "--steps", "4"],
+    ["oscillator", "--omega", "1", "--T", "2", "--mc", "--paths", "200", "--steps", "8"],
+    ["simulate", "--model", "hydrogen", "--alpha", "0.5", "--T", "1", "--paths", "1",
+     "--steps", "32"],
+])
+def test_monte_carlo_below_the_budget_floor_exit_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "need at least" in err
+
+
 def test_simulate_round_trip_bit_exact(tmp_path, capsys):
     out1 = tmp_path / "run1.json"
     out2 = tmp_path / "run2.json"

@@ -1,11 +1,14 @@
-"""Argv fuzzing of the closed-form subcommands.
+"""Argv fuzzing of the closed-form subcommands and of the small-budget
+Monte Carlo ones.
 
 Every input ends in a finite strict-JSON record (exit 0) or one of the
 documented exit codes 2, 3 and 4; none escapes ``cli.main`` as an
 exception, which the ``fkbound`` script would print as a traceback.
 Numeric flags draw the edges: nan, +-inf, +-0, negatives and 1e+-300.
-``simulate``, ``model verify`` and ``pekar`` are left out: their Monte
-Carlo and descent budgets are too slow to fuzz.
+``simulate`` and ``oscillator --mc`` run at most 200 paths of 32 steps,
+around the budget floor of 100 paths and 16 steps.  ``model verify`` and
+``pekar`` are left out: their Monte Carlo and descent budgets are too slow
+to fuzz.
 """
 
 import json
@@ -131,6 +134,28 @@ def test_sweep_argv(model, T, grid, data, capsys):
 @given(omega=numbers(0.0, 4.0), T=TIMES, grid=st.integers(-4, 256))
 def test_oscillator_argv(omega, T, grid, capsys):
     _run(["oscillator", _flag("omega", omega), _flag("T", T), _flag("grid", grid)], capsys)
+
+
+PATHS = _mostly(st.integers(100, 200), st.integers(-10, 200))
+STEPS = _mostly(st.integers(16, 32), st.integers(-4, 32))
+SEEDS = _mostly(st.integers(0, 2**64 - 1), st.integers(-10, 2**70))
+
+
+@settings(FUZZ, max_examples=40)
+@given(omega=numbers(0.0, 2.0), T=numbers(0.01, 2.0), paths=PATHS, steps=STEPS, seed=SEEDS)
+def test_oscillator_mc_argv(omega, T, paths, steps, seed, capsys):
+    _run(["oscillator", _flag("omega", omega), _flag("T", T), "--grid=128", "--mc",
+          _flag("paths", paths), _flag("steps", steps), _flag("seed", seed)], capsys)
+
+
+@settings(FUZZ, max_examples=60)
+@given(model=model_argv(), T=numbers(0.01, 2.0), paths=PATHS, steps=STEPS, seed=SEEDS,
+       offset=numbers(0.0, 2.0), epsilon=numbers(0.0, 0.5))
+def test_simulate_argv(model, T, paths, steps, seed, offset, epsilon, capsys):
+    name = model[0].removeprefix("--name=")
+    _run(["simulate", f"--model={name}", *model[1:], _flag("T", T), _flag("paths", paths),
+          _flag("steps", steps), _flag("seed", seed), _flag("offset", offset),
+          _flag("epsilon", epsilon), "--threads=1"], capsys)
 
 
 @settings(FUZZ, max_examples=4)

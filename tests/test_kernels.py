@@ -72,7 +72,7 @@ def test_convolution_constant_weight_closed_form():
 
 def test_convolution_quadrature_agrees_with_closed_form():
     for theta, d in ((0.5, 2), (1.0, 3), (1.7, 5)):
-        quad_val = K._quadrature_value(theta, 1.0, K.One(), d)
+        quad_val = K._quadrature_value(theta, 1.0, (1.0, 0.0, math.inf), d)
         assert quad_val == pytest.approx(2 / (theta * (d - theta)), rel=1e-10)
 
 

@@ -394,6 +394,19 @@ def test_estimate_budget_floor():
         mc.estimate(hydrogen_spec(), 200, 8, 0)
 
 
+@pytest.mark.parametrize("paths, steps", [(1, 1), (3, 4), (99, 64), (200, 15)])
+@pytest.mark.parametrize("check", [
+    lambda M, N: mc.maximality_check(hydrogen_spec(), [1.0], M, N, 0),
+    lambda M, N: mc.martingale_lemma_check(0.5, 1.0, 3, M, N, 0),
+    lambda M, N: mc.martingale_lemma_check(0.5, 1.0, 3, M, N, 0, truncation=0.0),
+], ids=["maximality", "martingale", "martingale_truncated"])
+def test_structured_checks_enforce_the_budget_floor(check, paths, steps):
+    # below M = 100 or N = 16 the batch-means error is NaN or meaningless,
+    # and a 3-standard-error verdict read from it says nothing
+    with pytest.raises(DomainError, match="need at least"):
+        check(paths, steps)
+
+
 def test_hydrogen_estimate_in_theory_window():
     # small-budget version of the closed-form sandwich
     est = mc.estimate(hydrogen_spec(), 20_000, 256, 7)

@@ -98,6 +98,12 @@ def test_mc_crosscheck_zero_frequency_exact():
     assert rep.closed_form == 0.0
 
 
+@pytest.mark.parametrize("paths, steps", [(1, 1), (3, 4), (99, 32), (200, 15)])
+def test_mc_crosscheck_budget_floor(paths, steps):
+    with pytest.raises(DomainError, match="need at least"):
+        osc.mc_crosscheck(osc.OscillatorConfig(1.0, 2.0), paths=paths, steps=steps, seed=1)
+
+
 def test_mc_crosscheck_tail_guard():
     with pytest.raises(DomainError):
         osc.mc_crosscheck(osc.OscillatorConfig(3.0, 2.0), paths=200, steps=32, seed=1)

@@ -4,8 +4,9 @@ builds no O(N^2) pair-index table, its single and quadratic samplers draw
 no midpoint noise, the Pekar kernel is assembled only through its unit-grid
 cache, and the modules import each other one way.
 
-Every per-variant fact is a method of the variant's class, so no other
-module branches on the variant with ``isinstance``, and ``bounds`` and
+Every per-variant fact is a method of the variant's class and every
+heat-kernel weight is read as one profile, so no module tests
+``isinstance`` against a class the package defines, and ``bounds`` and
 ``kernels`` do not name a variant at all.  Every package import sits at
 module level, and those imports form an acyclic graph.
 """
@@ -18,12 +19,27 @@ from fkbound import mc
 from fkbound.schedule import Constant
 
 VARIANTS = {"Constant", "ExpDecay", "Indicator", "PowerLaw", "Tabulated"}
-COUPLING_CLASSES = VARIANTS | {"CouplingFunction", "_Coupling"}
 SRC = Path(fkbound.__file__).parent
 
 
+def _package_classes() -> set:
+    """Names of the classes the package defines, and of its type unions."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                names.add(node.name)
+            elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Subscript)
+                  and getattr(node.value.value, "id", None) == "Union"):
+                names |= {target.id for target in node.targets}
+    return names
+
+
+PACKAGE_CLASSES = _package_classes()
+
+
 class _IsinstanceFinder(ast.NodeVisitor):
-    """(enclosing function, class name) of each isinstance test on a coupling class."""
+    """(enclosing function, class name) of each isinstance test on a package class."""
 
     def __init__(self):
         self.func = None
@@ -40,12 +56,12 @@ class _IsinstanceFinder(ast.NodeVisitor):
         if isinstance(node.func, ast.Name) and node.func.id == "isinstance" and len(node.args) == 2:
             for sub in ast.walk(node.args[1]):
                 name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
-                if name in COUPLING_CLASSES:
+                if name in PACKAGE_CLASSES:
                     self.found.append((self.func, name))
         self.generic_visit(node)
 
 
-def _coupling_isinstance(source: str) -> list:
+def _package_isinstance(source: str) -> list:
     finder = _IsinstanceFinder()
     finder.visit(ast.parse(source))
     return finder.found
@@ -55,16 +71,22 @@ def test_guard_sees_coupling_isinstance():
     source = ("def f(g):\n"
               "    if isinstance(g, (schedule.Constant, float)):\n"
               "        return isinstance(g, Tabulated)\n")
-    assert _coupling_isinstance(source) == [("f", "Constant"), ("f", "Tabulated")]
+    assert _package_isinstance(source) == [("f", "Constant"), ("f", "Tabulated")]
 
 
-def test_only_schedule_branches_on_the_coupling_variant():
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "schedule.py":
-            continue
-        offenders += [(path.name, func, name)
-                      for func, name in _coupling_isinstance(path.read_text())]
+def test_guard_sees_weight_isinstance():
+    source = ("def g(h):\n"
+              "    if isinstance(h, (kernels.ExpWeight, dict)):\n"
+              "        return isinstance(h, One) or isinstance(h, CouplingFunction)\n")
+    assert _package_isinstance(source) == [("g", "ExpWeight"), ("g", "One"),
+                                           ("g", "CouplingFunction")]
+
+
+def test_no_module_branches_on_a_package_class():
+    # every per-variant fact is a method of the variant, and every heat-kernel
+    # weight is one (amplitude, rate, length) profile read by value
+    offenders = [(path.name, func, name) for path in sorted(SRC.glob("*.py"))
+                 for func, name in _package_isinstance(path.read_text())]
     assert offenders == []
 
 
