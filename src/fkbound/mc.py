@@ -43,6 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
 
 from .errors import DomainError
+from .kernels import expectation_constant
 from .schedule import CouplingFunction, evaluate
 
 __all__ = [
@@ -51,6 +52,7 @@ __all__ = [
     "MaximalityRow",
     "McEstimate",
     "PathEnsemble",
+    "discrete_expectation",
     "estimate",
     "martingale_lemma_check",
     "maximality_check",
@@ -248,14 +250,16 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
     a, b, h, kappa = theta / 2.0, (d - theta) / 2.0, 0.2, _X0 + c
     u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)) / 2.0  # Chebyshev points
     x = kappa / (_CELLS / (np.arange(_CELLS)[:, None] + 0.5 + u) - 1.0)  # kappa xi / (1 - xi)
-    lo = math.log(1e-8 / (x.max() + c + d / 2.0))
-    w = np.arange(lo, max(math.log(50.0) - math.log(c) if c else 18.5 + math.log(50.0 + d), lo + 2.0), h)
+    lo, top = math.log(1e-8 / (x.max() + c + d / 2.0)), 18.5 + math.log(50.0 + d)
+    # a c that cuts neither the c = 0 grid (to 1e-13) nor its tail (by ~c^b) takes both
+    tail = c * math.exp(top) < 1e-13 and c ** b < 1e-17
+    w = np.arange(lo, max(top if tail else math.log(50.0) - math.log(c), lo + 2.0), h)
     base, den = a * w - c * np.exp(w) - (d / 2.0) * np.logaddexp(0.0, w), 1.0 + np.exp(-w)
     # eight cells at a time: one (cells, points, len(w)) buffer would add about 1 MB to peak memory
     sums = np.concatenate([np.exp(base - xc[..., None] / den).sum(axis=-1) for xc in np.split(x, 8)])
     geo = lambda p: 1.0 / math.expm1(p * h)  # noqa: E731
     sums += math.exp(a * w[0]) * geo(a) - (x + c + d / 2.0) * math.exp((a + 1.0) * w[0]) * geo(a + 1.0)
-    if not c:  # c > 0 has killed the upper tail by w[-1]
+    if tail:  # else c has killed the upper tail by w[-1]
         sums += np.exp(-x - b * w[-1]) * (geo(b) + (x - d / 2.0) * math.exp(-w[-1]) * geo(b + 1.0))
     g = h * sums * (x + kappa) ** a / math.gamma(a)
     lagrange = [np.polynomial.polynomial.polyfromroots(np.delete(u, m)) / np.prod(v - np.delete(u, m))
@@ -381,6 +385,19 @@ class _QuadraticSampler:
     def __call__(self, z: np.ndarray) -> np.ndarray:
         mu = _midpoint_means(z, self.sq)
         return self.coeff * np.sum(mu * mu, axis=(1, 2)) + self.shift
+
+
+def discrete_expectation(spec: ActionSpec, steps: int) -> float:
+    """Exact E[A_N] of the N-step action from the origin at epsilon 0, in O(N): E|X_t|^-theta
+    = K t^(-theta/2), K = ``expectation_constant``, at the single action's midpoints t_k (each
+    term's conditional mean averages to it) and the self-pair action's lags l dt, N - l pairs each."""
+    if spec.kind not in ("single", "self_double") or spec.offset or spec.epsilon or steps < 1:
+        raise DomainError(f"no exact E[A_N] for {spec.kind} at offset {spec.offset}, "
+                          f"epsilon {spec.epsilon}, {steps} steps")
+    dt, k = spec.T / steps, np.arange(steps)
+    t, w = ((k + 0.5) * dt, dt) if spec.kind == "single" else (k[1:] * dt, (steps - k[1:]) * dt * dt)
+    mean = np.sum(np.asarray(evaluate(spec.f, t), dtype=float) * w * t ** (-spec.theta / 2.0))
+    return expectation_constant(spec.theta, spec.d) * float(mean)
 
 
 def _make_sampler(spec: ActionSpec, steps: int):

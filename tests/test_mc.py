@@ -12,7 +12,7 @@ import pytest
 from fkbound import kernels, mc
 from fkbound.bounds import BoundParams, theorem1_bound
 from fkbound.errors import DomainError
-from fkbound.schedule import Constant, ExpDecay, Indicator, evaluate
+from fkbound.schedule import Constant, ExpDecay, Indicator, Tabulated, evaluate
 
 
 def hydrogen_spec(alpha=0.5, T=1.0, **kw):
@@ -348,6 +348,90 @@ def test_single_action_rejects_an_infinite_midpoint_moment(theta, d):
         mc.estimate(mc.ActionSpec("single", Constant(0.5), theta, d, 1.0), 100, 16, 1)
     est = mc.estimate(mc.ActionSpec("single", Constant(0.5), theta, d, 1.0, epsilon=0.1), 100, 16, 1)
     assert math.isfinite(est.log_mean)
+
+
+def _table_peak(theta, d, c) -> int:
+    tracemalloc.start()
+    try:
+        mc._moment_table.__wrapped__(theta, d, c)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("eps", [1e-150, 1e-30])
+def test_tiny_epsilon_moment_table_is_accurate_and_as_small_as_epsilon_zero(eps):
+    # a c = eps^2/(2 s^2) far below 1 only cuts the integrand past the c = 0 grid's
+    # end, so the table takes the c = 0 grid and tail sum, not a grid out to ln(50/c)
+    theta, d, steps = 1.2, 3, 256
+    dt = 1.0 / steps
+    sampler = mc._SingleSampler(mc.ActionSpec("single", Constant(1.0), theta, d, 1.0, epsilon=eps),
+                                steps, (0.0,))
+    r = math.sqrt(dt) / 2 * np.array([0.0, 0.3, 1.0, 3.0, 10.0, 100.0])
+    got = sampler._moment(r * r)
+    with mp.workdps(20):
+        want = np.array([float(_moment_reference(theta, d, eps, dt, v)) for v in r])
+    assert np.abs(got / want - 1.0).max() <= 1e-12
+    assert _table_peak(theta, d, eps * eps / (dt / 2)) <= 2 * _table_peak(theta, d, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# exact expectation of the discretised action
+# ---------------------------------------------------------------------------
+
+def _coupling_cases():
+    """(coupling, its mpmath value at t) pairs: the indicator cuts and the
+    table steps between grid points of every N used below."""
+    grid, values = (0.0, 0.3, 0.7, 1.0), (0.9, 0.4, 1.3, 1.3)
+    return [
+        (Constant(0.6), lambda t: mp.mpf("0.6")),
+        (ExpDecay(0.7, 1.3), lambda t: mp.mpf("0.7") * mp.exp(-mp.mpf("1.3") * t)),
+        (Indicator(1.1, 0.55), lambda t: mp.mpf("1.1") if t <= mp.mpf("0.55") else mp.mpf(0)),
+        (Tabulated(grid, values),
+         lambda t: mp.mpf(values[max(k for k, g in enumerate(grid) if g <= t)])),
+    ]
+
+
+def _discrete_expectation_mpmath(kind, value, theta, d, T, steps):
+    T, N = mp.mpf(T), steps
+    dt, a = T / N, mp.mpf(theta) / 2
+    K = mp.gamma((d - mp.mpf(theta)) / 2) / mp.gamma(mp.mpf(d) / 2) / 2 ** a
+    if kind == "single":
+        t = [(k + mp.mpf(1) / 2) * dt for k in range(N)]
+        return K * mp.fsum(value(s) * dt * s ** -a for s in t)
+    return K * mp.fsum((N - lag) * value(lag * dt) * dt * dt * (lag * dt) ** -a for lag in range(1, N))
+
+
+@pytest.mark.parametrize("kind", ["single", "self_double"])
+@pytest.mark.parametrize("theta", [0.5, 1.0, 1.5])
+def test_discrete_expectation_matches_mpmath_sum(kind, theta):
+    worst = 0.0
+    with mp.workdps(30):
+        for f, value in _coupling_cases():
+            for d in (3, 4):
+                for steps in (16, 256, 1024):
+                    got = mc.discrete_expectation(mc.ActionSpec(kind, f, theta, d, 1.0), steps)
+                    want = _discrete_expectation_mpmath(kind, value, theta, d, 1.0, steps)
+                    worst = max(worst, abs(float(got / want - 1)))
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("kind, paths", [("single", 4000), ("self_double", 1000)])
+def test_discrete_expectation_is_the_mean_action(kind, paths):
+    # tower property: the sampled actions (midpoint terms Rao-Blackwellised) average to E[A_N]
+    spec = mc.ActionSpec(kind, ExpDecay(0.7, 1.0), 1.2, 3, 1.5)
+    acts = mc._run(mc._make_sampler(spec, 64), mc.PathEnsemble(7, paths, 64, 1.5, 3))[0]
+    se = acts.std(ddof=1) / math.sqrt(paths)
+    assert abs(acts.mean() - mc.discrete_expectation(spec, 64)) <= 4.0 * se
+
+
+@pytest.mark.parametrize("kind, offset, epsilon", [
+    ("cross_double", 0.0, 0.0), ("bipolaron", 0.0, 0.0),
+    ("single", 0.3, 0.0), ("self_double", 0.0, 0.05), ("single", 0.0, 1e-300)])
+def test_discrete_expectation_rejects_what_it_cannot_sum(kind, offset, epsilon):
+    spec = mc.ActionSpec(kind, ExpDecay(0.7, 1.0), 1.0, 3, 1.0, offset=offset, epsilon=epsilon)
+    with pytest.raises(DomainError, match="no exact"):
+        mc.discrete_expectation(spec, 64)
 
 
 # ---------------------------------------------------------------------------

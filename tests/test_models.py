@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fkbound import bounds as B
-from fkbound import kernels, models
+from fkbound import kernels, mc, models
 from fkbound.errors import DomainError
 from fkbound.schedule import Constant, ExpDecay
 
@@ -135,6 +135,31 @@ def test_verify_reads_one_expectation(name, kw, monkeypatch):
                         lambda *a, **k: calls.append(a) or expected_action(*a, **k))
     models.verify(models.build(name, **kw), T=1.0, paths=200, steps=32, seed=1)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, kw", [
+    ("hydrogen", {"alpha": 0.5}), ("inverse_square", {"alpha": 0.05, "theta": 1.5, "d": 4}),
+    ("polaron", {"alpha": 0.5}), ("nelson_q", {"gamma": 0.3, "tau": 0.5})])
+def test_verify_runs_one_estimate_against_the_exact_grid_bias(name, kw, monkeypatch):
+    # no N-ladder: the Jensen row allows jensen - E[A_N], exact on the estimate's own grid
+    calls = {"estimate": 0, "ladder_allowance": 0}
+    estimate = mc.estimate
+
+    def counted(fn, key):
+        return lambda *a, **k: calls.__setitem__(key, calls[key] + 1) or fn(*a, **k)
+
+    monkeypatch.setattr(mc, "estimate", counted(estimate, "estimate"))
+    monkeypatch.setattr(mc, "ladder_allowance", counted(mc.ladder_allowance, "ladder_allowance"))
+    model, T, paths, steps, seed = models.build(name, **kw), 1.0, 200, 64, 4
+    rep = models.verify(model, T, paths, steps, seed)
+    assert calls == {"estimate": 1, "ladder_allowance": 0}
+    spec = model.action_spec(T)
+    assert rep.estimate == estimate(spec, paths, steps, seed)  # every float bit-identical
+    jens = model.expected_action(T).value
+    bias = max(0.0, jens - mc.discrete_expectation(spec, steps))
+    row = next(r for r in rep.rows if r.check == "jensen_below_mc")
+    assert row.detail.endswith(f"+ exact grid bias {bias:.2g}")
+    assert row.passed == (jens <= rep.estimate.log_mean + 3.0 * rep.estimate.stderr_log + bias)
 
 
 def test_verify_polaron_small_budget_passes():
