@@ -17,6 +17,8 @@ ODE_RESIDUAL = 1e-8   # integral-equation residual for the ODE solver
 SLOPE_DOUBLINGS = 18  # T-ladder doublings before a slope counts as unsettled
 PEKAR_GRAD = 1e-8     # Pekar descent: projected-gradient norm at convergence
 PEKAR_ITERATIONS = 40000  # Pekar descent: iteration cap
+PEKAR_STALL = 16     # Pekar descent: iterations on the gradient's roundoff floor before giving up
+PEKAR_FLOOR_REACH = 64.0  # Pekar descent: a floor this many times PEKAR_GRAD is out of reach
 
 
 def sharp_hls_constant(d: int, theta: float) -> float:

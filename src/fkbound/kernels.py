@@ -358,7 +358,11 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
             return ((T - s) ** (2.0 - a) * T ** -a / ((a - 1.0) * (2.0 - a))
                     * hyp2f1(a, 1.0, 3.0 - a, 1.0 - s / T))
 
-        val = f.integral_against(T, inner, primitive)
+        # inner(u) = T^(1-2a)/(1-2a) + B(1-a, 2a-1) u^(1-2a) + O(u) as u -> 0,
+        # B continued analytically: int_0^inf ((1+t)^-a - t^-a) t^-a dt
+        e = 1.0 - 2.0 * a
+        leading = ((T ** e / e, 0.0), (math.gamma(1.0 - a) * math.gamma(-e) / math.gamma(a), e))
+        val = f.integral_against(T, inner, primitive, leading)
         return ExpectationFormula(
             kind, K, pref * val,
             is_upper_bound=True,

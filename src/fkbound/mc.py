@@ -242,6 +242,9 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
         E = (2 s^2)^-a / Gamma(a) int exp(a w - c e^w - (d/2) log(1 + e^w) - x / (1 + e^-w)) dw
     (at c = 0, Gamma((d-theta)/2)/Gamma(d/2) 1F1(a; d/2; -x), A&S 13.2.1): a trapezoid sum at step
     0.2 (error near 1e-17: analytic in |Im w| < pi/2) plus geometric sums of the tails' leading terms.
+    Past the grid the integrand is e^-x e^-bw (1 + (x - d/2) e^-w) exp(-c e^w), b = (d - theta)/2;
+    where c e^w is still below 1e-13 at the grid's end, exp(-c e^w) - 1 takes
+    e^-x c^b Gamma(1 - b)/(b h) off the c = 0 tail sum when b < 1 (at b >= 1 it takes less than c).
     """
     table = np.zeros((_DEGREE + 1, _CELLS + 1))
     table[0] = 1.0
@@ -251,8 +254,8 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
     u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)) / 2.0  # Chebyshev points
     x = kappa / (_CELLS / (np.arange(_CELLS)[:, None] + 0.5 + u) - 1.0)  # kappa xi / (1 - xi)
     lo, top = math.log(1e-8 / (x.max() + c + d / 2.0)), 18.5 + math.log(50.0 + d)
-    # a c that cuts neither the c = 0 grid (to 1e-13) nor its tail (by ~c^b) takes both
-    tail = c * math.exp(top) < 1e-13 and c ** b < 1e-17
+    # a c that does not cut the c = 0 grid (to 1e-13) takes it and its tail sum
+    tail = c * math.exp(top) < 1e-13
     w = np.arange(lo, max(top if tail else math.log(50.0) - math.log(c), lo + 2.0), h)
     base, den = a * w - c * np.exp(w) - (d / 2.0) * np.logaddexp(0.0, w), 1.0 + np.exp(-w)
     # eight cells at a time: one (cells, points, len(w)) buffer would add about 1 MB to peak memory
@@ -261,6 +264,8 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
     sums += math.exp(a * w[0]) * geo(a) - (x + c + d / 2.0) * math.exp((a + 1.0) * w[0]) * geo(a + 1.0)
     if tail:  # else c has killed the upper tail by w[-1]
         sums += np.exp(-x - b * w[-1]) * (geo(b) + (x - d / 2.0) * math.exp(-w[-1]) * geo(b + 1.0))
+        if b < 1.0:
+            sums -= np.exp(-x) * (c ** b * math.gamma(1.0 - b) / (b * h))
     g = h * sums * (x + kappa) ** a / math.gamma(a)
     lagrange = [np.polynomial.polynomial.polyfromroots(np.delete(u, m)) / np.prod(v - np.delete(u, m))
                 for m, v in enumerate(u)]

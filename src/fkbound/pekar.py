@@ -35,7 +35,13 @@ gradient descent on the mass sphere: the descent direction is the
 Riemannian gradient run through an inverse shifted-Laplacian (Sobolev)
 preconditioner so the step count does not grow with the grid resolution,
 with Barzilai-Borwein step sizes and a monotone backtracking safeguard;
-convergence is still judged on the plain projected-gradient norm.
+convergence is still judged on the plain projected-gradient norm.  The
+preconditioner is tridiagonal and is applied by one LAPACK ``gtsv`` call
+per step, the routine ``solve_banded((1, 1), ...)`` wraps.  Each iterate
+also measures the gradient's roundoff floor, eps times the norm of the
+gradient's terms (about 4 eps/h^2, from the Laplacian); the descent stops
+with NoConvergence when PEKAR_GRAD lies far below that floor or the
+projected gradient keeps landing on it.
 """
 
 from __future__ import annotations
@@ -46,11 +52,11 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gammaln, hyp2f1
 
 from . import bounds as B
-from .config import PEKAR_GRAD, PEKAR_ITERATIONS
+from .config import PEKAR_FLOOR_REACH, PEKAR_GRAD, PEKAR_ITERATIONS, PEKAR_STALL
 from .errors import DomainError, GridTooSmall, NoConvergence, NotPositiveDefinite, NumericalFailure
 from .kernels import expectation_constant
 
@@ -166,13 +172,32 @@ def _unit_kernel(n: int, theta: float, d: int) -> np.ndarray:
     return W
 
 
+def _tridiagonal_solver(band: np.ndarray):
+    """vec -> x solving A x = vec, for the tridiagonal A in the (1, 1) layout
+    of ``solve_banded``: one LAPACK gtsv call, the routine ``solve_banded``
+    runs, without its validation and batching wrapper.  gtsv factors copies
+    of the three diagonals, which are sliced from band once."""
+    du, diag, dl = band[0, 1:], band[1], band[2, :-1]
+
+    def solve_tridiagonal(vec: np.ndarray) -> np.ndarray:
+        x, info = dgtsv(dl, diag, du, vec)[3:]
+        if info:
+            raise NumericalFailure(f"preconditioner is singular at row {info}")
+        return x
+
+    return solve_tridiagonal
+
+
 def solve(problem: PekarProblem) -> PekarSolution:
     """Minimise the discretised radial functional on the mass sphere.
 
-    Raises NoConvergence if the projected gradient stalls above PEKAR_GRAD
-    or PEKAR_GRAD lies below the roundoff floor of the starting gradient,
-    GridTooSmall if the minimiser presses against r_max, and NumericalFailure
-    if the Gaussian width or the grid step leaves floating-point range.
+    Raises NoConvergence if the projected gradient stalls above PEKAR_GRAD,
+    if an iterate's roundoff floor exceeds PEKAR_FLOOR_REACH times PEKAR_GRAD
+    (a stalled projected gradient sits at 0.07-0.5 of the floor, measured at
+    d 3-5 on 16-768 nodes), or if the projected gradient has fallen onto that
+    floor on PEKAR_STALL iterations; GridTooSmall if the minimiser presses
+    against r_max; and NumericalFailure if the Gaussian width or the grid
+    step leaves floating-point range or the projected gradient is not finite.
     """
     theta, g, d, n = problem.theta, problem.coupling, problem.d, problem.nodes
     if g == 0.0:
@@ -195,8 +220,11 @@ def solve(problem: PekarProblem) -> PekarSolution:
     gh = g * h ** (2.0 - theta)  # g h^2 times the h^-theta of the unit-grid kernel
     cd = (d - 1) * (d - 3) / 4.0
 
+    dv = np.zeros(n + 1)  # (v_0, v_1 - v_0, ..., -v_(n-1)): v vanishes off the grid
+
     def energy_grad(v: np.ndarray):
-        dv = np.diff(v, prepend=0.0, append=0.0)
+        dv[0], dv[n] = v[0], -v[-1]
+        np.subtract(v[1:], v[:-1], out=dv[1:n])
         kin = 0.5 * float(dv @ dv) / h
         if cd:
             kin += 0.5 * cd * float(np.sum(v * v / (r * r))) * h
@@ -211,17 +239,19 @@ def solve(problem: PekarProblem) -> PekarSolution:
             grad += cd * v / (r * r) * h
         return kin - inter, grad, kin, inter
 
-    # Sobolev preconditioner: (sigma + L_h + c_d/r^2)^-1 applied by a banded
-    # solve; sigma sits at the soft-mode curvature scale so smooth and stiff
-    # directions step comparably
+    # Sobolev preconditioner: (sigma + L_h + c_d/r^2)^-1 applied by a
+    # tridiagonal solve; sigma sits at the soft-mode curvature scale so smooth
+    # and stiff directions step comparably
     sigma = 1.0 / (width * width)
     band = np.zeros((3, n))
     band[0, 1:] = -1.0 / (h * h)
     band[1, :] = sigma + 2.0 / (h * h) + (cd / (r * r) if cd else 0.0)
     band[2, :-1] = -1.0 / (h * h)
-
-    def precondition(vec: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), band, vec)
+    precondition = _tridiagonal_solver(band)
+    # G_i sums terms of magnitude (2 v_i + v_(i-1) + v_(i+1))/h^2, 4 gh v_i (W q)_i / h
+    # and c_d v_i/r_i^2, all nonnegative since v >= 0, so their sum is
+    # (4/h^2 + 2 c_d/r^2) v - G; each entry of G is rounded at relative eps of it
+    term_scale = 4.0 / (h * h) + (2.0 * cd / (r * r) if cd else 0.0)
 
     v = r * np.exp(-r * r / (4.0 * width * width))
     mass = float(v @ v) * h
@@ -229,15 +259,10 @@ def solve(problem: PekarProblem) -> PekarSolution:
         raise NumericalFailure(f"grid step {h!r} does not resolve the Gaussian width {width!r}")
     v /= math.sqrt(mass)
     E, grad, kin, inter = energy_grad(v)
-    # G is rounded at relative eps: no projected gradient below eps ||G|| resolves
-    floor = np.finfo(float).eps * math.sqrt(float(grad @ grad) / h)
-    if floor > PEKAR_GRAD:
-        raise NoConvergence(f"tolerance {PEKAR_GRAD} lies below the gradient's roundoff "
-                            f"floor {floor:.3e}; no descent can reach it")
     step = 1.0
     prev_v = prev_dir = None
     pg_norm = math.inf
-    iterations = 0
+    iterations = on_floor = 0
     # backtracking accepts up to additive float roundoff of the energy scale
     slack = 64.0 * np.finfo(float).eps
     for iterations in range(1, PEKAR_ITERATIONS + 1):
@@ -246,6 +271,16 @@ def solve(problem: PekarProblem) -> PekarSolution:
         pg_norm = math.sqrt(float(pg @ pg) * h)
         if pg_norm <= PEKAR_GRAD:
             break
+        if not pg_norm < math.inf:
+            raise NumericalFailure(f"projected gradient is not finite at iteration {iterations}")
+        terms = term_scale * v - G
+        floor = np.finfo(float).eps * math.sqrt(float(terms @ terms) * h)
+        on_floor += pg_norm <= floor
+        if on_floor == PEKAR_STALL or floor > PEKAR_FLOOR_REACH * PEKAR_GRAD:
+            raise NoConvergence(
+                f"tolerance {PEKAR_GRAD} is out of reach of the gradient's roundoff floor "
+                f"{floor:.3e} (projected gradient {pg_norm:.3e} at iteration {iterations})"
+            )
         dirn = precondition(pg)
         dirn -= (float(dirn @ v) * h) * v
         if prev_v is not None:

@@ -127,18 +127,20 @@ class _Coupling:
         inner = self.power_integral(inner_p, inner_weight * inner_p, t)
         return float(np.sum(w * inner ** (outer_power / inner_p)))
 
-    def integral_against(self, T: float, density, primitive) -> float:
-        """int_0^T f(u) density(u) du; primitive(s) = int_0^s density + const.
-        The density takes an array; it is bounded but may be rough at both
-        ends of each piece.  Where f is unbounded at 0 (a negative power) the
-        rule goes on to h = 2^-1000 of the first piece: f's exact mass on [0, h]."""
+    def integral_against(self, T: float, density, primitive, leading) -> float:
+        """int_0^T f(u) density(u) du; primitive(s) = int_0^s density + const,
+        and leading the pairs (c, e) with density(u) = sum of c u^e + O(u)
+        near 0.  The density takes an array; it is bounded but may be rough
+        at both ends of each piece.  The rule stops at h = 2^-65 of the first
+        piece, or 2^-1000 where f is unbounded at 0 (a negative power); on
+        [0, h] f's exact weighted powers int_0^h f u^e take the leading terms."""
         ends = [0.0, *self.breakpoints(T), T]
         levels = 1000 if np.isinf(self.at(np.zeros(1)))[0] else 65
         u, w = _panel_rule(ends[1] * 2.0 ** -np.arange(65.0, levels + 1.0),
                            [(end, 0.5 * (lo + hi)) for lo, hi in zip(ends, ends[1:]) for end in (lo, hi)])
-        h, d = ends[1] * 2.0 ** -levels, density(u)
-        head = self.power_integral(1.0, 0.0, h) * np.sum(w[0] * d[0]) / h  # times the mean density
-        return float(head + np.sum(w[1:] * self.at(u[1:]) * d[1:]))
+        h, u, w = ends[1] * 2.0 ** -levels, u[1:], w[1:]
+        head = sum(c * self.power_integral(1.0, -e, h) for c, e in leading)
+        return float(head + np.sum(w * self.at(u) * density(u)))
 
     def mean_power_limit(self, q: float) -> float:
         """lim_{T->inf} |f|_{q,T}^q / T."""
@@ -335,6 +337,11 @@ class Tabulated(_Coupling):
     The grid must start at 0 and be strictly increasing; the final grid
     point is the horizon the table is defined up to, and its value is used
     for f at that single point.
+
+    Each instance keeps numpy copies of its grid and values and, per (q, b),
+    the cell powers and cumulative sums of ``power_integral``.  They are
+    plain attributes, not fields, so equality, hashing, ``to_dict`` and
+    ``replace`` see only the grid and the values.
     """
 
     grid: tuple
@@ -342,17 +349,22 @@ class Tabulated(_Coupling):
     kind = "tabulated"
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.grid)
-        values = tuple(float(v) for v in self.values)
+        grid = tuple(map(float, self.grid))
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         _require(len(grid) >= 2 and len(grid) == len(values),
                  "Tabulated needs matching grid/values with at least 2 points")
         _require(grid[0] == 0.0, f"Tabulated grid must start at 0, got {grid[0]}")
-        _require(all(a < b for a, b in zip(grid, grid[1:])) and grid[-1] < math.inf,
+        t, v = np.array(grid), np.array(values)
+        _require(bool(np.all(t[1:] > t[:-1])) and grid[-1] < math.inf,
                  "Tabulated grid must be finite and strictly increasing")
-        _require(all(0 <= v < math.inf for v in values),
+        _require(bool(np.all((v >= 0.0) & (v < math.inf))),
                  "Tabulated values must be finite and nonnegative")
+        t.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "_grid_array", t)
+        object.__setattr__(self, "_value_array", v)
+        object.__setattr__(self, "_cells", {})
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "grid": list(self.grid), "values": list(self.values)}
@@ -362,12 +374,12 @@ class Tabulated(_Coupling):
         return cls(tuple(spec["grid"]), tuple(spec["values"]))
 
     def at(self, t):
-        idx = np.searchsorted(self.grid, t, side="right") - 1
+        idx = np.searchsorted(self._grid_array, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.values) - 1)
-        return np.asarray(self.values, dtype=float)[idx]
+        return self._value_array[idx]
 
     def is_zero(self) -> bool:
-        return all(v == 0.0 for v in self.values)
+        return not self._value_array.any()
 
     def normalized(self) -> tuple:
         k = math.frexp(max(self.values))[1]
@@ -376,38 +388,48 @@ class Tabulated(_Coupling):
     def majorant(self, T: float):
         _require(self.grid[-1] == T,
                  f"Tabulated grid ends at {self.grid[-1]}, expected horizon {T}")
-        running = np.maximum.accumulate(np.asarray(self.values)[::-1])[::-1]
-        return Tabulated(self.grid, tuple(running))
+        running = np.maximum.accumulate(self._value_array[::-1])[::-1]
+        return Tabulated(self.grid, tuple(running.tolist()))
 
     def _within_horizon(self, s: float) -> None:
         _require(s <= self.grid[-1] * (1.0 + 1e-12),
                  f"upper time {s} beyond the tabulated horizon {self.grid[-1]}")
 
+    def _cell_sums(self, q: float, b: float) -> tuple:
+        """(v_k^q, g_k^a, cum) with a = 1 - b and cum[k] = int_0^g_k f^q t^-b dt,
+        built once per (q, b); scalar powers keep the sums bit-equal to a loop
+        over the cells."""
+        sums = self._cells.get((q, b))
+        if sums is None:
+            a = 1.0 - b
+            vq = np.array([v ** q for v in self.values[:-1]])
+            ga = np.array([g ** a for g in self.grid])
+            cum = np.concatenate(([0.0], np.cumsum(vq * np.diff(ga) / a)))
+            sums = self._cells[q, b] = (vq, ga, cum)
+        return sums
+
     def power_integral(self, q: float, b: float, s):
-        # cum[k] = int_0^grid[k] f^q t^-b dt, a = 1 - b; scalar powers keep
-        # the sums bit-equal to a loop over the cells
         self._within_horizon(np.max(s))
-        a, grid = 1.0 - b, np.asarray(self.grid)
-        vq = np.array([v ** q for v in self.values[:-1]])
-        ga = np.array([g ** a for g in self.grid])
-        cum = np.concatenate(([0.0], np.cumsum(vq * np.diff(ga) / a)))
+        a, grid = 1.0 - b, self._grid_array
+        vq, ga, cum = self._cell_sums(q, b)
         k = np.minimum(np.searchsorted(grid, s, side="right"), len(vq)) - 1
         return cum[k] + vq[k] * (np.minimum(s, grid[-1]) ** a - ga[k]) / a
 
     def breakpoints(self, T: float) -> list:
-        return [g for g in self.grid[1:] if g < T]
+        inner = self._grid_array[1:]
+        return inner[inner < T].tolist()
 
     def support_start(self) -> float:
-        return self.grid[int(np.argmax(np.asarray(self.values[:-1]) > 0.0))]
+        return self.grid[int(np.argmax(self._value_array[:-1] > 0.0))]
 
-    def integral_against(self, T: float, density, primitive) -> float:
+    def integral_against(self, T: float, density, primitive, leading) -> float:
         # exact per cell: sum_k v_k (primitive(g_{k+1}) - primitive(g_k))
         self._within_horizon(T)
         edges = np.array([0.0, *self.breakpoints(T), T])
-        return float(np.dot(self.values[:len(edges) - 1], np.diff(primitive(edges))))
+        return float(np.dot(self._value_array[:len(edges) - 1], np.diff(primitive(edges))))
 
     def non_increasing(self) -> bool:
-        return all(b <= a for a, b in zip(self.values, self.values[1:]))
+        return bool(np.all(self._value_array[1:] <= self._value_array[:-1]))
 
 
 CouplingFunction = Union[Constant, ExpDecay, Indicator, PowerLaw, Tabulated]

@@ -370,11 +370,11 @@ def test_overflowing_bound_exit_3(argv, capsys):
 
 
 def test_pekar_unreachable_tolerance_exits_3_at_once(monkeypatch, capsys):
-    # near theta = 2 the starting gradient is so large that eps times its norm
-    # exceeds the tolerance: the solver refuses before its first descent step
+    # near theta = 2 the gradient's roundoff floor at the starting point lies
+    # far above the tolerance: the solver refuses before its first descent step
     def no_descent(*args):
         raise AssertionError("descent step taken")
-    monkeypatch.setattr(pekar, "solve_banded", no_descent)
+    monkeypatch.setattr(pekar, "dgtsv", no_descent)
     code, out, err = run_cli(["pekar", "--theta", "1.99", "--coupling", "1"], capsys)
     assert code == 3
     assert out == ""

@@ -6,9 +6,10 @@ documented exit codes 2, 3 and 4; none escapes ``cli.main`` as an
 exception, which the ``fkbound`` script would print as a traceback.
 Numeric flags draw the edges: nan, +-inf, +-0, negatives and 1e+-300.
 ``simulate`` and ``oscillator --mc`` run at most 200 paths of 32 steps,
-around the budget floor of 100 paths and 16 steps.  ``model verify`` and
-``pekar`` are left out: their Monte Carlo and descent budgets are too slow
-to fuzz.
+around the budget floor of 100 paths and 16 steps.  ``pekar`` runs on
+grids of at most 100 nodes, mostly 16 to 48, where a descent that cannot
+reach its tolerance stops at its roundoff floor.  ``model verify`` is left
+out: its Monte Carlo budget is too slow to fuzz.
 """
 
 import json
@@ -134,6 +135,17 @@ def test_sweep_argv(model, T, grid, data, capsys):
 @given(omega=numbers(0.0, 4.0), T=TIMES, grid=st.integers(-4, 256))
 def test_oscillator_argv(omega, T, grid, capsys):
     _run(["oscillator", _flag("omega", omega), _flag("T", T), _flag("grid", grid)], capsys)
+
+
+@settings(FUZZ, max_examples=80)
+@given(theta=THETAS, coupling=numbers(0.1, 3.0), dim=_mostly(st.integers(3, 5), st.integers(-10, 10)),
+       r_max=_mostly(st.floats(0.0, 3.0).map(lambda e: 10.0 ** e),
+                     st.one_of(st.sampled_from(EDGES), st.floats())),
+       nodes=_mostly(st.integers(16, 48), st.integers(-4, 100)),
+       scaling=st.booleans())
+def test_pekar_argv(theta, coupling, dim, r_max, nodes, scaling, capsys):
+    _run(["pekar", _flag("theta", theta), _flag("coupling", coupling), _flag("dim", dim),
+          f"--grid={r_max!r},{nodes}", *(["--scaling"] if scaling else [])], capsys)
 
 
 PATHS = _mostly(st.integers(100, 200), st.integers(-10, 200))

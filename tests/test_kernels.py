@@ -311,3 +311,15 @@ def test_cross_expectation_on_tables_respects_every_cell(cells, theta):
         got = K.expected_action("cross_double", f, BoundParams(theta, 3, T))
         assert got.is_upper_bound
         assert got.value == pytest.approx(_cross_double_per_cell(grid, values, theta, 3, T), rel=1e-10)
+
+
+@pytest.mark.parametrize("theta, k", [(1.99, -0.99), (1.99, -0.999), (1.999, -0.9999), (1.99, -0.5)])
+def test_cross_expectation_near_u_inverse_and_theta_two(theta, k):
+    # f's mass within h = 2^-1000 of 0 is (h/T)^(1+k) of the total, and the
+    # density there is D0 + C u^(1-theta/2): the last panel integrates f's exact
+    # powers against both terms (f's mass times the mean density was 2.9e-5 off
+    # at theta 1.99, k -0.99); closed form A B(k+1, 1-a) T^(k+2-2a)/(k+2-2a)
+    f = PowerLaw(1.0, k)
+    for T in (2.0, 0.3):
+        got = K.expected_action("cross_double", f, BoundParams(theta, 3, T))
+        assert got.value == pytest.approx(_mp_cross_double(f, theta, 3, T), rel=1e-13, abs=0)

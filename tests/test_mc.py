@@ -268,7 +268,10 @@ def _moment_reference(theta, d, eps, dt, r):
     of u^(a-1) (1-u)^(b-1) exp(-c u/(1-u) - x u); at eps = 0 that is
     (2 s^2)^-a Gamma(b)/Gamma(d/2) 1F1(a; d/2; -x).  The substitutions
     u = t^(1/a) and 1 - u = t^(1/b) remove the weight's endpoint powers, whose
-    mass near the endpoints the tanh-sinh rule would otherwise cut off.
+    mass near the endpoints the tanh-sinh rule would otherwise cut off.  For
+    c > 0 the factor exp(-c u/(1-u)) is about exp(-(c^b/t)^(1/b)) in the second
+    integral, a switch within a factor e^(8b) of t = c^b (steep when b is
+    small), so that integral is cut at c^b e^(bj), j = -8..8.
     """
     a, b = mp.mpf(theta) / 2, mp.mpf(d - theta) / 2
     x, c = mp.mpf(r) ** 2 / (mp.mpf(dt) / 2), mp.mpf(eps) ** 2 / (mp.mpf(dt) / 2)
@@ -281,8 +284,10 @@ def _moment_reference(theta, d, eps, dt, r):
         m = min(mp.mpf(1) / 2, 1 / (x + c + d))
         low = mp.quad(lambda t: (1 - t ** (1 / a)) ** (b - 1) * g(t ** (1 / a), 1 - t ** (1 / a)),
                       [0, (m / 4) ** a, m ** a]) / a
+        top = (1 - m) ** b
+        cuts = [c ** b * mp.exp(b * j) for j in range(-8, 9)]
         high = mp.quad(lambda t: (1 - t ** (1 / b)) ** (a - 1) * g(1 - t ** (1 / b), t ** (1 / b)),
-                       [0, (1 - m) ** b]) / b
+                       [0, *(t for t in cuts if t < top), top]) / b
         beta = (low + high) / mp.gamma(a)
     return (mp.mpf(dt) / 2) ** -a * beta
 
@@ -364,6 +369,22 @@ def test_tiny_epsilon_moment_table_is_accurate_and_as_small_as_epsilon_zero(eps)
     # a c = eps^2/(2 s^2) far below 1 only cuts the integrand past the c = 0 grid's
     # end, so the table takes the c = 0 grid and tail sum, not a grid out to ln(50/c)
     theta, d, steps = 1.2, 3, 256
+    dt = 1.0 / steps
+    sampler = mc._SingleSampler(mc.ActionSpec("single", Constant(1.0), theta, d, 1.0, epsilon=eps),
+                                steps, (0.0,))
+    r = math.sqrt(dt) / 2 * np.array([0.0, 0.3, 1.0, 3.0, 10.0, 100.0])
+    got = sampler._moment(r * r)
+    with mp.workdps(20):
+        want = np.array([float(_moment_reference(theta, d, eps, dt, v)) for v in r])
+    assert np.abs(got / want - 1.0).max() <= 1e-12
+    assert _table_peak(theta, d, eps * eps / (dt / 2)) <= 2 * _table_peak(theta, d, 0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-150, 1e-30])
+def test_tiny_epsilon_near_theta_equal_d_takes_the_short_grid(eps):
+    # b = (d - theta)/2 = 0.05: c^b is far above rounding, so the c = 0 tail sum
+    # needs its leading correction e^-x c^b Gamma(1 - b)/b to serve
+    theta, d, steps = 1.9, 2, 256
     dt = 1.0 / steps
     sampler = mc._SingleSampler(mc.ActionSpec("single", Constant(1.0), theta, d, 1.0, epsilon=eps),
                                 steps, (0.0,))

@@ -4,9 +4,17 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from fkbound import models, pekar
-from fkbound.errors import DomainError, GridTooSmall, NotPositiveDefinite
+from fkbound.config import PEKAR_GRAD
+from fkbound.errors import (
+    DomainError,
+    GridTooSmall,
+    NoConvergence,
+    NotPositiveDefinite,
+    NumericalFailure,
+)
 
 
 def test_choquard_anchor_value():
@@ -131,6 +139,51 @@ def test_unit_grid_kernel_keeps_energies_and_iterations(theta, d, nodes, g, r_ma
     sol = pekar.solve(pekar.PekarProblem(theta, g, d, r_max=r_max, nodes=nodes))
     assert sol.energy == pytest.approx(energy, rel=1e-12, abs=0)
     assert sol.iterations == iterations
+
+
+@pytest.mark.parametrize("n", [16, 128, 768])
+def test_tridiagonal_preconditioner_is_solve_banded_bit_for_bit(n):
+    # the Sobolev band of a solve: sigma + 2/h^2 + c_d/r^2 on the diagonal, -1/h^2 off it
+    rng = np.random.default_rng(n)
+    h, sigma, cd = 0.37 / n, 2.3, 2.0
+    r = h * np.arange(1, n + 1)
+    band = np.zeros((3, n))
+    band[0, 1:] = band[2, :-1] = -1.0 / (h * h)
+    band[1] = sigma + 2.0 / (h * h) + cd / (r * r)
+    precondition = pekar._tridiagonal_solver(band)
+    for _ in range(5):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+        want = solve_banded((1, 1), band, x)
+        assert np.array_equal(precondition(x), want)
+    assert np.array_equal(band[1], sigma + 2.0 / (h * h) + cd / (r * r))  # read, not factored
+
+
+@pytest.mark.parametrize("theta, g", [
+    (1.96, 1.0),    # floor 1e-6: below 1/64 of it from the first iteration
+    (1.0, 1000.0),  # floor 1.5e-6, likewise
+    (1.955, 1.0),   # floor 2.1e-7: the descent lands on it and stalls there
+    (1.0, 300.0),   # floor 1.4e-7, likewise
+])
+def test_tolerance_below_the_roundoff_floor_fails_fast(theta, g, monkeypatch):
+    # these ran all 40,000 iterations (12-25 s) before NoConvergence; under a
+    # 2,000-iteration cap the floor, not the cap, must end them
+    monkeypatch.setattr(pekar, "PEKAR_ITERATIONS", 2000)
+    with pytest.raises(NoConvergence, match="roundoff floor"):
+        pekar.solve(pekar.PekarProblem(theta, g))
+
+
+def test_solve_just_above_the_floor_still_converges():
+    # theta 1.95: floor 5.8e-8, and the descent's roundoff noise dips below PEKAR_GRAD
+    sol = pekar.solve(pekar.PekarProblem(1.95, 1.0))
+    assert sol.residual <= PEKAR_GRAD
+    assert sol.energy < 0
+
+
+def test_non_finite_gradient_is_a_numerical_failure(monkeypatch):
+    # no longer solve_banded's ValueError (exit 2): the solver checks pg itself
+    monkeypatch.setattr(pekar, "_unit_kernel", lambda n, theta, d: np.full((n, n), np.nan))
+    with pytest.raises(NumericalFailure, match="not finite"):
+        pekar.solve(pekar.PekarProblem(1.0, 1.0, nodes=32))
 
 
 def test_profile_nonnegative_and_monotone():

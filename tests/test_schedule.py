@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import mpmath as mp
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fkbound import cli
 from fkbound.errors import DomainError, NonIntegrable, NumericalFailure
 from fkbound.schedule import (
     Constant,
@@ -290,6 +293,62 @@ def test_coupling_rejects_non_finite_fields(make, value):
 def test_coupling_from_dict_rejects_malformed_fields(spec):
     with pytest.raises(DomainError):
         coupling_from_dict(spec)
+
+
+# (grid, values, what Tabulated(grid, values) raises or None, the `fkbound bound`
+# exit code with them as the --coupling); numpy validates, float() converts
+TABLE_CONTRACT = {
+    "nested": ((0.0, (1.0, 2.0)), (1.0, 1.0), TypeError, 2),
+    "nested_values": ((0.0, 1.0), ((1.0,), 1.0), TypeError, 2),
+    "ragged": ((0.0, 1.0, 2.0), (1.0, 1.0), DomainError, 2),
+    "nan_grid": ((0.0, math.nan), (1.0, 1.0), DomainError, 2),
+    "nan_value": ((0.0, 1.0), (math.nan, 1.0), DomainError, 2),
+    "inf_grid": ((0.0, math.inf), (1.0, 1.0), DomainError, 2),
+    "minus_inf_grid": ((0.0, -math.inf), (1.0, 1.0), DomainError, 2),
+    "inf_value": ((0.0, 1.0), (math.inf, 1.0), DomainError, 2),
+    "minus_inf_value": ((0.0, 1.0), (-math.inf, 1.0), DomainError, 2),
+    "numeric_strings": (("0", "1.5"), ("1", "2"), None, 0),
+    "other_string": (("0", "x"), (1.0, 1.0), ValueError, 2),
+    "bool": ((False, True), (True, False), None, 0),
+    "repeated_point": ((0.0, 1.0, 1.0), (1.0, 1.0, 1.0), DomainError, 2),
+    "decreasing": ((0.0, 2.0, 1.0), (1.0, 1.0, 1.0), DomainError, 2),
+    "nonzero_start": ((0.5, 1.0), (1.0, 1.0), DomainError, 2),
+    "negative_value": ((0.0, 1.0), (-1.0, 1.0), DomainError, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CONTRACT))
+def test_tabulated_error_contract(case, capsys):
+    grid, values, error, exit_code = TABLE_CONTRACT[case]
+    spec = {"kind": "tabulated", "grid": grid, "values": values}
+    if error is None:
+        f = Tabulated(grid, values)
+        assert f.grid == tuple(map(float, grid)) and f.values == tuple(map(float, values))
+        assert coupling_from_dict(spec) == f
+    else:
+        with pytest.raises(error):
+            Tabulated(grid, values)
+        with pytest.raises(DomainError):
+            coupling_from_dict(spec)
+    code = cli.main(["bound", "--theorem", "1", "--theta", "1.0", "--dim", "3",
+                     "--T", str(float(grid[-1]) if exit_code == 0 else 1.0),
+                     "--coupling", json.dumps(spec), "--format", "json"])
+    capsys.readouterr()
+    assert code == exit_code
+
+
+def test_tabulated_cell_sums_are_kept_out_of_the_fields():
+    f = Tabulated((0.0, 0.5, 1.2, 2.0), (0.5, 0.9, 0.3, 0.4))
+    same = Tabulated((0, 0.5, 1.2, 2), (0.5, 0.9, 0.3, 0.4))
+    first = norm(f, 2.0, 1.7, weight=0.3)
+    assert norm(f, 2.0, 1.7, weight=0.3) == first  # from the kept sums
+    assert [fld.name for fld in dataclasses.fields(f)] == ["grid", "values"]
+    assert f == same and hash(f) == hash(same)
+    assert f.to_dict() == same.to_dict() == {"kind": "tabulated", "grid": [0.0, 0.5, 1.2, 2.0],
+                                             "values": [0.5, 0.9, 0.3, 0.4]}
+    changed = dataclasses.replace(f, values=(1.0, 1.0, 1.0, 1.0))
+    assert norm(changed, 2.0, 1.7, weight=0.3) == pytest.approx(math.sqrt(1.7 ** 0.4 / 0.4), rel=1e-15)
+    assert norm(f, 2.0, 1.7, weight=0.3) == first
 
 
 def _loop_power_integral(f, q, b, s):
