@@ -280,8 +280,7 @@ def _cmd_oscillator(args) -> int:
     if args.mc:
         rep = oscillator.mc_crosscheck(cfg, args.paths, args.steps, args.seed)
         record["mc"] = rep.as_dict()
-        within = abs(rep.log_difference) <= 3.0 * rep.estimate.stderr_log + 1e-3
-        record["mc_within_tolerance"] = bool(within)
+        record["mc_within_tolerance"] = within = rep.within_tolerance
     _emit(record, args.format, args.out)
     return EXIT_OK if within else EXIT_VERIFICATION
 
@@ -402,11 +401,13 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
+def _add_common(p: argparse.ArgumentParser, default_format: str = "json",
+                threads: bool = False) -> None:
     p.add_argument("--format", choices=("json", "csv", "pretty"), default=default_format)
     p.add_argument("--out", default="", help="write the report to a file instead of stdout")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker thread cap (results are identical for any value)")
+    if threads:  # only the Monte Carlo subcommands have workers to cap
+        p.add_argument("--threads", type=int, default=_default_threads(),
+                       help="worker thread cap (results are identical for any value)")
 
 
 def _add_model_params(p: argparse.ArgumentParser) -> None:
@@ -445,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.0)
-    _add_common(p)
+    _add_common(p, threads=True)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("model", help="inspect or verify a preconfigured model")
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--steps", type=int, default=512)
     p.add_argument("--seed", type=int, default=7)
-    _add_common(p)
+    _add_common(p, threads=True)
     p.set_defaults(fn=_cmd_model)
 
     p = sub.add_parser("oscillator", help="quadratic-action reference solution")
@@ -496,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--steps", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, default_format="csv")
+    _add_common(p, default_format="csv", threads=True)
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

@@ -574,6 +574,11 @@ def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
     The action mean carries the same leading-order grid bias as the
     log-domain estimate but with far smaller sampling noise, so it is the
     stable fit target; the allowance applies to both.
+
+    Nothing in the package, its scripts or its acceptance suite calls this
+    any more: each sandwich allows the exact grid bias of its N-step action
+    (``discrete_expectation``, ``oscillator.discrete_log_moment``) instead.
+    It stays for ``perfbench``, whose ``draw_ratio`` span reads its rungs.
     """
     if steps < 64:
         raise DomainError("ladder fit needs at least 64 steps")

@@ -18,7 +18,9 @@ r' = w^2 - r^2, integrated backward with a fourth-order scheme; the original
 integral form is used only as a residual certificate.  The known solution
 r(s, T) = w tanh(w (s - T)) anchors the tests.  This module certifies the
 exactness route for a quadratic action, the case the norm-based bounds do
-not cover.
+not cover.  The N-step midpoint action the Monte Carlo check samples has an
+exact log-moment too (``discrete_log_moment``, O(N)), so the check's grid
+bias is computed, not fitted.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from .mc import McEstimate, PathEnsemble, _QuadraticSampler, _estimates
 __all__ = [
     "OscillatorConfig",
     "OscillatorExpectation",
+    "OscillatorMcReport",
     "RiccatiSolution",
+    "discrete_log_moment",
     "log_expectation",
     "mc_crosscheck",
     "solve_riccati",
@@ -146,16 +150,50 @@ def log_expectation(cfg: OscillatorConfig) -> OscillatorExpectation:
     return OscillatorExpectation(closed, recon, residual, sol)
 
 
+def discrete_log_moment(cfg: OscillatorConfig, steps: int) -> float:
+    """Exact ln E[exp(A_N)] of the N-step midpoint action A_N = -(w^2/2) sum_k X(t_k)^2 dt.
+
+    The midpoint values X(t_k), t_k = (k + 1/2) dt, are a Gaussian random walk
+    with independent steps of variance dt/2 and then dt.  Integrating them out
+    from the last one back keeps the conditional moment of the form
+    C exp(-b x^2): a step of variance v maps b to b / (1 + 2 b v) and
+    multiplies C by (1 + 2 b v)^(-1/2).  The O(N) recursion equals
+    -(1/2) ln det(I + w^2 dt min(t_j, t_k)) without the N x N matrix.
+    """
+    if steps < 1:
+        raise DomainError(f"need at least one step, got {steps}")
+    dt = cfg.T / steps
+    a = 0.5 * cfg.omega * cfg.omega * dt
+    b, log_c = a, 0.0
+    for _ in range(steps - 1):
+        log_c -= 0.5 * math.log1p(2.0 * b * dt)
+        b = a + b / (1.0 + 2.0 * b * dt)
+    return log_c - 0.5 * math.log1p(b * dt)
+
+
 @dataclass(frozen=True)
 class OscillatorMcReport:
     estimate: McEstimate
     closed_form: float
     log_difference: float
+    discrete: float          # the exact N-step value the estimate estimates
+    grid_bias: float         # discrete - closed_form
+
+    @property
+    def tolerance(self) -> float:
+        """3 se about the exact N-step value, plus its distance |grid_bias| to the closed form."""
+        return 3.0 * self.estimate.stderr_log + abs(self.grid_bias)
+
+    @property
+    def within_tolerance(self) -> bool:
+        """|log_mean - closed_form| <= ``tolerance``."""
+        return bool(abs(self.log_difference) <= self.tolerance)
 
     def as_dict(self) -> dict:
         out = self.estimate.as_dict()
         out.update({"closed_form": self.closed_form,
-                    "log_difference": self.log_difference})
+                    "log_difference": self.log_difference,
+                    "discrete": self.discrete, "grid_bias": self.grid_bias})
         return out
 
 
@@ -165,7 +203,8 @@ def mc_crosscheck(cfg: OscillatorConfig, paths: int, steps: int,
 
     One-dimensional paths, midpoint rule: each path gives its exact log-moment
     given the grid nodes (``mc``'s quadratic sampler draws only increments), so
-    E[exp] is that of bridge-sampled midpoints.  Bit-identical for given
+    E[exp] is that of bridge-sampled midpoints, whose exact value is
+    ``discrete_log_moment``.  Bit-identical for given
     (omega, T, paths, steps, seed) whatever the batch size.
     Restricted to w T <= 4, where the exponential moment is comfortably
     estimable.
@@ -176,5 +215,7 @@ def mc_crosscheck(cfg: OscillatorConfig, paths: int, steps: int,
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=1)
     est = _estimates(_QuadraticSampler(w, ensemble), ensemble)[1][0]
     closed = -0.5 * _log_cosh(w * T)
+    discrete = discrete_log_moment(cfg, steps)
     return OscillatorMcReport(estimate=est, closed_form=closed,
-                              log_difference=est.log_mean - closed)
+                              log_difference=est.log_mean - closed,
+                              discrete=discrete, grid_bias=discrete - closed)

@@ -446,7 +446,8 @@ def coupling_from_dict(spec: dict) -> CouplingFunction:
     """Build a coupling from its JSON form, e.g. {"kind": "exp_decay", ...}.
 
     Numeric fields are coerced with ``float``; fields the kind does not use
-    are ignored.
+    are ignored.  A field that is missing, non-numeric or out of float range
+    raises DomainError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("coupling spec must be a dict with a 'kind' field")
@@ -460,6 +461,8 @@ def coupling_from_dict(spec: dict) -> CouplingFunction:
         raise DomainError(f"coupling spec for kind={kind!r} is missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DomainError(f"coupling spec for kind={kind!r} has a non-numeric field: {exc}") from exc
+    except OverflowError as exc:  # an integer too large for a float
+        raise DomainError(f"coupling spec for kind={kind!r} has a field out of float range: {exc}") from exc
 
 
 def evaluate(f: CouplingFunction, t):

@@ -250,6 +250,28 @@ def test_threads_default_from_environment(monkeypatch):
     assert args.threads == 6
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--theorem", "1", "--theta", "1", "--dim", "3", "--T", "1",
+     "--coupling", '{"kind":"constant","level":1}'],
+    ["pekar", "--theta", "1", "--coupling", "1"],
+    ["kernels", "--check", "subordination"],
+    ["oscillator", "--omega", "1", "--T", "2"],
+])
+def test_threads_is_rejected_where_nothing_runs_on_workers(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_simulate_threads_leave_the_estimate_unchanged(capsys):
+    argv = ["simulate", "--model", "hydrogen", "--alpha", "0.5", "--T", "1",
+            "--paths", "200", "--steps", "32", "--seed", "3", "--threads"]
+    runs = [run_cli(argv + [threads], capsys) for threads in ("1", "2")]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert json.loads(runs[0][1])["estimate"] == json.loads(runs[1][1])["estimate"]
+
+
 def test_coupling_from_csv_file(tmp_path, capsys):
     table = tmp_path / "coupling.csv"
     table.write_text("# t,value\n0.0,1.0\n0.5,3.0\n1.0,2.0\n")

@@ -5,11 +5,11 @@ Every input ends in a finite strict-JSON record (exit 0) or one of the
 documented exit codes 2, 3 and 4; none escapes ``cli.main`` as an
 exception, which the ``fkbound`` script would print as a traceback.
 Numeric flags draw the edges: nan, +-inf, +-0, negatives and 1e+-300.
-``simulate`` and ``oscillator --mc`` run at most 200 paths of 32 steps,
-around the budget floor of 100 paths and 16 steps.  ``pekar`` runs on
-grids of at most 100 nodes, mostly 16 to 48, where a descent that cannot
-reach its tolerance stops at its roundoff floor.  ``model verify`` is left
-out: its Monte Carlo budget is too slow to fuzz.
+Coupling fields are now and then a JSON integer too large for any float.
+``simulate``, ``model verify`` and ``oscillator --mc`` run at most 200
+paths of 32 steps, around the budget floor of 100 paths and 16 steps.
+``pekar`` runs on grids of at most 100 nodes, mostly 16 to 48, where a
+descent that cannot reach its tolerance stops at its roundoff floor.
 """
 
 import json
@@ -42,6 +42,8 @@ INTEGERS = _mostly(st.integers(2, 6), st.integers(-10, 10**6))
 THETAS = numbers(0.01, 1.99)
 TIMES = numbers(0.01, 8.0)
 LEVELS = numbers(0.0, 3.0)
+# a coupling field: now and then a JSON integer of 309 to 401 digits, past any float
+FIELDS = _mostly(LEVELS, st.integers(10 ** 308, 10 ** 400) | st.integers(-10 ** 400, -10 ** 308))
 
 
 @st.composite
@@ -51,12 +53,12 @@ def couplings(draw):
         cells = draw(st.integers(0, 5))
         steps = draw(st.lists(numbers(1e-3, 3.0), min_size=cells, max_size=cells))
         grid = [0.0] + [sum(steps[:k + 1]) for k in range(cells)]
-        values = draw(st.lists(LEVELS, min_size=len(grid), max_size=len(grid)))
+        values = draw(st.lists(FIELDS, min_size=len(grid), max_size=len(grid)))
         spec = {"grid": grid, "values": values}
     else:
         names = {"constant": ["level"], "exp_decay": ["amplitude", "rate"],
                  "indicator": ["height", "cutoff"], "power_law": ["amplitude", "exponent"]}[kind]
-        spec = {name: draw(LEVELS if name != "exponent" else numbers(-1.5, 2.0)) for name in names}
+        spec = {name: draw(FIELDS if name != "exponent" else numbers(-1.5, 2.0)) for name in names}
     return json.dumps({"kind": kind, **spec})
 
 
@@ -174,3 +176,10 @@ def test_simulate_argv(model, T, paths, steps, seed, offset, epsilon, capsys):
 @given(check=st.sampled_from(["subordination", "convolution", "expectation", "all", "none"]))
 def test_kernels_argv(check, capsys):
     _run(["kernels", f"--check={check}"], capsys)
+
+
+@settings(FUZZ, max_examples=40)
+@given(model=model_argv(), T=numbers(0.01, 2.0), paths=PATHS, steps=STEPS, seed=SEEDS)
+def test_model_verify_argv(model, T, paths, steps, seed, capsys):
+    _run(["model", *model, _flag("T", T), "verify", _flag("paths", paths),
+          _flag("steps", steps), _flag("seed", seed), "--threads=1"], capsys)

@@ -693,6 +693,8 @@ GOLDEN = {
     'oscillator': [
         '-0x1.6caa54b22357fp-1', '0x1.9bbac5a2c5840p-5', '-0x1.13ac7146551d2p+0',
         '0x1.4a4b75962a1c0p-4', '-0x1.5333614b031e2p-1', '-0x1.976f3672039d0p-5',
+        # the exact N-step value and its grid bias, no draw behind them
+        '-0x1.5332183f5f8ccp-1', '0x1.490ba39160000p-17',
     ],
 }
 

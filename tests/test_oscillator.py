@@ -63,32 +63,50 @@ def test_small_time_expansion():
 
 def test_mc_crosscheck_small_budget():
     rep = osc.mc_crosscheck(osc.OscillatorConfig(1.0, 2.0), paths=20_000, steps=256, seed=3)
-    assert abs(rep.log_difference) <= 3.0 * rep.estimate.stderr_log + 2e-3
+    assert rep.tolerance == 3.0 * rep.estimate.stderr_log + abs(rep.grid_bias)
+    assert rep.within_tolerance
     assert rep.estimate.infinite_paths == 0
 
 
-def _discrete_log_moment(omega, T, steps):
-    """ln E[exp(-(omega^2/2) sum_k X(t_k)^2 dt)] at the midpoints t_k, exactly.
-
-    The midpoint values are a Gaussian random walk with steps of variance dt/2
-    and then dt; integrating them out from the last one back maps a step of
-    variance v to b -> b / (1 + 2 b v) and multiplies by (1 + 2 b v)^(-1/2).
-    """
+def _dense_log_moment(omega, T, steps):
+    """-(1/2) ln det(I + omega^2 dt Sigma), Sigma = min(t_j, t_k) at the midpoints t_k:
+    the Gaussian integral of exp(-(omega^2/2) sum_k X(t_k)^2 dt), with the N x N matrix."""
     dt = T / steps
-    a = 0.5 * omega * omega * dt
-    b, log_c = a, 0.0
-    for _ in range(steps - 1):
-        log_c -= 0.5 * math.log1p(2.0 * b * dt)
-        b = a + b / (1.0 + 2.0 * b * dt)
-    return log_c - 0.5 * math.log1p(b * dt)
+    t = (np.arange(steps) + 0.5) * dt
+    sign, logdet = np.linalg.slogdet(np.eye(steps) + omega * omega * dt * np.minimum.outer(t, t))
+    assert sign == 1.0
+    return -0.5 * logdet
+
+
+@pytest.mark.parametrize("omega, T, steps", [(0.5, 1.0, 1), (1.2, 2.0, 7), (1.0, 2.0, 256)])
+def test_discrete_log_moment_is_the_dense_determinant(omega, T, steps):
+    got = osc.discrete_log_moment(osc.OscillatorConfig(omega, T), steps)
+    assert got == pytest.approx(_dense_log_moment(omega, T, steps), rel=1e-12)
+
+
+def test_discrete_log_moment_converges_at_second_order():
+    # the midpoint rule's gap to -ln(cosh(omega T))/2 falls about 4 times per doubling of N
+    cfg = osc.OscillatorConfig(1.0, 2.0)
+    closed = osc.log_expectation(cfg).closed_form
+    gaps = [osc.discrete_log_moment(cfg, n) - closed for n in (256, 512, 1024)]
+    assert 2.4e-6 < gaps[0] < 2.5e-6
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.9 < coarse / fine < 4.1
+
+
+def test_discrete_log_moment_needs_a_step():
+    assert osc.discrete_log_moment(osc.OscillatorConfig(0.0, 2.0), 16) == 0.0
+    with pytest.raises(DomainError):
+        osc.discrete_log_moment(osc.OscillatorConfig(1.0, 2.0), 0)
 
 
 @pytest.mark.parametrize("omega, T, steps", [(1.0, 2.0, 64), (1.5, 2.5, 32)])
 def test_mc_crosscheck_matches_the_exact_discrete_moment(omega, T, steps):
     # each path's conditional log-moment has E[exp] equal to the midpoint rule's moment
     rep = osc.mc_crosscheck(osc.OscillatorConfig(omega, T), paths=20_000, steps=steps, seed=5)
-    exact = _discrete_log_moment(omega, T, steps)
-    assert abs(rep.estimate.log_mean - exact) <= 4.0 * rep.estimate.stderr_log
+    assert rep.discrete == pytest.approx(_dense_log_moment(omega, T, steps), rel=1e-12)
+    assert rep.grid_bias == rep.discrete - rep.closed_form
+    assert abs(rep.estimate.log_mean - rep.discrete) <= 4.0 * rep.estimate.stderr_log
 
 
 def test_mc_crosscheck_zero_frequency_exact():

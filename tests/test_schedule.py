@@ -289,10 +289,19 @@ def test_coupling_rejects_non_finite_fields(make, value):
     {"kind": "constant", "level": None},
     {"kind": "tabulated", "grid": 1.0, "values": [1.0]},
     {"kind": ["constant"], "level": 1.0},
+    # JSON integers of 401 digits, past any float: float() raises OverflowError
+    {"kind": "constant", "level": 10 ** 400},
+    {"kind": "exp_decay", "amplitude": 1, "rate": 10 ** 400},
+    {"kind": "indicator", "height": 1, "cutoff": -10 ** 400},
+    {"kind": "power_law", "amplitude": 10 ** 400, "exponent": 1},
+    {"kind": "tabulated", "grid": [0, 1], "values": [10 ** 400, 1]},
 ])
-def test_coupling_from_dict_rejects_malformed_fields(spec):
+def test_coupling_from_dict_rejects_malformed_fields(spec, capsys):
     with pytest.raises(DomainError):
         coupling_from_dict(spec)
+    code = cli.main(["bound", "--theorem", "1", "--theta", "1.0", "--dim", "3", "--T", "1",
+                     "--coupling", json.dumps(spec), "--format", "json"])
+    assert (code, capsys.readouterr().out) == (2, "")
 
 
 # (grid, values, what Tabulated(grid, values) raises or None, the `fkbound bound`
@@ -314,6 +323,8 @@ TABLE_CONTRACT = {
     "decreasing": ((0.0, 2.0, 1.0), (1.0, 1.0, 1.0), DomainError, 2),
     "nonzero_start": ((0.5, 1.0), (1.0, 1.0), DomainError, 2),
     "negative_value": ((0.0, 1.0), (-1.0, 1.0), DomainError, 2),
+    "huge_integer_grid": ((0, 10 ** 400), (1.0, 1.0), OverflowError, 2),
+    "huge_integer_value": ((0.0, 1.0), (1.0, -10 ** 400), OverflowError, 2),
 }
 
 
