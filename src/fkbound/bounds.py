@@ -124,8 +124,6 @@ class BoundTerm:
 
     @property
     def contribution(self) -> float:
-        if self.norm_value == 0.0 and self.exponent == 0.0:
-            return self.coefficient
         return self.coefficient * self.norm_value ** self.exponent
 
     def as_dict(self) -> dict:
@@ -187,6 +185,7 @@ def _t1_terms(f_env, params, branch) -> list:
     m1 = norm(f_env, 1.0, T)
     m2sq = norm(f_env, 2.0, T) ** 2
     m3 = norm(f_env, 1.0, T, weight=0.5)
+    # at theta = 1 (here and in T2) the ratio's power is 0: never form it over a square that underflowed
     return [
         BoundTerm(
             "C |f|_1^((2-2theta)/(2-theta)) |f^2|_1^(theta/(2-theta))",
@@ -196,7 +195,7 @@ def _t1_terms(f_env, params, branch) -> list:
         ),
         BoundTerm(
             "D (|f|_1/|f^2|_1)^((1-theta)/(2-theta)) |f/sqrt(t)|_1",
-            co.D * (m1 / m2sq) ** ((1.0 - theta) / s),
+            co.D * ((m1 / m2sq) ** ((1.0 - theta) / s) if theta != 1.0 else 1.0),
             m3,
             1.0,
         ),
@@ -226,7 +225,7 @@ def _t2_terms(f_env, params, branch) -> list:
         ),
         BoundTerm(
             "D (int |f|_{1,t} / int |f|_{1,t}^2)^((1-theta)/(2-theta)) int |f/sqrt(s)|_{1,t}",
-            co.D * (j1 / j2) ** ((1.0 - theta) / s),
+            co.D * ((j1 / j2) ** ((1.0 - theta) / s) if theta != 1.0 else 1.0),
             j3,
             1.0,
         ),

@@ -143,8 +143,9 @@ class ActionSpec:
 class McEstimate:
     """Log-domain Monte Carlo estimate of E[exp(action)].
 
-    log_mean is the max-shifted log of the sample mean of exp(action);
-    stderr_log its delta-method standard error from sqrt(M) batch means;
+    log_mean is ln of the sample mean of exp(action), reduced as mx + log1p(mean
+    expm1(action - mx)) with mx the largest action; stderr_log its delta-method
+    standard error from sqrt(M) batch means;
     action_mean/action_stderr summarise the plain sample of the action.
     Bit-exact reproducible from (spec, seed, paths, steps).
     """
@@ -424,37 +425,43 @@ def sample_action(spec: ActionSpec, ensemble: PathEnsemble, m: int) -> float:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _std(x: np.ndarray) -> np.ndarray:
+    """Sample standard deviation over the last axis, on each row scaled by an exact power of two:
+    the squares of values below 1e-154 no longer underflow to 0, and no other bit moves."""
+    k = np.frexp(np.abs(x).max(axis=-1, keepdims=True))[1]
+    return np.ldexp(np.ldexp(x, -k).std(axis=-1, ddof=1), k[..., 0])
+
+
+def _log_mean_exp(actions: np.ndarray) -> tuple:
+    """(ln mean exp, its delta-method error, the sqrt(M) batch log-means) over the last axis
+    of finite ``actions``: mx + log1p(mean e), e = expm1(A - mx) with mx the row maximum,
+    keeps the digits 1 + e would round away (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021).  A batch whose weights all round to 0 (mean e = -1) has log-mean -inf."""
+    mx = actions.max(axis=-1, keepdims=True)
+    e = np.expm1(actions - mx)
+    mean, B = e.mean(axis=-1), math.isqrt(actions.shape[-1])
+    bm = e[..., : B * (e.shape[-1] // B)].reshape(e.shape[:-1] + (B, -1)).mean(axis=-1)
+    stderr = _std(bm) / math.sqrt(B) / (1.0 + mean) if B >= 2 else np.full_like(mean, math.nan)
+    logs = mx + np.log1p(bm, out=np.full_like(bm, -math.inf), where=bm > -1.0)
+    return mx[..., 0] + np.log1p(mean), stderr, logs
+
+
 def summarize_actions(actions: np.ndarray, seed: int, steps: int) -> McEstimate:
     """Estimate from a per-path action array (fixed index order throughout)."""
     actions = np.asarray(actions, dtype=float)
-    M = actions.size
-    finite = np.isfinite(actions)
-    n_inf = int(M - finite.sum())
-    vals = actions[finite]
+    vals = actions[np.isfinite(actions)]
+    M, n_inf = actions.size, actions.size - vals.size
     if vals.size == 0:
         return McEstimate(math.inf, math.nan, math.nan, math.nan, M, steps, seed, n_inf)
-    mx = float(vals.max())
-    w = np.exp(vals - mx)
-    mean_w = float(w.mean())
-    log_mean = mx + math.log(mean_w)
-    B = int(math.isqrt(vals.size))
-    stderr_log = math.nan
-    if B >= 2:
-        bs = vals.size // B
-        bm = w[: B * bs].reshape(B, bs).mean(axis=1)
-        stderr_log = float(bm.std(ddof=1) / math.sqrt(B) / mean_w)
-    action_mean = float(vals.mean())
-    action_stderr = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
-    return McEstimate(log_mean, stderr_log, action_mean, action_stderr,
+    log_mean, stderr_log, _ = _log_mean_exp(vals)
+    action_stderr = float(_std(vals) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
+    return McEstimate(float(log_mean), float(stderr_log), float(vals.mean()), action_stderr,
                       M, steps, seed, n_inf)
 
 
 def _estimates(sampler, ensemble: PathEnsemble, threads: int = 1) -> tuple:
-    """(per-path outputs, one estimate per output row) of ``sampler``.
-
-    Budget floor M >= 100, N >= 16 keeps the batch-means error estimate
-    meaningful; every Monte Carlo estimate is reduced here.
-    """
+    """(per-path outputs, one estimate per output row) of ``sampler``; the budget floor
+    M >= 100, N >= 16 keeps the batch-means error meaningful."""
     if ensemble.paths < 100:
         raise DomainError(f"need at least 100 paths, got {ensemble.paths}")
     if ensemble.steps < 16:
@@ -493,7 +500,7 @@ class MaximalityRow:
 
 
 def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
-                     steps: int, seed: int, threads: int = 1) -> list:
+                     steps: int, seed: int) -> list:
     """Origin-maximality table for the single action.
 
     All offsets share each path's draws (common random numbers), so the
@@ -504,15 +511,13 @@ def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
         raise DomainError("maximality check applies to the single action")
     radii = [0.0] + [float(r) for r in offsets]
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=spec.T, dim=spec.d)
-    acts, ests = _estimates(_SingleSampler(spec, steps, radii), ensemble, threads)
-    B = int(math.isqrt(paths))
-    bs = paths // B
-    mx = acts.max(axis=1, keepdims=True)
-    logs_b = np.log(np.exp(acts[:, : B * bs] - mx).reshape(len(radii), B, bs).mean(axis=2)) + mx
+    acts, ests = _estimates(_SingleSampler(spec, steps, radii), ensemble)
+    logs = _log_mean_exp(acts)[2]
+    gap_se = (_std(logs[0] - logs[1:]) / math.sqrt(logs.shape[-1])).tolist()
     rows = [MaximalityRow(0.0, ests[0].log_mean, ests[0].stderr_log, 0.0, 0.0, True)]
-    for r, est, logs in zip(radii[1:], ests[1:], logs_b[1:]):
-        gap, gap_se = ests[0].log_mean - est.log_mean, float((logs_b[0] - logs).std(ddof=1) / math.sqrt(B))
-        rows.append(MaximalityRow(r, est.log_mean, est.stderr_log, gap, gap_se, bool(gap >= -3.0 * gap_se)))
+    for r, est, se in zip(radii[1:], ests[1:], gap_se):
+        gap = ests[0].log_mean - est.log_mean
+        rows.append(MaximalityRow(r, est.log_mean, est.stderr_log, gap, se, bool(gap >= -3.0 * se)))
     return rows
 
 
@@ -554,14 +559,10 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
     est = _estimates(_AffineSampler(lam, ensemble, truncation), ensemble)[1][0]
     ceiling = lam * lam * T / 2.0
     gap, se = ceiling - est.log_mean, est.stderr_log
-    return MartingaleCheck(
-        lam=lam, T=T,
-        truncation=math.nan if truncation is None else truncation,
-        log_mean=est.log_mean, stderr_log=est.stderr_log,
-        log_ceiling=ceiling, gap=gap,
-        equality_within_3se=bool(abs(gap) <= 3.0 * se + 1e-12),
-        strictly_below_3se=bool(gap > 3.0 * se),
-    )
+    return MartingaleCheck(lam=lam, T=T, truncation=math.nan if truncation is None else truncation,
+                           log_mean=est.log_mean, stderr_log=se, log_ceiling=ceiling, gap=gap,
+                           equality_within_3se=bool(abs(gap) <= 3.0 * se),
+                           strictly_below_3se=bool(gap > 3.0 * se))
 
 
 def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
@@ -570,15 +571,13 @@ def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
 
     Runs the estimator at steps/4 and steps/2, models the grid bias as
     C (T/N)^exponent, and solves for C from the successive differences of
-    the action sample means (conservatively, the larger of the two rungs).
-    The action mean carries the same leading-order grid bias as the
-    log-domain estimate but with far smaller sampling noise, so it is the
-    stable fit target; the allowance applies to both.
+    the action sample means (conservatively, the larger of the two rungs):
+    the action mean carries the log-domain estimate's leading-order grid
+    bias with far smaller sampling noise.
 
-    Nothing in the package, its scripts or its acceptance suite calls this
-    any more: each sandwich allows the exact grid bias of its N-step action
-    (``discrete_expectation``, ``oscillator.discrete_log_moment``) instead.
-    It stays for ``perfbench``, whose ``draw_ratio`` span reads its rungs.
+    No sandwich calls this any more (each allows the exact grid bias of its
+    N-step action); it stays for ``perfbench``, whose ``draw_ratio`` span
+    reads its rungs.
     """
     if steps < 64:
         raise DomainError("ladder fit needs at least 64 steps")
@@ -586,12 +585,9 @@ def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
     ests = {n: estimate(spec, paths, n, seed, threads=threads) for n in ladder_steps}
     c = 0.0
     for n_lo, n_hi in zip(ladder_steps, ladder_steps[1:]):
-        gap = abs(ests[n_hi].action_mean - ests[n_lo].action_mean)
-        dt_lo = spec.T / n_lo
-        dt_hi = spec.T / n_hi
-        denom = dt_lo ** exponent - dt_hi ** exponent
+        denom = (spec.T / n_lo) ** exponent - (spec.T / n_hi) ** exponent
         if denom > 0:
-            c = max(c, gap / denom)
+            c = max(c, abs(ests[n_hi].action_mean - ests[n_lo].action_mean) / denom)
     allowance = c * (spec.T / steps) ** exponent
     return {
         "allowance": allowance,

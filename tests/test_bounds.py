@@ -105,6 +105,16 @@ def test_branch_agreement_at_theta_one(theorem, f, d):
         assert hi.log_bound == pytest.approx(lo.log_bound, rel=1e-10)
 
 
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_theta_one_bound_survives_an_underflowed_squared_norm(theorem):
+    # the theta <= 1 branch raises a ratio over a squared norm to the power 0 at theta = 1;
+    # at level 1e-170 that norm underflows to 0 and only the linear term is left
+    params = B.BoundParams(1.0, 3, 1.0)
+    tiny = B.theorem_bound(theorem, Constant(1e-170), params).log_bound
+    small = B.theorem_bound(theorem, Constant(1e-100), params).log_bound
+    assert tiny == pytest.approx(1e-70 * small, rel=1e-12)
+
+
 def test_bound_monotone_in_horizon_and_coupling():
     params = [B.BoundParams(1.2, 3, T) for T in (0.5, 1.0, 2.0, 4.0)]
     vals = [B.theorem1_bound(Constant(0.7), p).log_bound for p in params]

@@ -426,3 +426,18 @@ def test_sweep_json_is_strict(capsys):
     payload = _strict_json(out)
     assert [row["energy_log10_magnitude"] is None for row in payload["rows"]] == [True, False]
     assert payload["non_finite"] == {"rows.0.energy_log10_magnitude": "-Infinity"}
+
+
+@pytest.mark.parametrize("argv", [
+    "model --name hydrogen --alpha 1e-20 --T 1 verify --paths 400 --steps 32 --seed 3",
+    "model --name=inverse_square --alpha=2.225073858507e-311 --dim=4 --theta=1.0742622270551208 "
+    "--T=1.287964020303058 verify --paths=195 --steps=30 --seed=286",
+    "bound --theorem 1 --theta 1 --dim 3 --T 1 --coupling {\"kind\":\"constant\",\"level\":1e-170}",
+    "model --name polaron --alpha 1e-179 --T 1.93 verify --paths 400 --steps 32 --seed 3",
+    "model --name bipolaron --alpha 1.76e-179 --T 1.93 verify --paths 400 --steps 32 --seed 3",
+])
+def test_tiny_couplings_bound_and_verify(argv, capsys):
+    # actions far below an ulp of 1 (down to subnormal) and squared norms that underflow at theta 1
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 0, err
+    assert json.loads(out).get("all_passed", True) is True

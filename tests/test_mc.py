@@ -557,6 +557,17 @@ def test_clark_ocone_variance_dominates_sample_variance():
     assert sample_var <= bound * (1 + 3 * math.sqrt(2 / 20_000))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 300.0])
+def test_summarize_actions_matches_mpmath_log_mean_exp(scale):
+    acts = scale * np.random.default_rng(17).uniform(0.5, 1.5, 401)
+    est = mc.summarize_actions(acts, 0, 16)
+    with mp.workdps(60):
+        exact = mp.log1p(mp.fsum(mp.expm1(mp.mpf(a)) for a in acts) / len(acts))
+    assert abs(est.log_mean - float(exact)) <= 1e-14 * abs(float(exact))
+    assert est.stderr_log > 0.0 and est.action_stderr > 0.0
+    assert mc.summarize_actions(np.full(400, scale), 0, 16).stderr_log == 0.0
+
+
 # ---------------------------------------------------------------------------
 # structured checks
 # ---------------------------------------------------------------------------
@@ -574,6 +585,14 @@ def test_martingale_identity_cases():
     assert trunc.log_mean == pytest.approx(exact, abs=4 * trunc.stderr_log)
 
 
+def test_martingale_equality_at_a_tiny_coupling_needs_no_margin():
+    # the actions differ by about 1e-18, far below an ulp of 1: the weights less one keep them
+    chk = mc.martingale_lemma_check(1e-18, 1.0, 3, 400, 32, 5)
+    assert chk.stderr_log > 0.0
+    assert abs(chk.gap) <= 3.0 * chk.stderr_log
+    assert chk.equality_within_3se
+
+
 def test_martingale_check_draws_one_coordinate():
     # only X_T^(1) enters the affine action, so d does not change a bit
     assert (mc.martingale_lemma_check(0.7, 1.0, 1, 300, 16, 3, truncation=0.2)
@@ -586,6 +605,12 @@ def test_maximality_rows_decreasing_with_crn():
     assert rows[0].gap_from_origin == 0.0
     lms = [r.log_mean for r in rows]
     assert all(b < a for a, b in zip(lms, lms[1:]))
+    assert all(r.ok for r in rows)
+
+
+def test_maximality_gap_errors_at_a_tiny_coupling():
+    rows = mc.maximality_check(hydrogen_spec(alpha=1e-19), [0.5, 1.0, 2.0], 400, 32, 3)
+    assert all(r.gap_stderr > 0.0 and r.stderr_log > 0.0 for r in rows[1:])
     assert all(r.ok for r in rows)
 
 
@@ -641,31 +666,31 @@ def _fingerprint(result) -> list:
 
 GOLDEN = {
     'single': [
-        '0x1.969fbd8e13348p-1', '0x1.3d691cf395614p-6', '0x1.88f594c29ba55p-1',
+        '0x1.969fbd8e13347p-1', '0x1.3d691cf395611p-6', '0x1.88f594c29ba55p-1',
         '0x1.a7e4009076bedp-7',
     ],
     'single_offset_eps': [
-        '0x1.611b43172103ep-1', '0x1.59cdaa1c51a1cp-6', '0x1.4019399f92bc8p-1',
+        '0x1.611b431721040p-1', '0x1.59cdaa1c51a1ap-6', '0x1.4019399f92bc8p-1',
         '0x1.5ef15d425014ap-6',
     ],
     'single_max_seed': [
-        '0x1.809500c3b6e11p-1', '0x1.87fd919cef116p-6', '0x1.73ef17d028954p-1',
+        '0x1.809500c3b6e11p-1', '0x1.87fd919cef113p-6', '0x1.73ef17d028954p-1',
         '0x1.3ce9e86c27862p-6',
     ],
     'single_threads': [
-        '0x1.877dbb31567e8p-1', '0x1.0450cd693cc39p-6', '0x1.7aa6537cf6798p-1',
+        '0x1.877dbb31567e7p-1', '0x1.0450cd693cc3ap-6', '0x1.7aa6537cf6798p-1',
         '0x1.e514321c0e740p-7',
     ],
     'self_double': [
-        '0x1.27dc81d518dfep-2', '0x1.353904360c4cap-8', '0x1.26e18c218f3a5p-2',
+        '0x1.27dc81d518dfcp-2', '0x1.353904360c4c8p-8', '0x1.26e18c218f3a5p-2',
         '0x1.1cffafaa9a7a0p-8',
     ],
     'cross_double': [
-        '0x1.d3a8a96490b90p-4', '0x1.1484da968e9acp-8', '0x1.cf27992925a20p-4',
+        '0x1.d3a8a96490b88p-4', '0x1.1484da968e9abp-8', '0x1.cf27992925a20p-4',
         '0x1.3162eedc268a2p-8',
     ],
     'bipolaron': [
-        '0x1.7239cd5338d1ep-1', '0x1.9f6bfe49b9b7ep-7', '0x1.6ebae70770f8fp-1',
+        '0x1.7239cd5338d20p-1', '0x1.9f6bfe49b9b83p-7', '0x1.6ebae70770f8fp-1',
         '0x1.78e0deee03f13p-7',
     ],
     'maximality_0.0': [
@@ -674,25 +699,25 @@ GOLDEN = {
     ],
     'maximality_0.5': [
         '0x1.0000000000000p-1', '0x1.324fbaa40bc18p-1', '0x1.3e9886286209fp-7',
-        '0x1.082555ea60910p-3', '0x1.a3f23c0a739c4p-7',
+        '0x1.082555ea60910p-3', '0x1.a3f23c0a739c3p-7',
     ],
     'maximality_1.0': [
-        '0x1.0000000000000p+0', '0x1.c81fd8ea22d2cp-2', '0x1.2693c5f218976p-7',
-        '0x1.2092475324f8cp-2', '0x1.1cb375343cfe2p-6',
+        '0x1.0000000000000p+0', '0x1.c81fd8ea22d2cp-2', '0x1.2693c5f218971p-7',
+        '0x1.2092475324f8cp-2', '0x1.1cb375343cfe0p-6',
     ],
     'martingale_equality': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', 'nan',
-        '0x1.f764b192b1310p-2', '0x1.690eb901a80c0p-4', '0x1.0000000000000p-1',
-        '0x1.1369cda9d9e00p-7',
+        '0x1.f764b192b1318p-2', '0x1.690eb901a80bdp-4', '0x1.0000000000000p-1',
+        '0x1.1369cda9d9d00p-7',
     ],
     'martingale_truncated': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
-        '-0x1.01994ef3a7a7ep-2', '0x1.7a8769dae93cep-6', '0x1.0000000000000p-1',
-        '0x1.80cca779d3d3fp-1',
+        '-0x1.01994ef3a7a7dp-2', '0x1.7a8769dae93cep-6', '0x1.0000000000000p-1',
+        '0x1.80cca779d3d3ep-1',
     ],
     'oscillator': [
-        '-0x1.6caa54b22357fp-1', '0x1.9bbac5a2c5840p-5', '-0x1.13ac7146551d2p+0',
-        '0x1.4a4b75962a1c0p-4', '-0x1.5333614b031e2p-1', '-0x1.976f3672039d0p-5',
+        '-0x1.6caa54b223580p-1', '0x1.9bbac5a2c5841p-5', '-0x1.13ac7146551d2p+0',
+        '0x1.4a4b75962a1c0p-4', '-0x1.5333614b031e2p-1', '-0x1.976f3672039e0p-5',
         # the exact N-step value and its grid bias, no draw behind them
         '-0x1.5332183f5f8ccp-1', '0x1.490ba39160000p-17',
     ],

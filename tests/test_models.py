@@ -36,6 +36,13 @@ def test_bipolaron_slope_formula(alpha):
     assert eb.slope == pytest.approx(2 * alpha + 2 * alpha * alpha, rel=1e-12)
 
 
+def test_bipolaron_composed_bound_of_a_tiny_coupling():
+    # the squared coupling underflows on the way; the bound is linear in alpha there
+    tiny = models.composed_bound(models.build("bipolaron", alpha=1.76e-179), 1.93)["log_bound"]
+    small = models.composed_bound(models.build("bipolaron", alpha=1.76e-100), 1.93)["log_bound"]
+    assert tiny == pytest.approx(1e-79 * small, rel=1e-12)
+
+
 def test_bipolaron_sqrt_time_coefficient():
     # composed(T2) - composed(T1) - slope (T2 - T1) isolates the sqrt term
     alpha = 1.0
