@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -39,12 +40,15 @@ EXIT_VERIFICATION = 4
 _MODEL_PARAM_FLAGS = ("alpha", "gamma", "tau", "theta", "dim")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("FKBOUND_THREADS", "")
+def _threads(args) -> int | None:
+    """Worker count: --threads, else FKBOUND_THREADS, else None (``mc``'s default, every core
+    this process may use).  The variable is read when a command runs, not when the parser is built."""
+    if args.threads is not None:
+        return args.threads
     try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+        return max(1, int(os.environ["FKBOUND_THREADS"]))
+    except (KeyError, ValueError):
+        return None
 
 
 def _load_coupling(text: str):
@@ -219,7 +223,7 @@ def _cmd_simulate(args) -> int:
     spec = model.action_spec(inputs["T"], offset=inputs["offset"],
                              epsilon=inputs["epsilon"])
     est = mc.estimate(spec, inputs["paths"], inputs["steps"], inputs["seed"],
-                      threads=args.threads)
+                      threads=_threads(args))
     comp = models.composed_bound(model, inputs["T"])
     record = {
         "command": "simulate",
@@ -257,7 +261,7 @@ def _cmd_model(args) -> int:
         _emit(record, args.format, args.out)
         return EXIT_OK
     report = models.verify(model, T=args.T, paths=args.paths, steps=args.steps,
-                           seed=args.seed, threads=args.threads)
+                           seed=args.seed, threads=_threads(args))
     record = {"command": "model verify", **report.as_dict()}
     _emit(record, args.format, args.out)
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
@@ -385,7 +389,7 @@ def _cmd_sweep(args) -> int:
             row["jensen"] = model.expected_action(T).value
         if args.mc:
             est = mc.estimate(model.action_spec(T), args.paths, args.steps,
-                              args.seed, threads=args.threads)
+                              args.seed, threads=_threads(args))
             row["log_mean"] = est.log_mean
             row["stderr_log"] = est.stderr_log
         rows.append(row)
@@ -406,8 +410,9 @@ def _add_common(p: argparse.ArgumentParser, default_format: str = "json",
     p.add_argument("--format", choices=("json", "csv", "pretty"), default=default_format)
     p.add_argument("--out", default="", help="write the report to a file instead of stdout")
     if threads:  # only the Monte Carlo subcommands have workers to cap
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker thread cap (results are identical for any value)")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker thread cap; default FKBOUND_THREADS, else every core this "
+                            "process may use (results are identical for any value)")
 
 
 def _add_model_params(p: argparse.ArgumentParser) -> None:
@@ -503,9 +508,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # reads no environment, so one parser serves every call of main in a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DomainError, NonIntegrable, FileNotFoundError, json.JSONDecodeError,

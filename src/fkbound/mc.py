@@ -2,15 +2,18 @@
 
 Each path m owns a counter-based Philox stream keyed by (seed, m) (Salmon
 et al., SC'11), so its draws depend on the seed and the path index alone.
-One path engine serves every sampler: each worker re-keys one bit generator
+One path engine serves every sampler.  It cuts the paths into contiguous
+batches of at most a fixed number of drawn doubles and by default runs one
+worker thread per core this process may use, each on one contiguous run of
+equally many batches.  Each worker re-keys one bit generator
 to (seed, m) per path, draws the path's whole normal block in one call into
-a batch buffer (a fixed element budget over the block size), and the
-sampler evaluates the batch at once.  A path's action is a numpy sum over
-that path alone (a pair action one sum per block of node rows, on the band
-of nonzero lag weights and at theta = 1 through sqrt, added in block order),
-and every reduction over paths runs in index order.  The engine makes no
-BLAS call, whose threads would split a long sum, so no result depends on
-the worker count, the batch size or the BLAS thread count.
+its batch buffer, and the sampler evaluates the batch at once.  A path's
+action is a numpy sum over that path alone (a pair action one sum per block
+of node rows, on the band of nonzero lag weights and at theta = 1 through
+sqrt, added in block order), and every reduction over paths runs in index
+order.  The engine makes no BLAS call, whose threads would split a long
+sum, so no result depends on the worker count, the batch size or the BLAS
+thread count.
 
 Draw order within a path is part of the reproducibility contract; each
 path draws one block holding the N-row draws listed, in order:
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Sequence
@@ -175,19 +179,50 @@ _BATCH_ELEMENTS = 1 << 14
 _BLOCK_ROWS = 16
 
 
-def _run(sampler, ensemble: PathEnsemble, threads: int = 1,
+def _workers(threads: int = None) -> int:
+    """Worker count: ``threads`` when given (at least 1), else every core this process may use."""
+    if threads is not None:
+        return max(1, threads)
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _runs(paths: range, size: int, workers: int) -> list:
+    """Contiguous runs of contiguous path batches, one run per worker, each batch at most
+    ``size`` paths.  One worker, or paths that fit one batch, keep batches of ``size``
+    (the last one shorter) in one run.  Else the batch count rounds up to a multiple of
+    the worker count (but to no more batches than paths), and the paths spread evenly
+    over the batches: their sizes differ by at most one."""
+    count = -(-len(paths) // size)
+    if workers == 1 or count == 1:
+        return [[paths[i:i + size] for i in range(0, len(paths), size)]]
+    count = min(len(paths), -(-count // workers) * workers)
+    q, r = divmod(len(paths), count)
+    edges = [k * q + min(k, r) for k in range(count + 1)]
+    batches = [paths[a:b] for a, b in zip(edges, edges[1:])]
+    n = -(-count // workers)
+    return [batches[i:i + n] for i in range(0, count, n)]
+
+
+def _run(sampler, ensemble: PathEnsemble, threads: int = None,
          paths: range = None) -> np.ndarray:
     """Per-path outputs of ``sampler``, shape (outputs, len(paths)).
 
     A sampler's ``rows`` is the length of the (rows, d) normal block each
     path draws; it maps a (B, rows, d) batch to B outputs or to an
-    (outputs, B) array.  Batches go to ``threads`` workers in contiguous
-    runs; the result depends on neither the worker count nor the batch size.
+    (outputs, B) array.  A batch holds at most ``_BATCH_ELEMENTS`` drawn
+    doubles.  ``threads`` workers (default ``_workers``: every core this
+    process may use) each take one contiguous run of the same number of
+    batches (``_runs``); one run executes inline, with no pool.  The result
+    depends on neither the worker count nor the batch size.
     """
     paths = range(ensemble.paths) if paths is None else paths
     block = (sampler.rows, ensemble.dim)
     size = min(len(paths), max(1, _BATCH_ELEMENTS // (block[0] * block[1])))
-    batches = [paths[i:i + size] for i in range(0, len(paths), size)]
+    runs = _runs(paths, size, _workers(threads))
+    size = max(len(batch) for run in runs for batch in run)
 
     def work(run: list) -> list:
         # One Philox per worker (state assignment is not thread-safe), re-keyed
@@ -211,13 +246,11 @@ def _run(sampler, ensemble: PathEnsemble, threads: int = 1,
             out.append(sampler(z[:len(batch)]))
         return out
 
-    if threads <= 1:
-        parts = work(batches)
+    if len(runs) == 1:
+        parts = work(runs[0])
     else:
-        n = -(-len(batches) // threads)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            runs = ex.map(work, [batches[i:i + n] for i in range(0, len(batches), n)])
-            parts = [part for run in runs for part in run]
+        with ThreadPoolExecutor(max_workers=len(runs)) as ex:
+            parts = [part for run in ex.map(work, runs) for part in run]
     return np.concatenate(parts, axis=-1).reshape(-1, len(paths))
 
 
@@ -459,7 +492,7 @@ def summarize_actions(actions: np.ndarray, seed: int, steps: int) -> McEstimate:
                       M, steps, seed, n_inf)
 
 
-def _estimates(sampler, ensemble: PathEnsemble, threads: int = 1) -> tuple:
+def _estimates(sampler, ensemble: PathEnsemble, threads: int = None) -> tuple:
     """(per-path outputs, one estimate per output row) of ``sampler``; the budget floor
     M >= 100, N >= 16 keeps the batch-means error meaningful."""
     if ensemble.paths < 100:
@@ -471,7 +504,7 @@ def _estimates(sampler, ensemble: PathEnsemble, threads: int = 1) -> tuple:
 
 
 def estimate(spec: ActionSpec, paths: int, steps: int, seed: int,
-             threads: int = 1) -> McEstimate:
+             threads: int = None) -> McEstimate:
     """Monte Carlo estimate of ln E[exp(action)] with error bars.
 
     Paths that hit an exact singularity at epsilon = 0 come back +inf; they
@@ -566,7 +599,7 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
 
 
 def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
-                     exponent: float, threads: int = 1) -> dict:
+                     exponent: float, threads: int = None) -> dict:
     """Discretization allowance at ``steps``, fitted on an N ladder.
 
     Runs the estimator at steps/4 and steps/2, models the grid bias as

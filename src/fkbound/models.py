@@ -232,7 +232,7 @@ class VerifyReport:
 
 
 def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int,
-           threads: int = 1) -> VerifyReport:
+           threads: int = None) -> VerifyReport:
     """Run the bound, the Jensen floor, the expectation and one Monte Carlo
     estimate, and judge every sandwich inequality with its margin.  The Jensen
     row allows the exact grid bias max(0, jensen - E[A_N]) of the N-step action
@@ -259,7 +259,7 @@ def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int,
     rows.append(VerifyRow(
         "mc_below_bound",
         est.log_mean <= log_bound + se3,
-        f"log_mean {est.log_mean:.6f} <= log_bound {log_bound:.6f} + 3se {se3:.2g}",
+        f"log_mean {est.log_mean:.6g} <= log_bound {log_bound:.6g} + 3se {se3:.2g}",
     ))
     # Exactly, ln mean exp(A) >= mean A.  Rounding can cross the two only while the weights sit
     # near 1; there each side takes at most log2 n + 24 roundings (a numpy pairwise sum of n terms
@@ -271,7 +271,7 @@ def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int,
     rows.append(VerifyRow(
         "sample_jensen",
         est.action_mean <= est.log_mean + tol,
-        f"action_mean {est.action_mean:.6f} <= log_mean {est.log_mean:.6f} "
+        f"action_mean {est.action_mean:.6g} <= log_mean {est.log_mean:.6g} "
         f"+ rounding {tol:.2g} (empirical-measure Jensen)",
     ))
     if model.jensen_kind is not None:
@@ -280,14 +280,14 @@ def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int,
         rows.append(VerifyRow(
             "jensen_below_mc",
             jens <= est.log_mean + se3 + bias,
-            f"jensen {jens:.6f} <= log_mean {est.log_mean:.6f} + 3se {se3:.2g} "
+            f"jensen {jens:.6g} <= log_mean {est.log_mean:.6g} + 3se {se3:.2g} "
             f"+ exact grid bias {bias:.2g}",
         ))
         sa3 = 3.0 * est.action_stderr
         rows.append(VerifyRow(
             "action_mean_below_expectation",
             est.action_mean <= jens + sa3,
-            f"action_mean {est.action_mean:.6f} <= expectation {jens:.6f} "
+            f"action_mean {est.action_mean:.6g} <= expectation {jens:.6g} "
             f"+ 3se {sa3:.2g} (grid sums bias the singular integrals low)",
         ))
     if est.infinite_paths:

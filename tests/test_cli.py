@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fkbound import cli, oscillator, pekar
+from fkbound import cli, mc, oscillator, pekar
 
 
 def run_cli(argv, capsys):
@@ -242,12 +242,26 @@ def test_sweep_hydrogen_alpha_energy_column(capsys):
     assert "energy_lower_bound: -0.125" in out
 
 
-def test_threads_default_from_environment(monkeypatch):
+def test_threads_default_from_environment(monkeypatch, capsys):
+    # the variable is read when a command runs, so the one cached parser serves any setting
+    argv = ["simulate", "--model", "hydrogen", "--alpha", "1", "--T", "1",
+            "--paths", "1000", "--steps", "32", "--seed", "3"]
+    args = cli.build_parser().parse_args(argv)
+    monkeypatch.delenv("FKBOUND_THREADS", raising=False)
+    assert args.threads is None and cli._threads(args) is None  # mc's default: every core
     monkeypatch.setenv("FKBOUND_THREADS", "6")
-    parser = cli.build_parser()
-    args = parser.parse_args(["simulate", "--model", "hydrogen", "--alpha", "1",
-                              "--T", "1"])
-    assert args.threads == 6
+    assert cli._threads(args) == 6
+    assert cli._threads(cli.build_parser().parse_args(argv + ["--threads", "2"])) == 2
+    widths = []
+
+    class Pool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    assert run_cli(argv, capsys)[0] == 0  # 1000 paths at 170 a batch: six batches
+    assert widths == [6]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fkbound import kernels, mc
+from fkbound import kernels, mc, oscillator
 from fkbound.bounds import BoundParams, theorem1_bound
 from fkbound.errors import DomainError
 from fkbound.schedule import Constant, ExpDecay, Indicator, Tabulated, evaluate
@@ -114,6 +114,119 @@ def test_sample_action_agrees_with_estimate(kind):
     ens = mc.PathEnsemble(seed=5, paths=100, steps=16, horizon=1.0, dim=3)
     actions = [mc.sample_action(spec, ens, m) for m in range(100)]
     assert mc.summarize_actions(actions, 5, 16) == mc.estimate(spec, 100, 16, 5)
+
+
+# ---------------------------------------------------------------------------
+# default worker count
+# ---------------------------------------------------------------------------
+
+def _cores(monkeypatch, n):
+    """Make this process see n usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+_F = ExpDecay(0.4, 1.0)
+_PAIR, _LINE = (mc.PathEnsemble(seed=2, paths=400, steps=32, horizon=1.0, dim=3),
+                mc.PathEnsemble(seed=2, paths=700, steps=64, horizon=1.0, dim=1))
+_SAMPLERS = {  # kind: (sampler, ensemble), three or more batches at the default budget
+    "single_offsets": (mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0, epsilon=0.1),
+                                         32, (0.0, 0.3, 1.0)), _PAIR),
+    **{kind: (mc._PairSampler(mc.ActionSpec(kind, _F, 1.0, 3, 1.0, offset=0.4), 32), _PAIR)
+       for kind in ("self_double", "cross_double", "bipolaron")},
+    "affine": (mc._AffineSampler(0.7, _LINE, truncation=0.5), _LINE),
+    "quadratic": (mc._QuadraticSampler(1.3, _LINE), _LINE),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLERS))
+def test_default_workers_match_one_worker(kind, monkeypatch):
+    sampler, ens = _SAMPLERS[kind]
+    base = mc._run(sampler, ens, 1)
+    assert -(-ens.paths // (mc._BATCH_ELEMENTS // (sampler.rows * ens.dim))) >= 3
+    for cores in (1, 2, 3):
+        _cores(monkeypatch, cores)
+        assert mc._workers() == cores
+        assert np.array_equal(mc._run(sampler, ens), base)
+
+
+def test_default_workers_leave_every_check_unchanged(monkeypatch):
+    single = mc.ActionSpec("single", _F, 1.2, 3, 1.0, epsilon=0.1)
+    cfg = oscillator.OscillatorConfig(1.3, 1.0)
+    runs = {}
+    for cores in (1, 2, 3):
+        _cores(monkeypatch, cores)
+        runs[cores] = (mc.estimate(single, 400, 32, 6),
+                       mc.maximality_check(single, (0.3, 1.0), 400, 32, 6),
+                       mc.martingale_lemma_check(0.7, 1.0, 3, 700, 64, 6),
+                       oscillator.mc_crosscheck(cfg, 700, 64, 6))
+    assert runs[1][0] == mc.estimate(single, 400, 32, 6, threads=1)
+    assert runs[1] == runs[2] == runs[3]  # every float bit-identical
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 8])
+def test_default_workers_get_equal_runs_of_bounded_batches(cores, monkeypatch):
+    # 100 self-pair paths at N = 256, d = 3 fill five batches of at most 21 paths
+    spec = mc.ActionSpec("self_double", _F, 1.0, 3, 1.0)
+    plans, runs, widths = [], mc._runs, []
+
+    class Pool(mc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(mc, "_runs", lambda *a: plans.append(runs(*a)) or plans[-1])
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
+    _cores(monkeypatch, cores)
+    mc.estimate(spec, 100, 256, 1)
+    (plan,) = plans
+    sizes = [[len(batch) for batch in run] for run in plan]
+    assert [m for run in plan for batch in run for m in batch] == list(range(100))
+    assert max(max(run) for run in sizes) * 256 * 3 <= mc._BATCH_ELEMENTS
+    if cores == 1:  # one worker keeps the one-worker batches, inline
+        assert sizes == [[21, 21, 21, 21, 16]] and widths == []
+    else:
+        assert len(plan) == cores and len({len(run) for run in plan}) == 1
+        assert max(map(max, sizes)) - min(map(min, sizes)) <= 1
+        assert widths == [cores]
+
+
+def test_runs_split_paths_evenly():
+    for n in range(1, 41):
+        paths = range(5, 5 + n)
+        for size in range(1, n + 1):
+            for workers in range(1, 6):
+                plan = mc._runs(paths, size, workers)
+                batches = [batch for run in plan for batch in run]
+                assert [m for batch in batches for m in batch] == list(paths)
+                assert max(map(len, batches)) <= size
+                if workers == 1 or n <= size:
+                    assert batches == [paths[i:i + size] for i in range(0, n, size)]
+                    assert len(plan) == 1
+                    continue
+                assert len(plan) <= workers
+                assert max(map(len, batches)) - min(map(len, batches)) <= 1
+                if len(batches) < n:  # the batch count rounded up to a multiple of workers
+                    assert len(plan) == workers and len({len(run) for run in plan}) == 1
+
+
+def test_one_batch_starts_no_thread(monkeypatch):
+    def refuse(*a, **k):
+        raise AssertionError("a worker pool was started")
+
+    _cores(monkeypatch, 4)
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
+    spec = hydrogen_spec()
+    ens = mc.PathEnsemble(seed=9, paths=100, steps=16, horizon=1.0, dim=3)
+    assert 100 * 16 * 3 <= mc._BATCH_ELEMENTS  # the whole estimate is one batch
+    actions = [mc.sample_action(spec, ens, m) for m in range(100)]
+    assert mc.estimate(spec, 100, 16, 9) == mc.summarize_actions(actions, 9, 16)
+
+
+def test_workers_fall_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert mc._workers() == 5
+    assert mc._workers(3) == 3 and mc._workers(0) == 1
 
 
 # ---------------------------------------------------------------------------

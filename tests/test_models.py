@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -167,6 +168,19 @@ def test_verify_runs_one_estimate_against_the_exact_grid_bias(name, kw, monkeypa
     row = next(r for r in rep.rows if r.check == "jensen_below_mc")
     assert row.detail.endswith(f"+ exact grid bias {bias:.2g}")
     assert row.passed == (jens <= rep.estimate.log_mean + 3.0 * rep.estimate.stderr_log + bias)
+
+
+def test_verify_details_show_the_numbers_of_a_tiny_coupling():
+    # at alpha 1e-20 every compared number is near 1e-20: fixed-point details printed 0.000000
+    rep = models.verify(models.build("hydrogen", alpha=1e-20), T=1.0, paths=400, steps=32, seed=3)
+    assert rep.all_passed
+    for row in rep.rows:
+        numbers = [float(x) for x in re.findall(r"\d[\d.]*(?:e[-+]\d+)?", row.detail)]
+        assert len(numbers) >= 3 and 0.0 not in numbers, row.detail
+    mc_row = next(r for r in rep.rows if r.check == "mc_below_bound")
+    assert mc_row.detail.startswith(f"log_mean {rep.estimate.log_mean:.6g} <= log_bound "
+                                    f"{rep.log_bound:.6g}")
+    assert "e-20" in mc_row.detail
 
 
 def test_verify_polaron_small_budget_passes():

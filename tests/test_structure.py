@@ -1,7 +1,8 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
 one outer quadrature rule, the Monte Carlo engine makes no BLAS call and
 builds no O(N^2) pair-index table, its single and quadratic samplers draw
-no midpoint noise, the Pekar kernel is assembled only through its unit-grid
+no midpoint noise, only ``mc`` counts cores and starts worker threads, only
+``cli`` reads ``FKBOUND_THREADS``, the Pekar kernel is assembled only through its unit-grid
 cache, and the modules import each other one way.
 
 Every per-variant fact is a method of the variant's class and every
@@ -160,6 +161,44 @@ def test_mc_builds_no_pair_index_tables():
     # gathering every node pair through index tables of N^2 / 2 entries made
     # the pair kernel cache-bound; it runs on row blocks and a Toeplitz view
     assert _index_table_calls((SRC / "mc.py").read_text()) == []
+
+
+WORKER_NAMES = {"ThreadPoolExecutor", "sched_getaffinity", "cpu_count", "FKBOUND_THREADS"}
+
+
+def _worker_names(source: str) -> list:
+    """Each worker-pool or core-count name ``source`` uses or imports, and each FKBOUND_THREADS key."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, ast.alias):
+            found.append(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant):
+            found.append(node.value)
+    return [name for name in found if name in WORKER_NAMES]
+
+
+def test_guard_sees_worker_names():
+    source = ('"""FKBOUND_THREADS in prose is no read."""\n'
+              "from concurrent.futures import ThreadPoolExecutor as Pool\n"
+              "n = len(os.sched_getaffinity(0)) or cpu_count()\n"
+              "env = os.environ.get('FKBOUND_THREADS', '')\n")
+    assert sorted(_worker_names(source)) == ["FKBOUND_THREADS", "ThreadPoolExecutor",
+                                             "cpu_count", "sched_getaffinity"]
+
+
+def test_only_mc_counts_cores_and_only_cli_reads_the_thread_variable():
+    # mc resolves the worker count and starts the pool; cli alone reads FKBOUND_THREADS,
+    # so the library and the command line share one default
+    users = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _worker_names(path.read_text()):
+            users.setdefault(name, set()).add(path.stem)
+    assert users == {"ThreadPoolExecutor": {"mc"}, "sched_getaffinity": {"mc"},
+                     "cpu_count": {"mc"}, "FKBOUND_THREADS": {"cli"}}
 
 
 def _callers(source: str, callee: str) -> list:
