@@ -1,22 +1,30 @@
 """Monte Carlo verification engine for the exponential path functionals.
 
-Each path m owns a counter-based Philox stream keyed by (seed, m) (Salmon
-et al., SC'11), so its draws depend on the seed and the path index alone.
-One path engine serves every sampler.  It cuts the paths into contiguous
-batches of at most a fixed number of drawn doubles and by default runs one
-worker thread per core this process may use, each on one contiguous run of
-equally many batches.  Each worker re-keys one bit generator
-to (seed, m) per path, draws the path's whole normal block in one call into
-its batch buffer, and the sampler evaluates the batch at once.  A path's
-action is a numpy sum over that path alone (a pair action one sum per block
-of node rows, on the band of nonzero lag weights and at theta = 1 through
-sqrt, added in block order), and every reduction over paths runs in index
-order.  The engine makes no BLAS call, whose threads would split a long
-sum, so no result depends on the worker count, the batch size or the BLAS
-thread count.
+Paths are drawn in consecutive groups of G = max(1, _DRAW_ELEMENTS // (rows d))
+paths, rows x d being one path's normal block.  Group k holds paths kG, ...,
+kG + G - 1 and draws one (G, rows, d) block of standard normals, in C order,
+from the counter-based Philox stream keyed by (seed, k) at counter 0 (Salmon
+et al., SC'11).  So path m's draws depend on the seed, m and the block shape
+alone: not on the path count, the batch size or the worker count.  A shorter
+last group, or a single path, draws a prefix of its group's stream, which holds
+the same values.  Where G = 1 (rows d > _DRAW_ELEMENTS / 2) group k is path k.
 
-Draw order within a path is part of the reproducibility contract; each
-path draws one block holding the N-row draws listed, in order:
+One path engine serves every sampler.  It cuts the groups into contiguous
+batches of at most a fixed number of drawn doubles (or one group, if that is
+larger) and by default runs one worker thread per core this process may use,
+each on one contiguous run of groups, the runs' group counts differing by at
+most one.  Each worker re-keys one bit generator to (seed, k) per group,
+draws the group's whole block in one call into its batch buffer, and the
+sampler evaluates the batch at once.  A path's action is a numpy sum over
+that path alone (a pair action one sum per block of node rows, on the band
+of nonzero lag weights and at theta = 1 through sqrt, added in block order),
+and every reduction over paths runs in index order.  The engine makes no
+BLAS call, whose threads would split a long sum, so no result depends on the
+worker count, the batch size or the BLAS thread count.
+
+Draw order within a path is part of the reproducibility contract, with the
+grouping above; each path's (rows, d) block holds the N-row draws listed, in
+order:
 
 * single action:     grid increments (N, d)
 * self-pair action:  grid increments (N, d)
@@ -71,9 +79,10 @@ _ACTION_KINDS = ("single", "self_double", "cross_double", "bipolaron")
 class PathEnsemble:
     """Recipe for M discretised d-dimensional Brownian paths on an N-step grid.
 
-    Increments of path m at step i are N(0, (T/N) I_d), generated from a
-    Philox stream keyed by (seed, m); evaluation order and worker count
-    cannot affect them.
+    Increments of path m at step i are N(0, (T/N) I_d), row m - kG of the
+    normal block that group k = m // G draws from ``generator(k)`` (the
+    module docstring gives G); evaluation order and worker count cannot
+    affect them.
     """
 
     seed: int
@@ -96,9 +105,9 @@ class PathEnsemble:
         if not 0 <= int(self.seed) < 2 ** 64:
             raise DomainError("seed must fit in 64 bits")
 
-    def generator(self, m: int) -> Generator:
-        """The path-m random stream."""
-        key = np.array([self.seed, m], dtype=np.uint64)
+    def generator(self, k: int) -> Generator:
+        """The random stream of path group k."""
+        key = np.array([self.seed, k], dtype=np.uint64)
         return Generator(Philox(key=key))
 
     @property
@@ -171,9 +180,14 @@ class McEstimate:
 # path engine
 # ---------------------------------------------------------------------------
 
-# Doubles in one batch of drawn normals, divided by one path's (rows x d) block
-# to give the batch size; larger batches measured no faster.
+# Doubles in one batch of drawn normals, divided by one group's (G x rows x d) block
+# to give the groups per batch; larger batches measured no faster.
 _BATCH_ELEMENTS = 1 << 14
+
+# Doubles in one group's draw, divided by one path's (rows x d) block to give
+# the group size G: one re-key and one Philox call per group, not per path, so
+# worker threads hand the GIL back and forth that much less often.
+_DRAW_ELEMENTS = 1 << 12
 
 # Node rows per block of the pair kernel; fixed, so no sum depends on the batch.
 _BLOCK_ROWS = 16
@@ -189,21 +203,14 @@ def _workers(threads: int = None) -> int:
         return os.cpu_count() or 1
 
 
-def _runs(paths: range, size: int, workers: int) -> list:
-    """Contiguous runs of contiguous path batches, one run per worker, each batch at most
-    ``size`` paths.  One worker, or paths that fit one batch, keep batches of ``size``
-    (the last one shorter) in one run.  Else the batch count rounds up to a multiple of
-    the worker count (but to no more batches than paths), and the paths spread evenly
-    over the batches: their sizes differ by at most one."""
-    count = -(-len(paths) // size)
-    if workers == 1 or count == 1:
-        return [[paths[i:i + size] for i in range(0, len(paths), size)]]
-    count = min(len(paths), -(-count // workers) * workers)
-    q, r = divmod(len(paths), count)
-    edges = [k * q + min(k, r) for k in range(count + 1)]
-    batches = [paths[a:b] for a, b in zip(edges, edges[1:])]
-    n = -(-count // workers)
-    return [batches[i:i + n] for i in range(0, count, n)]
+def _runs(groups: range, size: int, workers: int) -> list:
+    """Contiguous runs of ``groups``, one run per worker, their group counts differing by at
+    most one, each cut into consecutive batches of at most ``size`` groups (the last one
+    shorter).  Groups that fit one batch make one run."""
+    workers = 1 if len(groups) <= size else min(workers, len(groups))
+    q, r = divmod(len(groups), workers)
+    edges = [k * q + min(k, r) for k in range(workers + 1)]
+    return [[groups[i:min(i + size, b)] for i in range(a, b, size)] for a, b in zip(edges, edges[1:])]
 
 
 def _run(sampler, ensemble: PathEnsemble, threads: int = None,
@@ -212,38 +219,45 @@ def _run(sampler, ensemble: PathEnsemble, threads: int = None,
 
     A sampler's ``rows`` is the length of the (rows, d) normal block each
     path draws; it maps a (B, rows, d) batch to B outputs or to an
-    (outputs, B) array.  A batch holds at most ``_BATCH_ELEMENTS`` drawn
-    doubles.  ``threads`` workers (default ``_workers``: every core this
-    process may use) each take one contiguous run of the same number of
-    batches (``_runs``); one run executes inline, with no pool.  The result
-    depends on neither the worker count nor the batch size.
+    (outputs, B) array.  Paths draw in groups of G (module docstring), and
+    a batch holds at most ``_BATCH_ELEMENTS`` drawn doubles, or one group.
+    ``threads`` workers (default ``_workers``: every core this process may
+    use) each take one contiguous run of groups (``_runs``); one run
+    executes inline, with no pool.  The result depends on neither the
+    worker count nor the batch size.
     """
     paths = range(ensemble.paths) if paths is None else paths
     block = (sampler.rows, ensemble.dim)
-    size = min(len(paths), max(1, _BATCH_ELEMENTS // (block[0] * block[1])))
-    runs = _runs(paths, size, _workers(threads))
-    size = max(len(batch) for run in runs for batch in run)
+    G = max(1, _DRAW_ELEMENTS // (block[0] * block[1]))
+    runs = _runs(range(paths.start // G, -(-paths.stop // G)),
+                 max(1, _BATCH_ELEMENTS // (G * block[0] * block[1])), _workers(threads))
+    size = min(len(paths), G * max(len(batch) for run in runs for batch in run))
 
     def work(run: list) -> list:
         # One Philox per worker (state assignment is not thread-safe), re-keyed
-        # per path to the state PathEnsemble.generator(m) starts from: key
-        # (seed, m), counter 0, empty buffer.  Building a generator per path
-        # would also pay for an entropy-seeded SeedSequence it then discards.
-        key = np.array([ensemble.seed, 0], dtype=np.uint64)
-        state = {"bit_generator": "Philox",
-                 "state": {"counter": np.zeros(4, np.uint64), "key": key},
-                 "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                 "has_uint32": 0, "uinteger": 0}
-        bitgen = Philox(key=key)
+        # per group to the state PathEnsemble.generator(k) starts from: key
+        # (seed, k), counter 0, empty buffer; plain ints convert fastest.
+        # Building a generator per group would also pay for an entropy-seeded
+        # SeedSequence it then discards.
+        key = [int(ensemble.seed), 0]
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        bitgen = Philox(key=np.array(key, dtype=np.uint64))
         rng = Generator(bitgen)
         z = np.empty((size,) + block)
         out = []
         for batch in run:
-            for k, m in enumerate(batch):
-                key[1] = m
+            n = 0
+            for k in batch:
+                first, stop = max(paths.start, k * G), min(paths.stop, k * G + G)
+                key[1] = k
                 bitgen.state = state
-                rng.standard_normal(out=z[k])
-            out.append(sampler(z[:len(batch)]))
+                if first == k * G:
+                    rng.standard_normal(out=z[n:n + stop - first])
+                else:  # a prefix of the group's draws, from path kG to stop - 1
+                    z[n:n + stop - first] = rng.standard_normal((stop - k * G,) + block)[first - k * G:]
+                n += stop - first
+            out.append(sampler(z[:n]))
         return out
 
     if len(runs) == 1:
@@ -446,7 +460,7 @@ def _make_sampler(spec: ActionSpec, steps: int):
 
 
 def sample_action(spec: ActionSpec, ensemble: PathEnsemble, m: int) -> float:
-    """The discretised action of path m (pure function of seed and m)."""
+    """The discretised action of path m (pure function of seed, m and the block shape)."""
     if ensemble.horizon != spec.T or ensemble.dim != spec.d:
         raise DomainError("spec and ensemble disagree on (T, d)")
     if not 0 <= m < ensemble.paths:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -84,28 +85,76 @@ def test_increment_moments():
 
 
 class _RawBlocks:
-    """Engine sampler that returns each path's drawn (5, 3) block, flattened."""
+    """Engine sampler that returns each path's drawn (rows, d) block, flattened, and
+    records each batch's path count."""
 
-    rows = 5
+    def __init__(self, rows=5):
+        self.rows, self.batches = rows, []
 
     def __call__(self, z):
+        self.batches.append(len(z))
         return z.reshape(len(z), -1).T.copy()
+
+
+def _path_normals(ens, rows, m):
+    """Path m's (rows, d) normals: row m - kG of the block group k = m // G draws."""
+    G = max(1, mc._DRAW_ELEMENTS // (rows * ens.dim))
+    k = m // G
+    return ens.generator(k).standard_normal((G, rows, ens.dim))[m - k * G]
 
 
 @pytest.mark.parametrize("seed", [0, 77, 2 ** 64 - 1])
 def test_engine_stream_equals_path_generator(seed, monkeypatch):
-    # 15 normals per path leave the previous path's Philox buffer part used,
-    # so every path after the first in a batch checks the re-keying
-    ens = mc.PathEnsemble(seed=seed, paths=40, steps=5, horizon=1.0, dim=3)
-    expected = np.stack([ens.generator(m).standard_normal((5, 3)).ravel()
-                         for m in range(40)], axis=1)
-    for batch in (40, 7):  # one batch; six batches, split over three workers
-        monkeypatch.setattr(mc, "_BATCH_ELEMENTS", batch * 15)
-        for threads in (1, 3):
-            assert np.array_equal(mc._run(_RawBlocks(), ens, threads), expected)
-    for m in (0, 1, 17, 39):
-        single = mc._run(_RawBlocks(), ens, paths=range(m, m + 1))
-        assert np.array_equal(single[:, 0], expected[:, m])
+    # 15 normals per path leave the previous group's Philox buffer part used,
+    # so every group after the first in a batch checks the re-keying; groups
+    # of 7 leave a short last group at 40 and 41 paths; a group of 1 is one
+    # path, keyed (seed, m), as where rows x d exceeds _DRAW_ELEMENTS / 2
+    for group, paths in itertools.product((7, 1), (40, 41)):
+        monkeypatch.setattr(mc, "_DRAW_ELEMENTS", group * 15 + 14)
+        ens = mc.PathEnsemble(seed=seed, paths=paths, steps=5, horizon=1.0, dim=3)
+        expected = np.stack([_path_normals(ens, 5, m).ravel() for m in range(paths)], axis=1)
+        # one batch; then one group a batch, though a group exceeds the budget
+        for budget, most in ((42 * 15, paths), (14, group)):
+            monkeypatch.setattr(mc, "_BATCH_ELEMENTS", budget)
+            for threads in (1, 3):
+                sampler = _RawBlocks()
+                assert np.array_equal(mc._run(sampler, ens, threads), expected)
+                assert max(sampler.batches) == most
+        for m in (0, 1, 17, paths - 1):
+            single = mc._run(_RawBlocks(), ens, paths=range(m, m + 1))
+            assert np.array_equal(single[:, 0], expected[:, m])
+
+
+@pytest.mark.parametrize("paths, steps, dim, threads", [
+    (1000, 64, 3, 1), (1037, 64, 3, 2), (700, 256, 1, 2), (7, 2048, 3, 2), (1, 16, 1, 1)])
+def test_one_philox_call_per_group(paths, steps, dim, threads, monkeypatch):
+    calls, real = [], mc.Generator
+
+    class Counting:
+        def __init__(self, bitgen):
+            self.rng = real(bitgen)
+
+        def standard_normal(self, *args, **kwargs):
+            calls.append(1)
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "Generator", Counting)
+    ens = mc.PathEnsemble(seed=1, paths=paths, steps=steps, horizon=1.0, dim=dim)
+    mc._run(mc._AffineSampler(1.0, ens), ens, threads)
+    G = max(1, mc._DRAW_ELEMENTS // (steps * dim))
+    assert len(calls) == -(-paths // G)
+
+
+@pytest.mark.parametrize("kind", ["single", "quadratic"])
+def test_path_action_independent_of_path_count(kind):
+    # 1000 paths end mid-group where 1037 do not
+    ens = {M: mc.PathEnsemble(seed=8, paths=M, steps=64 if kind == "single" else 256,
+                              horizon=1.0, dim=3 if kind == "single" else 1) for M in (1000, 1037)}
+    sampler = (mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0), 64, (0.0,))
+               if kind == "single" else mc._QuadraticSampler(1.3, ens[1000]))
+    G = mc._DRAW_ELEMENTS // (sampler.rows * ens[1000].dim)
+    assert 1000 % G and G > 1
+    assert np.array_equal(mc._run(sampler, ens[1037])[0, :1000], mc._run(sampler, ens[1000])[0])
 
 
 @pytest.mark.parametrize("kind", ["single", "self_double", "cross_double", "bipolaron"])
@@ -165,7 +214,7 @@ def test_default_workers_leave_every_check_unchanged(monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2, 3, 8])
 def test_default_workers_get_equal_runs_of_bounded_batches(cores, monkeypatch):
-    # 100 self-pair paths at N = 256, d = 3 fill five batches of at most 21 paths
+    # 100 self-pair paths at N = 256, d = 3 are 20 groups of 5, in five batches of 4 groups
     spec = mc.ActionSpec("self_double", _F, 1.0, 3, 1.0)
     plans, runs, widths = [], mc._runs, []
 
@@ -179,34 +228,34 @@ def test_default_workers_get_equal_runs_of_bounded_batches(cores, monkeypatch):
     _cores(monkeypatch, cores)
     mc.estimate(spec, 100, 256, 1)
     (plan,) = plans
+    assert mc._DRAW_ELEMENTS // (256 * 3) == 5
     sizes = [[len(batch) for batch in run] for run in plan]
-    assert [m for run in plan for batch in run for m in batch] == list(range(100))
-    assert max(max(run) for run in sizes) * 256 * 3 <= mc._BATCH_ELEMENTS
-    if cores == 1:  # one worker keeps the one-worker batches, inline
-        assert sizes == [[21, 21, 21, 21, 16]] and widths == []
+    assert [k for run in plan for batch in run for k in batch] == list(range(20))
+    assert max(max(run) for run in sizes) * 5 * 256 * 3 <= mc._BATCH_ELEMENTS
+    if cores == 1:  # one worker runs the batches inline
+        assert sizes == [[4, 4, 4, 4, 4]] and widths == []
     else:
-        assert len(plan) == cores and len({len(run) for run in plan}) == 1
-        assert max(map(max, sizes)) - min(map(min, sizes)) <= 1
+        totals = list(map(sum, sizes))
+        assert len(plan) == cores and max(totals) - min(totals) <= 1
         assert widths == [cores]
 
 
-def test_runs_split_paths_evenly():
+def test_runs_split_groups_evenly():
     for n in range(1, 41):
-        paths = range(5, 5 + n)
+        groups = range(5, 5 + n)
         for size in range(1, n + 1):
             for workers in range(1, 6):
-                plan = mc._runs(paths, size, workers)
+                plan = mc._runs(groups, size, workers)
                 batches = [batch for run in plan for batch in run]
-                assert [m for batch in batches for m in batch] == list(paths)
+                assert [k for batch in batches for k in batch] == list(groups)
                 assert max(map(len, batches)) <= size
-                if workers == 1 or n <= size:
-                    assert batches == [paths[i:i + size] for i in range(0, n, size)]
-                    assert len(plan) == 1
+                if n <= size:  # one batch, inline
+                    assert plan == [[groups]]
                     continue
-                assert len(plan) <= workers
-                assert max(map(len, batches)) - min(map(len, batches)) <= 1
-                if len(batches) < n:  # the batch count rounded up to a multiple of workers
-                    assert len(plan) == workers and len({len(run) for run in plan}) == 1
+                totals = [sum(map(len, run)) for run in plan]
+                assert len(plan) == min(workers, n) and max(totals) - min(totals) <= 1
+                for run in plan:  # full batches, the last one shorter
+                    assert all(len(batch) == size for batch in run[:-1])
 
 
 def test_one_batch_starts_no_thread(monkeypatch):
@@ -291,10 +340,11 @@ def test_bipolaron_action_decomposes():
 
 def _dense_pair_action(spec, ens, m):
     """Long-double sum over every node pair i > j, from the kernel's double nodes and weights."""
-    rng, n = ens.generator(m), ens.steps
+    n, parts = ens.steps, 1 if spec.kind == "self_double" else 2
     dt = spec.T / n
-    nodes = [np.cumsum(math.sqrt(dt) * rng.standard_normal((n, spec.d)), axis=0).astype(np.longdouble)
-             for _ in range(1 if spec.kind == "self_double" else 2)]
+    z = _path_normals(ens, parts * n, m)
+    nodes = [np.cumsum(math.sqrt(dt) * z[p * n:(p + 1) * n], axis=0).astype(np.longdouble)
+             for p in range(parts)]
     i, j = np.tril_indices(n, -1)
     w = np.asarray(evaluate(spec.f, (i - j) * dt), dtype=float) * dt * dt
 
@@ -746,7 +796,7 @@ def test_ladder_allowance_recovers_sqrt_dt_bias():
 # ---------------------------------------------------------------------------
 
 # Small budgets over every sampler kind and every structured check.  Path
-# counts are not multiples of the engine's batch size, one case uses the
+# counts are not multiples of the engine's batch or group size, one case uses the
 # largest seed, and one runs with worker threads.  The values pin the
 # documented draw order: any change to it, or to the arithmetic order of an
 # action, shows up here as a changed bit pattern.  Every action sum is a numpy
@@ -779,58 +829,58 @@ def _fingerprint(result) -> list:
 
 GOLDEN = {
     'single': [
-        '0x1.969fbd8e13347p-1', '0x1.3d691cf395611p-6', '0x1.88f594c29ba55p-1',
-        '0x1.a7e4009076bedp-7',
+        '0x1.90f23f15ff10ep-1', '0x1.fc7661b2aaf6dp-7', '0x1.82d6c05639dfdp-1',
+        '0x1.ad857844726e1p-7',
     ],
     'single_offset_eps': [
-        '0x1.611b431721040p-1', '0x1.59cdaa1c51a1ap-6', '0x1.4019399f92bc8p-1',
-        '0x1.5ef15d425014ap-6',
+        '0x1.72073afe1b0aap-1', '0x1.bddd0a4595fe8p-6', '0x1.487fc1f4a3794p-1',
+        '0x1.7fc81193a1b6dp-6',
     ],
     'single_max_seed': [
-        '0x1.809500c3b6e11p-1', '0x1.87fd919cef113p-6', '0x1.73ef17d028954p-1',
-        '0x1.3ce9e86c27862p-6',
+        '0x1.8814a411c4288p-1', '0x1.52a1e1954ba80p-6', '0x1.77d045f77822ap-1',
+        '0x1.6ac95579c7dedp-6',
     ],
     'single_threads': [
-        '0x1.877dbb31567e7p-1', '0x1.0450cd693cc3ap-6', '0x1.7aa6537cf6798p-1',
-        '0x1.e514321c0e740p-7',
+        '0x1.96fd230cb6208p-1', '0x1.fcb6f5d45acefp-7', '0x1.888df3a20e04ap-1',
+        '0x1.026a3f60b6513p-6',
     ],
     'self_double': [
-        '0x1.27dc81d518dfcp-2', '0x1.353904360c4c8p-8', '0x1.26e18c218f3a5p-2',
-        '0x1.1cffafaa9a7a0p-8',
+        '0x1.23b03d257de7ep-2', '0x1.44d9d4403cb08p-8', '0x1.22acecd1ae925p-2',
+        '0x1.22d6b978b3670p-8',
     ],
     'cross_double': [
-        '0x1.d3a8a96490b88p-4', '0x1.1484da968e9abp-8', '0x1.cf27992925a20p-4',
-        '0x1.3162eedc268a2p-8',
+        '0x1.e51f27bf3ee14p-4', '0x1.7537e443ee55ap-8', '0x1.e0a6cf2a4b163p-4',
+        '0x1.3158cca5fe55ap-8',
     ],
     'bipolaron': [
-        '0x1.7239cd5338d20p-1', '0x1.9f6bfe49b9b83p-7', '0x1.6ebae70770f8fp-1',
-        '0x1.78e0deee03f13p-7',
+        '0x1.6b6c92fb180d1p-1', '0x1.a8b4535f87b37p-8', '0x1.6777c4dda51c7p-1',
+        '0x1.8db0ba6c8c743p-7',
     ],
     'maximality_0.0': [
-        '0x0.0p+0', '0x1.7459101ea3e5cp-1', '0x1.e8c1bbc707954p-7',
+        '0x0.0p+0', '0x1.6488e8cc6dc09p-1', '0x1.725c86dd59a71p-7',
         '0x0.0p+0', '0x0.0p+0',
     ],
     'maximality_0.5': [
-        '0x1.0000000000000p-1', '0x1.324fbaa40bc18p-1', '0x1.3e9886286209fp-7',
-        '0x1.082555ea60910p-3', '0x1.a3f23c0a739c3p-7',
+        '0x1.0000000000000p-1', '0x1.2856c44b88775p-1', '0x1.feeb73dc4b089p-7',
+        '0x1.e19124072a4a0p-4', '0x1.9fd14ab299928p-7',
     ],
     'maximality_1.0': [
-        '0x1.0000000000000p+0', '0x1.c81fd8ea22d2cp-2', '0x1.2693c5f218971p-7',
-        '0x1.2092475324f8cp-2', '0x1.1cb375343cfe0p-6',
+        '0x1.0000000000000p+0', '0x1.bb0499b87970cp-2', '0x1.97693d03dd5efp-7',
+        '0x1.0e0d37e062106p-2', '0x1.8508c716447aap-7',
     ],
     'martingale_equality': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', 'nan',
-        '0x1.f764b192b1318p-2', '0x1.690eb901a80bdp-4', '0x1.0000000000000p-1',
-        '0x1.1369cda9d9d00p-7',
+        '0x1.c2eadfc3ee51cp-2', '0x1.0b834931667d4p-4', '0x1.0000000000000p-1',
+        '0x1.e8a901e08d720p-5',
     ],
     'martingale_truncated': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
-        '-0x1.01994ef3a7a7dp-2', '0x1.7a8769dae93cep-6', '0x1.0000000000000p-1',
-        '0x1.80cca779d3d3ep-1',
+        '-0x1.2cad9ba67cad4p-2', '0x1.8af0b68f958b9p-6', '0x1.0000000000000p-1',
+        '0x1.9656cdd33e56ap-1',
     ],
     'oscillator': [
-        '-0x1.6caa54b223580p-1', '0x1.9bbac5a2c5841p-5', '-0x1.13ac7146551d2p+0',
-        '0x1.4a4b75962a1c0p-4', '-0x1.5333614b031e2p-1', '-0x1.976f3672039e0p-5',
+        '-0x1.49c9304c80fa5p-1', '0x1.44b4e4c85413fp-5', '-0x1.fc525c077ccb4p-1',
+        '0x1.556e0a60011f9p-4', '-0x1.5333614b031e2p-1', '0x1.2d461fd0447a0p-6',
         # the exact N-step value and its grid bias, no draw behind them
         '-0x1.5332183f5f8ccp-1', '0x1.490ba39160000p-17',
     ],
