@@ -17,7 +17,6 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 
 from . import bounds as B
@@ -38,17 +37,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
 
 _MODEL_PARAM_FLAGS = ("alpha", "gamma", "tau", "theta", "dim")
-
-
-def _threads(args) -> int | None:
-    """Worker count: --threads, else FKBOUND_THREADS, else None (``mc``'s default, every core
-    this process may use).  The variable is read when a command runs, not when the parser is built."""
-    if args.threads is not None:
-        return args.threads
-    try:
-        return max(1, int(os.environ["FKBOUND_THREADS"]))
-    except (KeyError, ValueError):
-        return None
 
 
 def _load_coupling(text: str):
@@ -222,8 +210,7 @@ def _cmd_simulate(args) -> int:
     model = _build_model(inputs["model"], inputs["params"])
     spec = model.action_spec(inputs["T"], offset=inputs["offset"],
                              epsilon=inputs["epsilon"])
-    est = mc.estimate(spec, inputs["paths"], inputs["steps"], inputs["seed"],
-                      threads=_threads(args))
+    est = mc.estimate(spec, inputs["paths"], inputs["steps"], inputs["seed"])
     comp = models.composed_bound(model, inputs["T"])
     record = {
         "command": "simulate",
@@ -261,7 +248,7 @@ def _cmd_model(args) -> int:
         _emit(record, args.format, args.out)
         return EXIT_OK
     report = models.verify(model, T=args.T, paths=args.paths, steps=args.steps,
-                           seed=args.seed, threads=_threads(args))
+                           seed=args.seed)
     record = {"command": "model verify", **report.as_dict()}
     _emit(record, args.format, args.out)
     return EXIT_OK if report.all_passed else EXIT_VERIFICATION
@@ -388,8 +375,7 @@ def _cmd_sweep(args) -> int:
         if model.jensen_kind is not None:
             row["jensen"] = model.expected_action(T).value
         if args.mc:
-            est = mc.estimate(model.action_spec(T), args.paths, args.steps,
-                              args.seed, threads=_threads(args))
+            est = mc.estimate(model.action_spec(T), args.paths, args.steps, args.seed)
             row["log_mean"] = est.log_mean
             row["stderr_log"] = est.stderr_log
         rows.append(row)
@@ -405,14 +391,9 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, default_format: str = "json",
-                threads: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, default_format: str = "json") -> None:
     p.add_argument("--format", choices=("json", "csv", "pretty"), default=default_format)
     p.add_argument("--out", default="", help="write the report to a file instead of stdout")
-    if threads:  # only the Monte Carlo subcommands have workers to cap
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker thread cap; default FKBOUND_THREADS, else every core this "
-                            "process may use (results are identical for any value)")
 
 
 def _add_model_params(p: argparse.ArgumentParser) -> None:
@@ -451,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--offset", type=float, default=0.0)
     p.add_argument("--epsilon", type=float, default=0.0)
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("model", help="inspect or verify a preconfigured model")
@@ -462,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--steps", type=int, default=512)
     p.add_argument("--seed", type=int, default=7)
-    _add_common(p, threads=True)
+    _add_common(p)
     p.set_defaults(fn=_cmd_model)
 
     p = sub.add_parser("oscillator", help="quadratic-action reference solution")
@@ -502,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=2000)
     p.add_argument("--steps", type=int, default=256)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p, default_format="csv", threads=True)
+    _add_common(p, default_format="csv")
     p.set_defaults(fn=_cmd_sweep)
 
     return parser

@@ -11,11 +11,12 @@ the same values.  Where G = 1 (rows d > _DRAW_ELEMENTS / 2) group k is path k.
 
 One path engine serves every sampler.  It cuts the groups into contiguous
 batches of at most a fixed number of drawn doubles (or one group, if that is
-larger) and by default runs one worker thread per core this process may use,
-each on one contiguous run of groups, the runs' group counts differing by at
-most one.  Each worker re-keys one bit generator to (seed, k) per group,
-draws the group's whole block in one call into its batch buffer, and the
-sampler evaluates the batch at once.  A path's action is a numpy sum over
+larger) and runs one worker thread per core this process may use (its CPU
+affinity mask: narrow it, e.g. with taskset, to use fewer cores), each on one
+contiguous run of groups, the runs' group counts differing by at most one.
+Each worker re-keys one bit generator to (seed, k) per group, draws the
+group's whole block in one call into its batch buffer, and the sampler
+evaluates the batch at once.  A path's action is a numpy sum over
 that path alone (a pair action one sum per block of node rows, on the band
 of nonzero lag weights and at theta = 1 through sqrt, added in block order),
 and every reduction over paths runs in index order.  The engine makes no
@@ -193,10 +194,8 @@ _DRAW_ELEMENTS = 1 << 12
 _BLOCK_ROWS = 16
 
 
-def _workers(threads: int = None) -> int:
-    """Worker count: ``threads`` when given (at least 1), else every core this process may use."""
-    if threads is not None:
-        return max(1, threads)
+def _workers() -> int:
+    """Worker count: every core this process may use (its CPU affinity mask)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -213,24 +212,23 @@ def _runs(groups: range, size: int, workers: int) -> list:
     return [[groups[i:min(i + size, b)] for i in range(a, b, size)] for a, b in zip(edges, edges[1:])]
 
 
-def _run(sampler, ensemble: PathEnsemble, threads: int = None,
-         paths: range = None) -> np.ndarray:
+def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
     """Per-path outputs of ``sampler``, shape (outputs, len(paths)).
 
     A sampler's ``rows`` is the length of the (rows, d) normal block each
     path draws; it maps a (B, rows, d) batch to B outputs or to an
     (outputs, B) array.  Paths draw in groups of G (module docstring), and
     a batch holds at most ``_BATCH_ELEMENTS`` drawn doubles, or one group.
-    ``threads`` workers (default ``_workers``: every core this process may
-    use) each take one contiguous run of groups (``_runs``); one run
-    executes inline, with no pool.  The result depends on neither the
-    worker count nor the batch size.
+    ``_workers()`` workers, one per core this process may use, each take
+    one contiguous run of groups (``_runs``); one run executes inline, with
+    no pool.  The result depends on neither the worker count nor the batch
+    size.
     """
     paths = range(ensemble.paths) if paths is None else paths
     block = (sampler.rows, ensemble.dim)
     G = max(1, _DRAW_ELEMENTS // (block[0] * block[1]))
     runs = _runs(range(paths.start // G, -(-paths.stop // G)),
-                 max(1, _BATCH_ELEMENTS // (G * block[0] * block[1])), _workers(threads))
+                 max(1, _BATCH_ELEMENTS // (G * block[0] * block[1])), _workers())
     size = min(len(paths), G * max(len(batch) for run in runs for batch in run))
 
     def work(run: list) -> list:
@@ -308,7 +306,8 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
     base, den = a * w - c * np.exp(w) - (d / 2.0) * np.logaddexp(0.0, w), 1.0 + np.exp(-w)
     # eight cells at a time: one (cells, points, len(w)) buffer would add about 1 MB to peak memory
     sums = np.concatenate([np.exp(base - xc[..., None] / den).sum(axis=-1) for xc in np.split(x, 8)])
-    geo = lambda p: 1.0 / math.expm1(p * h)  # noqa: E731
+    # 1 / (e^(ph) - 1), below 1e-308 where e^(ph) overflows (p h >= 709: b = (d - theta)/2 past 3544)
+    geo = lambda p: 1.0 / math.expm1(p * h) if p * h < 709.0 else 0.0  # noqa: E731
     sums += math.exp(a * w[0]) * geo(a) - (x + c + d / 2.0) * math.exp((a + 1.0) * w[0]) * geo(a + 1.0)
     if tail:  # else c has killed the upper tail by w[-1]
         sums += np.exp(-x - b * w[-1]) * (geo(b) + (x - d / 2.0) * math.exp(-w[-1]) * geo(b + 1.0))
@@ -506,19 +505,18 @@ def summarize_actions(actions: np.ndarray, seed: int, steps: int) -> McEstimate:
                       M, steps, seed, n_inf)
 
 
-def _estimates(sampler, ensemble: PathEnsemble, threads: int = None) -> tuple:
+def _estimates(sampler, ensemble: PathEnsemble) -> tuple:
     """(per-path outputs, one estimate per output row) of ``sampler``; the budget floor
     M >= 100, N >= 16 keeps the batch-means error meaningful."""
     if ensemble.paths < 100:
         raise DomainError(f"need at least 100 paths, got {ensemble.paths}")
     if ensemble.steps < 16:
         raise DomainError(f"need at least 16 steps, got {ensemble.steps}")
-    acts = _run(sampler, ensemble, threads)
+    acts = _run(sampler, ensemble)
     return acts, [summarize_actions(a, ensemble.seed, ensemble.steps) for a in acts]
 
 
-def estimate(spec: ActionSpec, paths: int, steps: int, seed: int,
-             threads: int = None) -> McEstimate:
+def estimate(spec: ActionSpec, paths: int, steps: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of ln E[exp(action)] with error bars.
 
     Paths that hit an exact singularity at epsilon = 0 come back +inf; they
@@ -526,7 +524,7 @@ def estimate(spec: ActionSpec, paths: int, steps: int, seed: int,
     """
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps,
                             horizon=spec.T, dim=spec.d)
-    return _estimates(_make_sampler(spec, steps), ensemble, threads)[1][0]
+    return _estimates(_make_sampler(spec, steps), ensemble)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +611,7 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
 
 
 def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
-                     exponent: float, threads: int = None) -> dict:
+                     exponent: float) -> dict:
     """Discretization allowance at ``steps``, fitted on an N ladder.
 
     Runs the estimator at steps/4 and steps/2, models the grid bias as
@@ -629,7 +627,7 @@ def ladder_allowance(spec: ActionSpec, paths: int, steps: int, seed: int,
     if steps < 64:
         raise DomainError("ladder fit needs at least 64 steps")
     ladder_steps = [steps // 4, steps // 2, steps]
-    ests = {n: estimate(spec, paths, n, seed, threads=threads) for n in ladder_steps}
+    ests = {n: estimate(spec, paths, n, seed) for n in ladder_steps}
     c = 0.0
     for n_lo, n_hi in zip(ladder_steps, ladder_steps[1:]):
         denom = (spec.T / n_lo) ** exponent - (spec.T / n_hi) ** exponent

@@ -231,8 +231,7 @@ class VerifyReport:
                 "all_passed": self.all_passed}
 
 
-def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int,
-           threads: int = None) -> VerifyReport:
+def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int) -> VerifyReport:
     """Run the bound, the Jensen floor, the expectation and one Monte Carlo
     estimate, and judge every sandwich inequality with its margin.  The Jensen
     row allows the exact grid bias max(0, jensen - E[A_N]) of the N-step action
@@ -253,7 +252,7 @@ def verify(model: ModelSpec, T: float, paths: int, steps: int, seed: int,
             f"shrink the coupling or the horizon"
         )
     spec = model.action_spec(T)
-    est = mc.estimate(spec, paths, steps, seed, threads=threads)
+    est = mc.estimate(spec, paths, steps, seed)
     rows = []
     se3 = 3.0 * est.stderr_log
     rows.append(VerifyRow(

@@ -9,6 +9,7 @@ no N ladder comes back.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -229,11 +230,12 @@ def test_criterion_11_pekar_scaling_and_normalization():
            f"(calibration factor 1, see docstring)")
 
 
-def test_criterion_12_determinism_across_threads(hydrogen_estimate):
-    base = hydrogen_estimate  # computed with one worker
+def test_criterion_12_determinism_across_threads(hydrogen_estimate, monkeypatch):
+    base = hydrogen_estimate  # computed with one worker per core this process may use
     same = True
-    for threads in (1, 2, 8):
-        est = mc.estimate(HYDROGEN, paths=100_000, steps=512, seed=SEED, threads=threads)
+    for cores in (1, 2, 8):  # the worker count follows the CPU affinity mask
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+        est = mc.estimate(HYDROGEN, paths=100_000, steps=512, seed=SEED)
         same = same and est == base
     report(12, same,
            "hydrogen criterion rerun bit-identical under 1, 2 and 8 worker threads")

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from fkbound import cli, mc, oscillator, pekar
+from fkbound import cli, oscillator, pekar
 
 
 def run_cli(argv, capsys):
@@ -242,48 +246,45 @@ def test_sweep_hydrogen_alpha_energy_column(capsys):
     assert "energy_lower_bound: -0.125" in out
 
 
-def test_threads_default_from_environment(monkeypatch, capsys):
-    # the variable is read when a command runs, so the one cached parser serves any setting
-    argv = ["simulate", "--model", "hydrogen", "--alpha", "1", "--T", "1",
-            "--paths", "1000", "--steps", "32", "--seed", "3"]
-    args = cli.build_parser().parse_args(argv)
-    monkeypatch.delenv("FKBOUND_THREADS", raising=False)
-    assert args.threads is None and cli._threads(args) is None  # mc's default: every core
-    monkeypatch.setenv("FKBOUND_THREADS", "6")
-    assert cli._threads(args) == 6
-    assert cli._threads(cli.build_parser().parse_args(argv + ["--threads", "2"])) == 2
-    widths = []
-
-    class Pool(mc.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", Pool)
-    assert run_cli(argv, capsys)[0] == 0  # 1000 paths at 170 a batch: six batches
-    assert widths == [6]
-
-
 @pytest.mark.parametrize("argv", [
     ["bound", "--theorem", "1", "--theta", "1", "--dim", "3", "--T", "1",
      "--coupling", '{"kind":"constant","level":1}'],
     ["pekar", "--theta", "1", "--coupling", "1"],
     ["kernels", "--check", "subordination"],
     ["oscillator", "--omega", "1", "--T", "2"],
+    ["simulate", "--model", "hydrogen", "--alpha", "0.5", "--T", "1"],
+    ["model", "--name", "hydrogen", "verify"],
+    ["sweep", "--model", "hydrogen", "--param", "alpha", "--grid", "0.5"],
 ])
-def test_threads_is_rejected_where_nothing_runs_on_workers(argv, capsys):
+def test_threads_is_rejected_by_every_subcommand(argv, capsys):
+    # the worker count follows the CPU affinity mask alone
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
-def test_simulate_threads_leave_the_estimate_unchanged(capsys):
+_CLI_SCRIPT = """
+import sys
+from fkbound import cli, mc
+print(mc._workers(), file=sys.stderr)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_simulate_threads_leave_the_estimate_unchanged():
+    # 200 paths of 32 steps are five groups in two batches: on two or more cores a pool runs them
     argv = ["simulate", "--model", "hydrogen", "--alpha", "0.5", "--T", "1",
-            "--paths", "200", "--steps", "32", "--seed", "3", "--threads"]
-    runs = [run_cli(argv + [threads], capsys) for threads in ("1", "2")]
-    assert [code for code, _, _ in runs] == [0, 0]
-    assert json.loads(runs[0][1])["estimate"] == json.loads(runs[1][1])["estimate"]
+            "--paths", "200", "--steps", "32", "--seed", "3"]
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    one = min(os.sched_getaffinity(0))
+    runs = [subprocess.run([sys.executable, "-c", _CLI_SCRIPT, *argv], env=env, preexec_fn=narrow,
+                           capture_output=True, text=True, timeout=300, check=True)
+            for narrow in (None, lambda: os.sched_setaffinity(0, {one}))]
+    assert runs[0].stderr == f"{len(os.sched_getaffinity(0))}\n" and runs[1].stderr == "1\n"
+    assert json.loads(runs[0].stdout)["estimate"] == json.loads(runs[1].stdout)["estimate"]
 
 
 def test_coupling_from_csv_file(tmp_path, capsys):

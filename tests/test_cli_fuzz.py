@@ -80,6 +80,9 @@ def _run(argv, capsys):
         code = exc.code
     out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4), (argv, code, err)
+    # every flag drawn exists, so a flag argparse does not know is a broken harness
+    # (a bad value reads "invalid choice" or "invalid ... value" instead)
+    assert "unrecognized arguments" not in err, (argv, err)
     assert "Traceback" not in err
     if code in (0, 4):
         _strict_json(out)
@@ -169,7 +172,7 @@ def test_simulate_argv(model, T, paths, steps, seed, offset, epsilon, capsys):
     name = model[0].removeprefix("--name=")
     _run(["simulate", f"--model={name}", *model[1:], _flag("T", T), _flag("paths", paths),
           _flag("steps", steps), _flag("seed", seed), _flag("offset", offset),
-          _flag("epsilon", epsilon), "--threads=1"], capsys)
+          _flag("epsilon", epsilon)], capsys)
 
 
 @settings(FUZZ, max_examples=4)
@@ -182,4 +185,4 @@ def test_kernels_argv(check, capsys):
 @given(model=model_argv(), T=numbers(0.01, 2.0), paths=PATHS, steps=STEPS, seed=SEEDS)
 def test_model_verify_argv(model, T, paths, steps, seed, capsys):
     _run(["model", *model, _flag("T", T), "verify", _flag("paths", paths),
-          _flag("steps", steps), _flag("seed", seed), "--threads=1"], capsys)
+          _flag("steps", steps), _flag("seed", seed)], capsys)

@@ -24,11 +24,13 @@ def hydrogen_spec(alpha=0.5, T=1.0, **kw):
 # reproducibility
 # ---------------------------------------------------------------------------
 
-def test_estimate_bit_identical_across_threads():
+def test_estimate_bit_identical_across_threads(monkeypatch):
     spec = hydrogen_spec()
-    base = mc.estimate(spec, 1200, 64, 42, threads=1)
-    for threads in (2, 8):
-        again = mc.estimate(spec, 1200, 64, 42, threads=threads)
+    _cores(monkeypatch, 1)
+    base = mc.estimate(spec, 1200, 64, 42)
+    for cores in (2, 8):
+        _cores(monkeypatch, cores)
+        again = mc.estimate(spec, 1200, 64, 42)
         assert again == base  # dataclass equality: every float bit-identical
 
 
@@ -116,18 +118,19 @@ def test_engine_stream_equals_path_generator(seed, monkeypatch):
         # one batch; then one group a batch, though a group exceeds the budget
         for budget, most in ((42 * 15, paths), (14, group)):
             monkeypatch.setattr(mc, "_BATCH_ELEMENTS", budget)
-            for threads in (1, 3):
+            for cores in (1, 3):
+                _cores(monkeypatch, cores)
                 sampler = _RawBlocks()
-                assert np.array_equal(mc._run(sampler, ens, threads), expected)
+                assert np.array_equal(mc._run(sampler, ens), expected)
                 assert max(sampler.batches) == most
         for m in (0, 1, 17, paths - 1):
             single = mc._run(_RawBlocks(), ens, paths=range(m, m + 1))
             assert np.array_equal(single[:, 0], expected[:, m])
 
 
-@pytest.mark.parametrize("paths, steps, dim, threads", [
+@pytest.mark.parametrize("paths, steps, dim, cores", [
     (1000, 64, 3, 1), (1037, 64, 3, 2), (700, 256, 1, 2), (7, 2048, 3, 2), (1, 16, 1, 1)])
-def test_one_philox_call_per_group(paths, steps, dim, threads, monkeypatch):
+def test_one_philox_call_per_group(paths, steps, dim, cores, monkeypatch):
     calls, real = [], mc.Generator
 
     class Counting:
@@ -139,8 +142,9 @@ def test_one_philox_call_per_group(paths, steps, dim, threads, monkeypatch):
             return self.rng.standard_normal(*args, **kwargs)
 
     monkeypatch.setattr(mc, "Generator", Counting)
+    _cores(monkeypatch, cores)
     ens = mc.PathEnsemble(seed=1, paths=paths, steps=steps, horizon=1.0, dim=dim)
-    mc._run(mc._AffineSampler(1.0, ens), ens, threads)
+    mc._run(mc._AffineSampler(1.0, ens), ens)
     G = max(1, mc._DRAW_ELEMENTS // (steps * dim))
     assert len(calls) == -(-paths // G)
 
@@ -190,7 +194,8 @@ _SAMPLERS = {  # kind: (sampler, ensemble), three or more batches at the default
 @pytest.mark.parametrize("kind", sorted(_SAMPLERS))
 def test_default_workers_match_one_worker(kind, monkeypatch):
     sampler, ens = _SAMPLERS[kind]
-    base = mc._run(sampler, ens, 1)
+    _cores(monkeypatch, 1)
+    base = mc._run(sampler, ens)
     assert -(-ens.paths // (mc._BATCH_ELEMENTS // (sampler.rows * ens.dim))) >= 3
     for cores in (1, 2, 3):
         _cores(monkeypatch, cores)
@@ -208,7 +213,8 @@ def test_default_workers_leave_every_check_unchanged(monkeypatch):
                        mc.maximality_check(single, (0.3, 1.0), 400, 32, 6),
                        mc.martingale_lemma_check(0.7, 1.0, 3, 700, 64, 6),
                        oscillator.mc_crosscheck(cfg, 700, 64, 6))
-    assert runs[1][0] == mc.estimate(single, 400, 32, 6, threads=1)
+    _cores(monkeypatch, 1)  # a rerun after the pooled runs
+    assert runs[1][0] == mc.estimate(single, 400, 32, 6)
     assert runs[1] == runs[2] == runs[3]  # every float bit-identical
 
 
@@ -275,7 +281,6 @@ def test_workers_fall_back_to_cpu_count(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert mc._workers() == 5
-    assert mc._workers(3) == 3 and mc._workers(0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +397,9 @@ def test_pair_actions_independent_of_batch_size_and_threads(kind, f, theta, monk
     for paths_per_batch in (None, 1, 3):  # the default budget, then one and three paths
         if paths_per_batch:
             monkeypatch.setattr(mc, "_BATCH_ELEMENTS", paths_per_batch * sampler.rows * 3)
-        for threads in (1, 3):
-            assert np.array_equal(mc._run(sampler, ens, threads), base)
+        for cores in (1, 3):
+            _cores(monkeypatch, cores)
+            assert np.array_equal(mc._run(sampler, ens), base)
 
 
 @pytest.mark.parametrize("kind", ["self_double", "bipolaron"])
@@ -516,6 +522,12 @@ def test_single_action_rejects_an_infinite_midpoint_moment(theta, d):
         mc.estimate(mc.ActionSpec("single", Constant(0.5), theta, d, 1.0), 100, 16, 1)
     est = mc.estimate(mc.ActionSpec("single", Constant(0.5), theta, d, 1.0, epsilon=0.1), 100, 16, 1)
     assert math.isfinite(est.log_mean)
+
+
+def test_moment_table_is_finite_where_its_tail_sum_underflows():
+    # at b = (d - theta)/2 past 3544 the tail sum's 1/(e^(b h) - 1) overflowed
+    # math.expm1, and `model --dim 7097 ... verify` ended in a traceback
+    assert np.isfinite(mc._moment_table.__wrapped__(1.0, 7097, 0.0)).all()
 
 
 def _table_peak(theta, d, c) -> int:
@@ -797,7 +809,7 @@ def test_ladder_allowance_recovers_sqrt_dt_bias():
 
 # Small budgets over every sampler kind and every structured check.  Path
 # counts are not multiples of the engine's batch or group size, one case uses the
-# largest seed, and one runs with worker threads.  The values pin the
+# largest seed, and one runs on three worker threads.  The values pin the
 # documented draw order: any change to it, or to the arithmetic order of an
 # action, shows up here as a changed bit pattern.  Every action sum is a numpy
 # reduction, never a BLAS call, so the values hold for any BLAS thread count.
@@ -809,7 +821,10 @@ def _golden_cases():
     yield "single_offset_eps", mc.estimate(
         mc.ActionSpec("single", f, 1.3, 2, 0.7, offset=0.3, epsilon=0.05), 257, 100, 6)
     yield "single_max_seed", mc.estimate(hydrogen_spec(), 123, 16, 2 ** 64 - 1)
-    yield "single_threads", mc.estimate(hydrogen_spec(), 211, 128, 8, threads=3)
+    with pytest.MonkeyPatch.context() as patch:
+        _cores(patch, 3)
+        threads = mc.estimate(hydrogen_spec(), 211, 128, 8)
+    yield "single_threads", threads
     yield "self_double", mc.estimate(mc.ActionSpec("self_double", f, 1.0, 3, 1.0), 101, 48, 7)
     yield "cross_double", mc.estimate(
         mc.ActionSpec("cross_double", f, 1.0, 3, 1.0, offset=0.5), 100, 32, 8)

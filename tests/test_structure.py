@@ -1,9 +1,9 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
 one outer quadrature rule, the Monte Carlo engine makes no BLAS call and
 builds no O(N^2) pair-index table, its single and quadratic samplers draw
-no midpoint noise, only ``mc`` counts cores and starts worker threads, only
-``cli`` reads ``FKBOUND_THREADS``, the Pekar kernel is assembled only through its unit-grid
-cache, and the modules import each other one way.
+no midpoint noise, only ``mc`` counts cores and starts worker threads, no
+module reads ``FKBOUND_THREADS``, the Pekar kernel is assembled only through
+its unit-grid cache, and the modules import each other one way.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -190,15 +190,15 @@ def test_guard_sees_worker_names():
                                              "cpu_count", "sched_getaffinity"]
 
 
-def test_only_mc_counts_cores_and_only_cli_reads_the_thread_variable():
-    # mc resolves the worker count and starts the pool; cli alone reads FKBOUND_THREADS,
-    # so the library and the command line share one default
+def test_only_mc_counts_cores_and_no_module_reads_the_thread_variable():
+    # mc reads the worker count off the CPU affinity mask and starts the pool; no
+    # variable, flag or keyword sets it another way
     users = {}
     for path in sorted(SRC.glob("*.py")):
         for name in _worker_names(path.read_text()):
             users.setdefault(name, set()).add(path.stem)
     assert users == {"ThreadPoolExecutor": {"mc"}, "sched_getaffinity": {"mc"},
-                     "cpu_count": {"mc"}, "FKBOUND_THREADS": {"cli"}}
+                     "cpu_count": {"mc"}}
 
 
 def _callers(source: str, callee: str) -> list:
