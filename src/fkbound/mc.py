@@ -16,7 +16,10 @@ affinity mask: narrow it, e.g. with taskset, to use fewer cores), each on one
 contiguous run of groups, the runs' group counts differing by at most one.
 Each worker re-keys one bit generator to (seed, k) per group, draws the
 group's whole block in one call into its batch buffer, and the sampler
-evaluates the batch at once.  A path's action is a numpy sum over
+evaluates the batch at once (the single action all its offsets in one moment
+pass, one gather of every coefficient), in a few numpy calls each over the
+whole batch: each call hands the GIL over, and the workers queue at every
+hand-over.  A path's action is a numpy sum over
 that path alone (a pair action one sum per block of node rows, on the band
 of nonzero lag weights and at theta = 1 through sqrt, added in block order),
 and every reduction over paths runs in index order.  The engine makes no
@@ -182,7 +185,9 @@ class McEstimate:
 # ---------------------------------------------------------------------------
 
 # Doubles in one batch of drawn normals, divided by one group's (G x rows x d) block
-# to give the groups per batch; larger batches measured no faster.
+# to give the groups per batch.  At 1 << 15 perfbench mc_single ran 8-13% more jobs a
+# second on 2 cores, with 2-4% more peak RSS (two workers' single-action moment passes
+# at once, whose seven-row coefficient gather is the largest array).
 _BATCH_ELEMENTS = 1 << 14
 
 # Doubles in one group's draw, divided by one path's (rows x d) block to give
@@ -274,9 +279,15 @@ def _midpoint_means(z: np.ndarray, sq: float) -> np.ndarray:
     return mu
 
 
-# E(y) = G(xi) (y + y0)^(-theta/2), xi = y / (y + y0), y0 = (_X0 + c) 2 s^2: G is a
+# E(y) = G(xi) (y + y0)^(-theta/2), xi = y / (y + y0), y0 = (_x0(d) + c) 2 s^2: G is a
 # degree-_DEGREE polynomial on each of _CELLS equal cells of [0, 1), to about 1e-13
-_CELLS, _DEGREE, _X0 = 64, 6, 8.0
+_CELLS, _DEGREE = 64, 6
+
+
+def _x0(d: int) -> float:
+    """X0 = max(8, d/2): G changes near x = y/(2 s^2) of order d/2, which a fixed X0 crowds
+    into the last cells (relative error 1.7e-6 at d = 1000); at d <= 16 X0 is 8."""
+    return max(8.0, d / 2.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -296,7 +307,7 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
     table[0] = 1.0
     if theta == 0.0:
         return table
-    a, b, h, kappa = theta / 2.0, (d - theta) / 2.0, 0.2, _X0 + c
+    a, b, h, kappa = theta / 2.0, (d - theta) / 2.0, 0.2, _x0(d) + c
     u = np.cos(np.pi * (np.arange(_DEGREE + 1) + 0.5) / (_DEGREE + 1)) / 2.0  # Chebyshev points
     x = kappa / (_CELLS / (np.arange(_CELLS)[:, None] + 0.5 + u) - 1.0)  # kappa xi / (1 - xi)
     lo, top = math.log(1e-8 / (x.max() + c + d / 2.0)), 18.5 + math.log(50.0 + d)
@@ -323,7 +334,8 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
 
 class _SingleSampler:
     """Midpoint-rule single action, one output row per starting offset; each midpoint
-    term is its expectation E(|mu + offset e_1|^2) given the grid nodes (``_moment_table``)."""
+    term is its expectation E(|mu + offset e_1|^2) given the grid nodes (``_moment_table``),
+    every offset's in one stacked ``_moment`` pass over the batch."""
 
     def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
         dt = spec.T / steps
@@ -333,28 +345,44 @@ class _SingleSampler:
         if not (c < 1e200 and (c or spec.theta < spec.d)):
             raise DomainError(f"E|X_mid|^-theta is infinite or overflows: theta {spec.theta}, "
                               f"d {spec.d}, epsilon {spec.epsilon}, dt {dt}")
-        self.table, self.y0 = _moment_table(spec.theta, spec.d, c), (_X0 + c) * dt / 2.0
-        self.theta, self.offsets = spec.theta, offsets
+        self.table, self.y0 = _moment_table(spec.theta, spec.d, c), (_x0(spec.d) + c) * dt / 2.0
+        self.theta, self.offsets = spec.theta, tuple(map(float, offsets))
 
     def _moment(self, y: np.ndarray) -> np.ndarray:
+        """E(y), elementwise; overwrites y."""
         q = y + self.y0
-        u = y / q * _CELLS
+        u = np.divide(y, q, out=y)
+        u *= _CELLS
         cell = u.astype(np.intp)
         u -= cell + 0.5
-        g = self.table[_DEGREE][cell]
-        for coeff in self.table[_DEGREE - 1::-1]:
+        # every coefficient in one gather, (degree + 1,) + y.shape; Horner in place on its rows
+        g, *coeffs = np.take(self.table, cell, axis=1)[::-1]
+        del cell  # off the peak, which the gather sets
+        for coeff in coeffs:
             g *= u
-            g += coeff[cell]
-        return g / np.sqrt(q) if self.theta == 1.0 else g * q ** (-self.theta / 2.0)
+            g += coeff
+        if self.theta == 1.0:
+            return np.divide(g, np.sqrt(q, out=q), out=g)
+        q **= -self.theta / 2.0  # not np.power: ** keeps numpy's exact forms (1/q at theta 2)
+        return np.multiply(g, q, out=g)
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
+    def _distances(self, z: np.ndarray) -> np.ndarray:
+        """|mu + offset e_1|^2 at every midpoint mean, (offsets, B, N): (2 offset) mu_1 + |mu|^2
+        + offset^2, exactly |mu|^2 at offset 0."""
         mu = _midpoint_means(z, self.sq)
         r2 = np.einsum("bij,bij->bi", mu, mu)
-        out = np.empty((len(self.offsets), len(z)))
-        for row, offset in zip(out, self.offsets):
-            r2o = r2 if offset == 0.0 else r2 + 2.0 * offset * mu[:, :, 0] + offset * offset
-            row[:] = (self._moment(r2o) * self.fw).sum(axis=1)
-        return out
+        if self.offsets == (0.0,):
+            return r2[None]
+        offsets = np.array(self.offsets)[:, None, None]
+        y = (2.0 * offsets) * mu[:, :, 0]
+        y += r2
+        y += offsets * offsets
+        return y
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        m = self._moment(self._distances(z))
+        m *= self.fw
+        return m.sum(axis=-1)
 
 
 class _PairSampler:

@@ -456,3 +456,13 @@ def test_tiny_couplings_bound_and_verify(argv, capsys):
     code, out, err = run_cli(argv.split(), capsys)
     assert code == 0, err
     assert json.loads(out).get("all_passed", True) is True
+
+
+def test_large_dimension_inverse_square_verifies(capsys):
+    # the moment table's scale X0 = 8 crowded its change into the last cells at large d:
+    # the action mean read 15.5% below the exact E[A_N] and jensen_below_mc failed (exit 4)
+    argv = ("model --name=inverse_square --alpha=0.01 --dim=65527 --theta=1.3833613493801604 "
+            "--T=0.01 verify --paths=189 --steps=27 --seed=2873924")
+    code, out, err = run_cli(argv.split(), capsys)
+    assert code == 0, err
+    assert json.loads(out)["all_passed"] is True

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -479,6 +480,22 @@ def test_midpoint_moment_matches_mpmath(theta):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("d", [100, 1000, 7097])
+def test_midpoint_moment_matches_mpmath_at_large_dimension(d):
+    # X0 = max(8, d/2) follows the moment's change out to x of order d/2: with X0 = 8 the
+    # worst error was 1.8e-13 at d 100, 1.7e-6 at d 1000 and 3.6e-3 at d 7097
+    worst, dt = 0.0, 1 / 16
+    for theta, eps in ((1.0, 0.0), (1.5, 0.0), (0.5, 0.05), (1.9, 0.2)):
+        spec = mc.ActionSpec("single", Constant(1.0), theta, d, 1.0, epsilon=eps)
+        sampler = mc._SingleSampler(spec, round(1 / dt), (0.0,))
+        r = math.sqrt(d * dt) / 2 * np.array([0.0, 0.3, 1.0, 3.0, 10.0, 100.0])
+        got = sampler._moment(r * r)
+        with mp.workdps(20):
+            want = [float(_moment_reference(theta, d, eps, dt, v)) for v in r]
+        worst = max(worst, float(np.abs(got / want - 1.0).max()))
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("theta, d, eps, offset", [(1.0, 3, 0.0, 0.0), (1.3, 3, 0.05, 0.4),
                                                    (1.2, 4, 0.0, 0.2)])
 def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offset):
@@ -787,6 +804,35 @@ def test_maximality_gap_errors_at_a_tiny_coupling():
     rows = mc.maximality_check(hydrogen_spec(alpha=1e-19), [0.5, 1.0, 2.0], 400, 32, 3)
     assert all(r.gap_stderr > 0.0 and r.stderr_log > 0.0 for r in rows[1:])
     assert all(r.ok for r in rows)
+
+
+def test_maximality_rows_are_the_single_offset_estimates_bit_for_bit():
+    # every offset's row comes out of one stacked moment pass; each equals its own estimate
+    spec = mc.ActionSpec("single", _F, 1.2, 3, 1.0, epsilon=0.1)
+    rows = mc.maximality_check(spec, (0.3, 1.0), 600, 64, 8)
+    assert [row.radius for row in rows] == [0.0, 0.3, 1.0]
+    for row in rows:
+        est = mc.estimate(replace(spec, offset=row.radius), 600, 64, 8)
+        assert (row.log_mean.hex(), row.stderr_log.hex()) == (est.log_mean.hex(), est.stderr_log.hex())
+
+
+@pytest.mark.parametrize("offsets", [(0.0,), (0.7,), (0.0, 0.3, 1.0)])
+def test_single_sampler_makes_one_moment_pass_per_batch(offsets, monkeypatch):
+    sampler = mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0), 32, offsets)
+    calls = {"batches": 0, "moments": 0}
+    moment, call = mc._SingleSampler._moment, mc._SingleSampler.__call__
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(mc._SingleSampler, "_moment", counted("moments", moment))
+    monkeypatch.setattr(mc._SingleSampler, "__call__", counted("batches", call))
+    out = mc._run(sampler, _PAIR)
+    assert out.shape == (len(offsets), _PAIR.paths)
+    assert calls["batches"] >= 3 and calls["moments"] == calls["batches"]
 
 
 def test_maximality_requires_single_action():
