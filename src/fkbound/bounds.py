@@ -160,9 +160,9 @@ class BoundReport:
         }
 
 
-def _report(term_fn, f: CouplingFunction, params, theorem, branch) -> BoundReport:
+def _report(term_fn, source, params, theorem, branch) -> BoundReport:
     try:
-        terms = term_fn(f, params, branch)
+        terms = term_fn(source, params, branch)
         log_bound = sum(t.contribution for t in terms)
     except (OverflowError, ZeroDivisionError):  # a power or ratio of norms out of range
         log_bound = math.inf
@@ -202,20 +202,25 @@ def _t1_terms(f_env, params, branch) -> list:
     ]
 
 
-def _t2_terms(f_env, params, branch) -> list:
-    theta, d, T = params.theta, params.d, params.T
+def _t2_integrals(theta: float, branch: str) -> list:
+    """The (inner_p, inner_weight, outer_power) of each iterated norm a theorem-2 branch takes."""
+    if branch == "theta_geq_1":
+        return [(1.0, 0.0, 2.0 / (2.0 - theta)), (1.0, theta / 2.0, 1.0)]
+    return [(1.0, 0.0, 1.0), (1.0, 0.0, 2.0), (1.0, 0.5, 1.0)]
+
+
+def _t2_terms(iterated, params, branch) -> list:
+    # iterated maps each of the branch's _t2_integrals to its value
+    theta, d = params.theta, params.d
     co = coefficients(theta, d)
     s = 2.0 - theta
     if branch == "theta_geq_1":
-        i1 = iterated_norm(f_env, T, 1.0, 0.0, 2.0 / s)
-        i2 = iterated_norm(f_env, T, 1.0, theta / 2.0, 1.0)
+        i1, i2 = (iterated[key] for key in _t2_integrals(theta, branch))
         return [
             BoundTerm("A int |f|_{1,t}^(2/(2-theta)) dt", co.A, i1, 1.0),
             BoundTerm("B int |f/s^(theta/2)|_{1,t} dt", co.B, i2, 1.0),
         ]
-    j1 = iterated_norm(f_env, T, 1.0, 0.0, 1.0)
-    j2 = iterated_norm(f_env, T, 1.0, 0.0, 2.0)
-    j3 = iterated_norm(f_env, T, 1.0, 0.5, 1.0)
+    j1, j2, j3 = (iterated[key] for key in _t2_integrals(theta, branch))
     return [
         BoundTerm(
             "C (int |f|_{1,t})^((2-2theta)/(2-theta)) (int |f|_{1,t}^2)^(theta/(2-theta))",
@@ -256,24 +261,24 @@ def _t3_terms(f, params, branch) -> list:
 
 
 def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundReport:
+    theta = params.theta
+    # at theta == 1 both branches are evaluated and must agree; the >= branch is reported
+    branches = [branch for branch, applies in (("theta_geq_1", theta >= 1.0),
+                                               ("theta_leq_1", theta <= 1.0)) if applies]
     zero = bool(is_zero(f))
     if zero or params.T == 0.0:
-        branch = "theta_geq_1" if params.theta >= 1.0 else "theta_leq_1"
-        return BoundReport(0.0, (), params, theorem, branch, zero_coupling=zero)
+        return BoundReport(0.0, (), params, theorem, branches[0], zero_coupling=zero)
     if theorem == "T3":
-        g: CouplingFunction = f
-        term_fn = _t3_terms
+        source, term_fn = f, _t3_terms
+    elif theorem == "T1":
+        source, term_fn = envelope(f, params.T), _t1_terms
     else:
-        g = envelope(f, params.T)
-        term_fn = _t1_terms if theorem == "T1" else _t2_terms
-    theta = params.theta
-    if theta > 1.0:
-        return _report(term_fn, g, params, theorem, "theta_geq_1")
-    if theta < 1.0:
-        return _report(term_fn, g, params, theorem, "theta_leq_1")
-    # theta == 1: both branches must agree; report the >= branch
-    hi = _report(term_fn, g, params, theorem, "theta_geq_1")
-    lo = _report(term_fn, g, params, theorem, "theta_leq_1")
+        # one iterated_norm call, so one panel rule, for every branch's iterated norms
+        wanted = list(dict.fromkeys(key for branch in branches for key in _t2_integrals(theta, branch)))
+        source = dict(zip(wanted, iterated_norm(envelope(f, params.T), params.T, *zip(*wanted))))
+        term_fn = _t2_terms
+    reports = [_report(term_fn, source, params, theorem, branch) for branch in branches]
+    hi, lo = reports[0], reports[-1]
     scale = max(abs(hi.log_bound), abs(lo.log_bound), 1e-300)
     if abs(hi.log_bound - lo.log_bound) > _BRANCH_TOL * scale:
         raise VerificationError(

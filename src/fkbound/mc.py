@@ -152,8 +152,8 @@ class ActionSpec:
         if not 0 <= self.epsilon < 2.0 ** 511:  # the samplers square it
             raise DomainError(
                 f"epsilon must be nonnegative with a finite square, got {self.epsilon}")
-        if not math.isfinite(self.offset):
-            raise DomainError(f"offset must be finite, got {self.offset}")
+        if not abs(self.offset) < 2.0 ** 511:  # the samplers square it
+            raise DomainError(f"offset must be finite with a finite square, got {self.offset}")
 
 
 @dataclass(frozen=True)
@@ -582,7 +582,8 @@ def maximality_check(spec: ActionSpec, offsets: Sequence[float], paths: int,
     """
     if spec.kind != "single":
         raise DomainError("maximality check applies to the single action")
-    radii = [0.0] + [float(r) for r in offsets]
+    # each offset is validated as ActionSpec.offset: the sampler squares it
+    radii = [0.0] + [replace(spec, offset=float(r)).offset for r in offsets]
     ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=spec.T, dim=spec.d)
     acts, ests = _estimates(_SingleSampler(spec, steps, radii), ensemble)
     logs = _log_mean_exp(acts)[2]

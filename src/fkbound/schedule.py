@@ -26,6 +26,9 @@ two), ``majorant(T)`` (the envelope as a coupling), ``breakpoints``,
 integrals ``iterated_norm`` and ``integral_against`` (f times a kernel) are
 one composite Gauss-Legendre rule for every variant, O(G) for G table cells;
 :class:`Tabulated` keeps an exact per-cell sum for ``integral_against``.
+``iterated_norm`` takes every (inner_p, inner_weight, outer_power) term of
+one bound at once: they share one panel rule, and each distinct inner norm
+is evaluated once on its nodes.
 
 Tabulated data uses step-left (previous-value) interpolation, so envelopes
 and norms are exact on the representation; no interpolation-order ambiguity
@@ -116,16 +119,18 @@ class _Coupling:
         """The time before which f vanishes."""
         return 0.0
 
-    def iterated_norm(self, T: float, inner_p: float, inner_weight: float,
-                      outer_power: float) -> float:
-        """The outer integral of :func:`iterated_norm`, graded toward the start
-        s0 of the support, where the integrand grows like t^(ar) or (t - s0)^r."""
+    def iterated_norm(self, T: float, terms: list) -> list:
+        """The outer integrals of :func:`iterated_norm`, one per (inner_p,
+        inner_weight, outer_power) term, on one panel rule graded toward the
+        start s0 of the support, where the integrand grows like t^(ar) or
+        (t - s0)^r; each distinct inner norm is evaluated once on its nodes."""
         s0 = self.support_start()
         if s0 >= T:
-            return 0.0
+            return [0.0] * len(terms)
         t, w = _panel_rule(self.breakpoints(T), [(s0, T)])
-        inner = self.power_integral(inner_p, inner_weight * inner_p, t)
-        return float(np.sum(w * inner ** (outer_power / inner_p)))
+        inner = {(p, a): self.power_integral(p, a * p, t)
+                 for p, a in dict.fromkeys((p, a) for p, a, _ in terms)}
+        return [float(np.sum(w * inner[p, a] ** (o / p))) for p, a, o in terms]
 
     def integral_against(self, T: float, density, primitive, leading) -> float:
         """int_0^T f(u) density(u) du; primitive(s) = int_0^s density + const,
@@ -537,37 +542,52 @@ def norm(
 def iterated_norm(
     f: CouplingFunction,
     T: float,
-    inner_p: float = 1.0,
-    inner_weight: float = 0.0,
-    outer_power: float = 1.0,
-) -> float:
+    inner_p=1.0,
+    inner_weight=0.0,
+    outer_power=1.0,
+):
     """integral over [0, T] of norm(f, inner_p, t, inner_weight)^outer_power dt.
 
-    The inner norm is exact per variant, evaluated at every node at once;
-    the outer integral is the panel rule of ``_Coupling.iterated_norm``,
-    accurate to roundoff, in O(G) work for a table of G cells.
+    The three exponents broadcast against each other like numpy arrays: given
+    sequences, every term (inner_p[i], inner_weight[i], outer_power[i]) is
+    integrated on one panel rule, each distinct inner norm is evaluated once,
+    and a tuple comes back; scalars give a float.  The inner norm is exact
+    per variant, evaluated at every node at once; the outer integral is the
+    panel rule of ``_Coupling.iterated_norm``, accurate to roundoff, in O(G)
+    work for a table of G cells.
     """
+    exponents = np.broadcast_arrays(inner_p, inner_weight, outer_power)
+    terms = list(zip(*(x.ravel().tolist() for x in exponents)))
     if not T >= 0:
         raise DomainError(f"horizon must be nonnegative, got {T}")
-    if outer_power < 1:
-        raise DomainError(f"outer power must be >= 1, got {outer_power}")
+    for _, _, outer in terms:
+        if outer < 1:
+            raise DomainError(f"outer power must be >= 1, got {outer}")
     if T == 0 or is_zero(f):
-        return 0.0
-    # probe once so a divergent inner norm raises before quadrature runs
-    norm(f, inner_p, T, inner_weight)
+        vals = [0.0] * len(terms)
+    else:
+        vals = _iterated_norms(f, T, terms)
+    return tuple(vals) if exponents[0].ndim else vals[0]
+
+
+def _iterated_norms(f: CouplingFunction, T: float, terms: list) -> list:
+    # probe each inner norm once so a divergent one raises before quadrature runs
+    for p, a in dict.fromkeys((p, a) for p, a, _ in terms):
+        norm(f, p, T, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        val = f.iterated_norm(T, inner_p, inner_weight, outer_power)
-        if val < sys.float_info.min:
+        vals = f.iterated_norm(T, terms)
+        low = [i for i, val in enumerate(vals) if val < sys.float_info.min]
+        if low:
             # underflowed as in norm: integrate 2^-k f, then scale by 2^(k outer_power),
             # the fraction of the exponent first and its integer part by ldexp, so a
             # zero stays zero instead of meeting an overflowed 2^(k outer_power)
             k, unit = f.normalized()
-            val = float(unit.iterated_norm(T, inner_p, inner_weight, outer_power))
-            e = math.floor(k * outer_power)
-            try:
-                val = math.ldexp(val * 2.0 ** (k * outer_power - e), e)
-            except OverflowError:
-                val = math.inf
-    if not math.isfinite(val):
+            for i, val in zip(low, unit.iterated_norm(T, [terms[i] for i in low])):
+                e = math.floor(k * terms[i][2])
+                try:
+                    vals[i] = math.ldexp(val * 2.0 ** (k * terms[i][2] - e), e)
+                except OverflowError:
+                    vals[i] = math.inf
+    if not all(map(math.isfinite, vals)):
         raise NumericalFailure(f"iterated norm overflows at T={T}")
-    return val
+    return vals

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from fkbound import bounds as B
-from fkbound.errors import DomainError, NoLinearSlope
-from fkbound.schedule import Constant, ExpDecay, Indicator, Tabulated
+from fkbound import schedule
+from fkbound.errors import DomainError, NoLinearSlope, NonIntegrable
+from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw, Tabulated
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -282,3 +284,105 @@ def test_log_bound_nonnegative_across_grid():
 def test_horizon_zero_gives_unit_bound():
     rep = B.theorem1_bound(Constant(1.0), B.BoundParams(1.0, 3, 0.0))
     assert rep.log_bound == 0.0
+
+
+# ---------------------------------------------------------------------------
+# theorem 2: one panel rule per bound
+# ---------------------------------------------------------------------------
+
+def _pinned_couplings(T):
+    yield "constant", Constant(0.8)
+    yield "exp_decay", ExpDecay(0.9, 1.3)
+    yield "indicator", Indicator(1.1, 0.7)
+    yield "power_law", PowerLaw(0.6, -0.2)
+    for cells in (20, 200, 1000):
+        rng = np.random.default_rng(cells)
+        grid = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, cells))))
+        grid = grid * (T / grid[-1])
+        grid[-1] = T
+        yield f"table{cells}", Tabulated(tuple(grid), tuple(rng.uniform(0.1, 1.0, cells + 1)))
+
+
+PINNED_COUPLINGS = dict(_pinned_couplings(2.0))
+
+# theorem-2 bounds at d = 3, T = 2 from one iterated_norm call per term, which the
+# shared rule must reproduce bit for bit: the log bound, then
+# norm_value:contribution of each reported term, as float.hex
+T2_PINS = {
+    "constant:0.7": ("0x1.5878b7e022068p+1",
+                    "0x1.9999999999999p+0:0x1.c6f970fe452a8p-1 0x1.822cb17ff2eb9p+1:0x1.cd74b7412177dp+0"),
+    "constant:1.0": ("0x1.a1597293ccec0p+1",
+                    "0x1.b4e81b4e81b50p+0:0x1.b4e81b4e81b50p-1 0x1.822cb17ff2eb9p+1:0x1.341f6bc02c7ecp+1"),
+    "constant:1.4": ("0x1.3ad6952009127p+3",
+                    "0x1.1b053be6e0046p+1:0x1.07b4ec3c4cbd8p+2 0x1.43411ba41240ep+2:0x1.6df83e03c5676p+2"),
+    "exp_decay:0.7": ("0x1.f27ee1a7487b4p+0",
+                     "0x1.c88311d81ae08p-1:0x1.56a9563da92f6p-2 0x1.2410107913297p+1:0x1.9cd48c17de2f7p+0"),
+    "exp_decay:1.0": ("0x1.066d81ba7a6acp+1",
+                     "0x1.d6538fa32e775p-2:0x1.d6538fa32e775p-3 0x1.2410107913297p+1:0x1.d21091808f069p+0"),
+    "exp_decay:1.4": ("0x1.58dc672f800fcp+2",
+                     "0x1.a65b7056b02d1p-3:0x1.8988f13fe6f05p-2 0x1.1ae25c575a5ffp+2:0x1.4043d81b81a0cp+2"),
+    "indicator:0.7": ("0x1.5989235f606fap+1",
+                     "0x1.453f7ced91688p+0:0x1.2364cecf2983ap-1 0x1.a03b97d410935p+1:0x1.10afefab960ecp+1"),
+    "indicator:1.0": ("0x1.8649f9b65a6ecp+1",
+                     "0x1.d1774d860c65bp-1:0x1.d1774d860c65bp-2 0x1.a03b97d410935p+1:0x1.4c1b100598e21p+1"),
+    "indicator:1.4": ("0x1.ffcf2643af13ep+2",
+                     "0x1.391fabc020692p-1:0x1.23c17627df52ap+0 0x1.83a563a773f5ep+2:0x1.b6dec8b9b73f4p+2"),
+    "power_law:0.7": ("0x1.8b54a7ff75958p+1",
+                     "0x1.736f5610c90eep+0:0x1.796b632bd8366p-1 0x1.e4e1a9761b616p+1:0x1.2cf9cf347f87fp+1"),
+    "power_law:1.0": ("0x1.d6d3ab7bab13ap+1",
+                     "0x1.4fca1dbd0c81cp+0:0x1.4fca1dbd0c81cp-1 0x1.e4e1a9761b616p+1:0x1.82e1240c67f33p+1"),
+    "power_law:1.4": ("0x1.f6c01af135415p+3",
+                     "0x1.53d8b0913b420p+0:0x1.3ca7a3ba1f12fp+1 0x1.762578a8f9454p+3:0x1.a7963202ad7c9p+3"),
+    "table20:0.7": ("0x1.8556362502408p+1",
+                   "0x1.c725d79384171p+0:0x1.08c549ce65f17p+0 0x1.b6b096494038dp+1:0x1.00f3913dcf47dp+1"),
+    "table20:1.0": ("0x1.e24d43e584a5ap+1",
+                   "0x1.088e569490e0bp+1:0x1.088e569490e0bp+0 0x1.b6b096494038dp+1:0x1.5e06189b3c354p+1"),
+    "table20:1.4": ("0x1.82334cbd48a54p+3",
+                   "0x1.7b0d1fd5bef83p+1:0x1.612f2c777e32ap+2 0x1.7249485f393bbp+2:0x1.a3376d031317fp+2"),
+    "table200:0.7": ("0x1.a92a334447f19p+1",
+                    "0x1.f554f9ff7f555p+0:0x1.3630fde1971d0p+0 0x1.d96fb46d2cef0p+1:0x1.0e11b4537c631p+1"),
+    "table200:1.0": ("0x1.0e90c0beb4604p+2",
+                    "0x1.46c443e345d8ap+1:0x1.46c443e345d8ap+0 0x1.d96fb46d2cef0p+1:0x1.79bf5f8bc5d44p+1"),
+    "table200:1.4": ("0x1.e1e3720b1701ep+3",
+                    "0x1.14448e121692cp+2:0x1.016a3615c478fp+3 0x1.8c8bfa292fa58p+2:0x1.c0f277eaa511ep+2"),
+    "table1000:0.7": ("0x1.b1be321117a2cp+1",
+                     "0x1.ff61f5fd927cbp+0:0x1.4009fb1b81decp+0 0x1.e2317a221d60bp+1:0x1.11b9348356b36p+1"),
+    "table1000:1.0": ("0x1.157af49fd26bep+2",
+                     "0x1.5473b98c81f20p+1:0x1.5473b98c81f20p+0 0x1.e2317a221d60bp+1:0x1.80bc0c7963dedp+1"),
+    "table1000:1.4": ("0x1.f89cc3810ce6cp+3",
+                     "0x1.28584a0a4644cp+2:0x1.141f33e9e963cp+3 0x1.93a494d9316d8p+2:0x1.c8fb1f2e47061p+2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(T2_PINS))
+def test_theorem2_bound_is_pinned_bit_for_bit(case):
+    name, theta = case.rsplit(":", 1)
+    rep = B.theorem_bound(2, PINNED_COUPLINGS[name], B.BoundParams(float(theta), 3, 2.0))
+    terms = " ".join(f"{t.norm_value.hex()}:{t.contribution.hex()}" for t in rep.terms)
+    assert (rep.log_bound.hex(), terms) == T2_PINS[case]
+
+
+def _count_panel_rules(monkeypatch) -> list:
+    calls = []
+    rule = schedule._panel_rule
+    monkeypatch.setattr(schedule, "_panel_rule", lambda *a: calls.append(a) or rule(*a))
+    return calls
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.0, 1.4])
+@pytest.mark.parametrize("name", sorted(PINNED_COUPLINGS))
+def test_theorem2_bound_builds_one_panel_rule(monkeypatch, name, theta):
+    # every iterated norm of the evaluated branches (3 below theta = 1, 2 above,
+    # 5 at it) shares one rule and each distinct inner norm
+    calls = _count_panel_rules(monkeypatch)
+    B.theorem_bound(2, PINNED_COUPLINGS[name], B.BoundParams(theta, 3, 2.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.0, 1.4])
+def test_theorem2_divergent_inner_norm_raises_before_any_panel_rule(monkeypatch, theta):
+    # t^-0.8 against s^(-theta/2) or s^-0.5 is not integrable at 0; |f|_{1,t} is
+    calls = _count_panel_rules(monkeypatch)
+    with pytest.raises(NonIntegrable):
+        B.theorem_bound(2, PowerLaw(0.6, -0.8), B.BoundParams(theta, 3, 2.0))
+    assert calls == []

@@ -142,6 +142,30 @@ def test_simulate_non_finite_input_exit_2(extra, capsys):
     assert "finite" in err
 
 
+_OFFSET_MODELS = [["--model", "hydrogen", "--alpha", "0.5"], ["--model", "bipolaron", "--alpha", "0.3"]]
+
+
+@pytest.mark.parametrize("model", _OFFSET_MODELS)
+@pytest.mark.filterwarnings("error")
+def test_simulate_offset_with_an_overflowing_square_exit_2(model, capsys):
+    # 1e160 is finite, but the single and cross-pair samplers square it; the single
+    # action then gathered at a NaN cell index, the bipolaron overflowed with exit 0
+    code, out, err = run_cli(["simulate", *model, "--T", "1", "--paths", "100", "--steps", "16",
+                              "--seed", "1", "--offset", "1e160"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite square" in err
+
+
+@pytest.mark.parametrize("model", _OFFSET_MODELS)
+@pytest.mark.filterwarnings("error")
+def test_simulate_large_offset_with_a_finite_square_runs(model, capsys):
+    code, out, _ = run_cli(["simulate", *model, "--T", "1", "--paths", "100", "--steps", "16",
+                            "--seed", "1", "--offset", "1e150"], capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["offset"] == 1e150
+
+
 @pytest.mark.parametrize("extra", [["--omega", "inf", "--T", "2"], ["--omega", "1", "--T", "inf"],
                                    ["--omega", "1e200", "--T", "2"]])
 def test_oscillator_non_finite_input_exit_2(extra, capsys):

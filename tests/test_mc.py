@@ -841,6 +841,14 @@ def test_maximality_requires_single_action():
         mc.maximality_check(spec, [1.0], 500, 32, 1)
 
 
+@pytest.mark.parametrize("offset", [1e160, -2.0 ** 511, math.nan])
+def test_maximality_rejects_an_offset_whose_square_overflows(offset):
+    # the sampler squares each offset: 1e160 once gathered at a NaN cell index
+    spec = mc.ActionSpec("single", Constant(0.5), 1.0, 3, 1.0)
+    with pytest.raises(DomainError, match="finite square"):
+        mc.maximality_check(spec, [1.0, offset], 100, 16, 1)
+
+
 def test_ladder_allowance_recovers_sqrt_dt_bias():
     spec = hydrogen_spec()
     out = mc.ladder_allowance(spec, 20_000, 512, 31, exponent=0.5)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fkbound import cli
+from fkbound import cli, schedule
 from fkbound.errors import DomainError, NonIntegrable, NumericalFailure
 from fkbound.schedule import (
     Constant,
@@ -233,6 +233,36 @@ def test_iterated_norm_underflow_is_not_an_overflow():
 
 def test_iterated_norm_zero_coupling():
     assert iterated_norm(Constant(0.0), 3.0, 1.0, 0.5, 2.0) == 0.0
+    assert iterated_norm(Constant(0.0), 3.0, 1.0, (0.0, 0.5), 2.0) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("f", [ExpDecay(0.9, 1.3), Indicator(1e-110, 0.7), PowerLaw(0.6, -0.2),
+                               Tabulated((0.0, 0.4, 1.1, 2.0), (0.0, 0.7, 0.2, 0.5))])
+def test_iterated_norm_terms_are_the_single_term_values_bit_for_bit(f):
+    # the terms broadcast and share one panel rule; Indicator(1e-110) takes the
+    # rescaled path for its cubed term only
+    p, a, o = (1.0, 1.0, 2.0, 1.0, 1.0), (0.0, 0.0, 0.2, 0.5, 0.0), (1.0, 2.0, 1.5, 1.0, 3.0)
+    got = iterated_norm(f, 2.0, p, a, o)
+    assert isinstance(got, tuple)
+    assert [v.hex() for v in got] == [iterated_norm(f, 2.0, *term).hex() for term in zip(p, a, o)]
+    assert iterated_norm(f, 2.0, 1.0, 0.0, (1.0, 2.0)) == got[:2]
+
+
+def test_iterated_norm_evaluates_each_inner_norm_once_on_one_panel_rule(monkeypatch):
+    calls, rule = [], schedule._panel_rule
+    monkeypatch.setattr(schedule, "_panel_rule", lambda *a: calls.append("rule") or rule(*a))
+    f = ExpDecay(0.9, 1.3)
+    inner = type(f).power_integral
+    monkeypatch.setattr(type(f), "power_integral",
+                        lambda self, q, b, s: calls.append((q, b, np.ndim(s))) or inner(self, q, b, s))
+    iterated_norm(f, 2.0, 1.0, (0.0, 0.0, 0.5, 0.0), (1.0, 2.0, 1.0, 1.5))
+    # a scalar probe of each inner norm at T, then one rule and each inner norm on its nodes
+    assert calls == [(1.0, 0.0, 0), (1.0, 0.5, 0), "rule", (1.0, 0.0, 2), (1.0, 0.5, 2)]
+
+
+def test_iterated_norm_rejects_any_outer_power_below_one():
+    with pytest.raises(DomainError, match="outer power"):
+        iterated_norm(Constant(1.0), 2.0, 1.0, 0.0, (1.0, 0.5))
 
 
 def test_is_zero_detection():

@@ -1,9 +1,10 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
-one outer quadrature rule, the Monte Carlo engine makes no BLAS call and
-builds no O(N^2) pair-index table, its single and quadratic samplers draw
-no midpoint noise, only ``mc`` counts cores and starts worker threads, no
-module reads ``FKBOUND_THREADS``, the Pekar kernel is assembled only through
-its unit-grid cache, and the modules import each other one way.
+one outer quadrature rule, which ``bounds`` and ``kernels`` reach only
+through ``iterated_norm`` imported by name, the Monte Carlo engine makes no
+BLAS call and builds no O(N^2) pair-index table, its single and quadratic
+samplers draw no midpoint noise, only ``mc`` counts cores and starts worker
+threads, no module reads ``FKBOUND_THREADS``, the Pekar kernel is assembled
+only through its unit-grid cache, and the modules import each other one way.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -115,6 +116,49 @@ def test_schedule_has_one_outer_quadrature():
               for node in cls.body
               if isinstance(node, ast.FunctionDef) and node.name == "iterated_norm"]
     assert owners == ["_Coupling"]
+
+
+QUADRATURE = {"iterated_norm", "_panel_rule"}
+
+
+def _quadrature_reach(source: str) -> tuple:
+    """(bare calls of ``iterated_norm``, every other way ``source`` reaches
+    schedule's outer quadrature): an attribute ``.iterated_norm`` (a method of a
+    coupling, or the module function through ``schedule.``), ``_panel_rule``, or
+    an ``iterated_norm`` imported from elsewhere or under another name."""
+    calls, other = 0, []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "iterated_norm":
+            calls += 1
+        elif isinstance(node, ast.Attribute) and node.attr in QUADRATURE:
+            other.append(f".{node.attr}")
+        elif isinstance(node, ast.Name) and node.id == "_panel_rule":
+            other.append(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            from_schedule = (node.module or "").rpartition(".")[2] == "schedule"
+            other += [f"import {alias.name}" + (f" as {alias.asname}" if alias.asname else "")
+                      for alias in node.names if alias.name in QUADRATURE
+                      and not (from_schedule and alias.name == "iterated_norm" and not alias.asname)]
+    return calls, other
+
+
+def test_guard_sees_other_ways_to_the_outer_quadrature():
+    source = ("from .schedule import iterated_norm, _panel_rule\n"
+              "from .schedule import iterated_norm as inorm\n"
+              "from .kernels import iterated_norm\n"
+              "a = iterated_norm(f, T, 1.0, 0.0, 2.0) + schedule.iterated_norm(f, T)\n"
+              "b = f.iterated_norm(T, [(1.0, 0.0, 1.0)]) + sum(_panel_rule(c, g)[1])\n")
+    assert _quadrature_reach(source) == (1, [
+        "import _panel_rule", "import iterated_norm as inorm", "import iterated_norm",
+        ".iterated_norm", ".iterated_norm", "_panel_rule"])
+
+
+def test_bounds_and_kernels_reach_the_outer_quadrature_only_through_iterated_norm():
+    # perfbench's tracer wraps schedule.iterated_norm where it is bound by name:
+    # a bound that took its iterated norms another way would read 0 calls and 0 s there
+    for module in ("bounds.py", "kernels.py"):
+        calls, other = _quadrature_reach((SRC / module).read_text())
+        assert calls >= 1 and other == [], module
 
 
 BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
