@@ -14,7 +14,11 @@ for moderate coupling and every consumer (energy extraction, Monte Carlo
 comparison) works with logs.
 
 For theta exactly 1 the two analytic branches of each theorem coincide; both
-are evaluated and cross-checked rather than privileging one.
+are evaluated and cross-checked rather than privileging one.  Each distinct
+norm of the evaluated branches is computed once, so at theta = 1 both read
+one set of norms.  Theorems 1 and 2 share the shape of their terms and differ
+only in those norms: |f|-norms for theorem 1, their time integrals for
+theorem 2.
 """
 
 from __future__ import annotations
@@ -160,124 +164,90 @@ class BoundReport:
         }
 
 
-def _report(term_fn, source, params, theorem, branch) -> BoundReport:
-    try:
-        terms = term_fn(source, params, branch)
-        log_bound = sum(t.contribution for t in terms)
-    except (OverflowError, ZeroDivisionError):  # a power or ratio of norms out of range
-        log_bound = math.inf
-    if not math.isfinite(log_bound):
-        raise NumericalFailure(f"log bound out of range at theta={params.theta}, T={params.T}")
-    return BoundReport(log_bound, tuple(terms), params, theorem, branch)
+_LABELS = {
+    ("T1", "theta_geq_1"): ("A |f|_q^q, q=2/(2-theta)", "B |f/t^(theta/2)|_1"),
+    ("T1", "theta_leq_1"): ("C |f|_1^((2-2theta)/(2-theta)) |f^2|_1^(theta/(2-theta))",
+                            "D (|f|_1/|f^2|_1)^((1-theta)/(2-theta)) |f/sqrt(t)|_1"),
+    ("T2", "theta_geq_1"): ("A int |f|_{1,t}^(2/(2-theta)) dt", "B int |f/s^(theta/2)|_{1,t} dt"),
+    ("T2", "theta_leq_1"): (
+        "C (int |f|_{1,t})^((2-2theta)/(2-theta)) (int |f|_{1,t}^2)^(theta/(2-theta))",
+        "D (int |f|_{1,t} / int |f|_{1,t}^2)^((1-theta)/(2-theta)) int |f/sqrt(s)|_{1,t}"),
+    ("T3", "theta_geq_1"): ("2^(-theta/(2-theta)) A |f|_1^(2/(2-theta)) T",
+                            "2^(-theta/2) (1-theta/2)^(-1) B |f|_1 T^(1-theta/2)"),
+    ("T3", "theta_leq_1"): ("2^(-theta/(2-theta)) C |f|_1^(2/(2-theta)) T",
+                            "2^((4-3theta)/(2(2-theta))) D |f|_1^(1/(2-theta)) sqrt(T)"),
+}
 
 
-def _t1_terms(f_env, params, branch) -> list:
-    theta, d, T = params.theta, params.d, params.T
-    co = coefficients(theta, d)
+def _norms(theorem: str, theta: float, branch: str) -> list:
+    """The norms a branch's terms take, in order: the (p, weight) of |f/t^weight|_p
+    for theorems 1 and 3, and for theorem 2 the (inner_p, inner_weight,
+    outer_power) = (1, weight, p) of the time integral of |f/s^weight|_{1,t}^p."""
+    if theorem == "T3":
+        return [(1.0, 0.0)]
+    if branch == "theta_geq_1":
+        pairs = [(2.0 / (2.0 - theta), 0.0), (1.0, theta / 2.0)]
+    else:
+        pairs = [(1.0, 0.0), (2.0, 0.0), (1.0, 0.5)]
+    return pairs if theorem == "T1" else [(1.0, weight, p) for p, weight in pairs]
+
+
+def _terms(theorem: str, co: CoefficientSet, params: BoundParams, branch: str, values: dict) -> list:
+    """A branch's two terms, reading each of its _norms from ``values``."""
+    theta, T = params.theta, params.T
     s = 2.0 - theta
+    first, second = _LABELS[theorem, branch]
+    norms = [values[key] for key in _norms(theorem, theta, branch)]
+    if theorem == "T3":  # the two-path bound takes only the mass of f itself
+        (L,) = norms
+        if branch == "theta_geq_1":
+            return [BoundTerm(first, 2.0 ** (-theta / s) * co.A * T, L, 2.0 / s),
+                    BoundTerm(second, 2.0 ** (-theta / 2.0) / (1.0 - theta / 2.0) * co.B
+                              * T ** (1.0 - theta / 2.0), L, 1.0)]
+        return [BoundTerm(first, 2.0 ** (-theta / s) * co.C * T, L, 2.0 / s),
+                BoundTerm(second, 2.0 ** ((4.0 - 3.0 * theta) / (2.0 * s)) * co.D * math.sqrt(T),
+                          L, 1.0 / s)]
     if branch == "theta_geq_1":
-        q = 2.0 / s
-        return [
-            BoundTerm("A |f|_q^q, q=2/(2-theta)", co.A, norm(f_env, q, T), q),
-            BoundTerm("B |f/t^(theta/2)|_1", co.B, norm(f_env, 1.0, T, weight=theta / 2.0),
-                      1.0),
-        ]
-    m1 = norm(f_env, 1.0, T)
-    m2sq = norm(f_env, 2.0, T) ** 2
-    m3 = norm(f_env, 1.0, T, weight=0.5)
-    # at theta = 1 (here and in T2) the ratio's power is 0: never form it over a square that underflowed
-    return [
-        BoundTerm(
-            "C |f|_1^((2-2theta)/(2-theta)) |f^2|_1^(theta/(2-theta))",
-            co.C * m2sq ** (theta / s),
-            m1,
-            (2.0 - 2.0 * theta) / s,
-        ),
-        BoundTerm(
-            "D (|f|_1/|f^2|_1)^((1-theta)/(2-theta)) |f/sqrt(t)|_1",
-            co.D * ((m1 / m2sq) ** ((1.0 - theta) / s) if theta != 1.0 else 1.0),
-            m3,
-            1.0,
-        ),
-    ]
-
-
-def _t2_integrals(theta: float, branch: str) -> list:
-    """The (inner_p, inner_weight, outer_power) of each iterated norm a theorem-2 branch takes."""
-    if branch == "theta_geq_1":
-        return [(1.0, 0.0, 2.0 / (2.0 - theta)), (1.0, theta / 2.0, 1.0)]
-    return [(1.0, 0.0, 1.0), (1.0, 0.0, 2.0), (1.0, 0.5, 1.0)]
-
-
-def _t2_terms(iterated, params, branch) -> list:
-    # iterated maps each of the branch's _t2_integrals to its value
-    theta, d = params.theta, params.d
-    co = coefficients(theta, d)
-    s = 2.0 - theta
-    if branch == "theta_geq_1":
-        i1, i2 = (iterated[key] for key in _t2_integrals(theta, branch))
-        return [
-            BoundTerm("A int |f|_{1,t}^(2/(2-theta)) dt", co.A, i1, 1.0),
-            BoundTerm("B int |f/s^(theta/2)|_{1,t} dt", co.B, i2, 1.0),
-        ]
-    j1, j2, j3 = (iterated[key] for key in _t2_integrals(theta, branch))
-    return [
-        BoundTerm(
-            "C (int |f|_{1,t})^((2-2theta)/(2-theta)) (int |f|_{1,t}^2)^(theta/(2-theta))",
-            co.C * j2 ** (theta / s),
-            j1,
-            (2.0 - 2.0 * theta) / s,
-        ),
-        BoundTerm(
-            "D (int |f|_{1,t} / int |f|_{1,t}^2)^((1-theta)/(2-theta)) int |f/sqrt(s)|_{1,t}",
-            co.D * ((j1 / j2) ** ((1.0 - theta) / s) if theta != 1.0 else 1.0),
-            j3,
-            1.0,
-        ),
-    ]
-
-
-def _t3_terms(f, params, branch) -> list:
-    # the two-path bound uses f itself, not its envelope
-    theta, d, T = params.theta, params.d, params.T
-    co = coefficients(theta, d)
-    s = 2.0 - theta
-    L = norm(f, 1.0, T)
-    if branch == "theta_geq_1":
-        return [
-            BoundTerm("2^(-theta/(2-theta)) A |f|_1^(2/(2-theta)) T",
-                      2.0 ** (-theta / s) * co.A * T, L, 2.0 / s),
-            BoundTerm("2^(-theta/2) (1-theta/2)^(-1) B |f|_1 T^(1-theta/2)",
-                      2.0 ** (-theta / 2.0) / (1.0 - theta / 2.0) * co.B * T ** (1.0 - theta / 2.0),
-                      L, 1.0),
-        ]
-    return [
-        BoundTerm("2^(-theta/(2-theta)) C |f|_1^(2/(2-theta)) T",
-                  2.0 ** (-theta / s) * co.C * T, L, 2.0 / s),
-        BoundTerm("2^((4-3theta)/(2(2-theta))) D |f|_1^(1/(2-theta)) sqrt(T)",
-                  2.0 ** ((4.0 - 3.0 * theta) / (2.0 * s)) * co.D * math.sqrt(T),
-                  L, 1.0 / s),
-    ]
+        # theorem 2's first value already integrates the power q = 2/(2-theta)
+        x, y = norms
+        return [BoundTerm(first, co.A, x, 2.0 / s if theorem == "T1" else 1.0),
+                BoundTerm(second, co.B, y, 1.0)]
+    x, z, w = norms
+    if theorem == "T1":
+        z = z ** 2  # |f^2|_1 from |f|_2
+    # at theta = 1 the ratio's power is 0: never form it over a square that underflowed
+    return [BoundTerm(first, co.C * z ** (theta / s), x, (2.0 - 2.0 * theta) / s),
+            BoundTerm(second, co.D * ((x / z) ** ((1.0 - theta) / s) if theta != 1.0 else 1.0),
+                      w, 1.0)]
 
 
 def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundReport:
-    theta = params.theta
+    theta, T = params.theta, params.T
     # at theta == 1 both branches are evaluated and must agree; the >= branch is reported
     branches = [branch for branch, applies in (("theta_geq_1", theta >= 1.0),
                                                ("theta_leq_1", theta <= 1.0)) if applies]
     zero = bool(is_zero(f))
-    if zero or params.T == 0.0:
+    if zero or T == 0.0:
         return BoundReport(0.0, (), params, theorem, branches[0], zero_coupling=zero)
-    if theorem == "T3":
-        source, term_fn = f, _t3_terms
-    elif theorem == "T1":
-        source, term_fn = envelope(f, params.T), _t1_terms
+    source = f if theorem == "T3" else envelope(f, T)
+    co = coefficients(theta, params.d)
+    # each distinct norm of the evaluated branches once; for theorem 2 one
+    # iterated_norm call, so one panel rule
+    wanted = dict.fromkeys(key for branch in branches for key in _norms(theorem, theta, branch))
+    if theorem == "T2":
+        values = dict(zip(wanted, iterated_norm(source, T, *zip(*wanted))))
     else:
-        # one iterated_norm call, so one panel rule, for every branch's iterated norms
-        wanted = list(dict.fromkeys(key for branch in branches for key in _t2_integrals(theta, branch)))
-        source = dict(zip(wanted, iterated_norm(envelope(f, params.T), params.T, *zip(*wanted))))
-        term_fn = _t2_terms
-    reports = [_report(term_fn, source, params, theorem, branch) for branch in branches]
+        values = {(p, weight): norm(source, p, T, weight=weight) for p, weight in wanted}
+    reports = []
+    for branch in branches:
+        try:
+            terms = _terms(theorem, co, params, branch, values)
+            log_bound = sum(t.contribution for t in terms)
+        except (OverflowError, ZeroDivisionError):  # a power or ratio of norms out of range
+            log_bound = math.inf
+        if not math.isfinite(log_bound):
+            raise NumericalFailure(f"log bound out of range at theta={theta}, T={T}")
+        reports.append(BoundReport(log_bound, tuple(terms), params, theorem, branch))
     hi, lo = reports[0], reports[-1]
     scale = max(abs(hi.log_bound), abs(lo.log_bound), 1e-300)
     if abs(hi.log_bound - lo.log_bound) > _BRANCH_TOL * scale:
@@ -340,22 +310,13 @@ class EnergyBound:
         return -self.slope
 
 
-def _mass_limit(f: CouplingFunction) -> float:
-    """lim_{T->inf} |f|_{1,T}; infinite for couplings with non-integrable mass."""
-    return 0.0 if is_zero(f) else f.mass_limit()
-
-
-def _weighted_limit(f: CouplingFunction, a: float) -> float:
-    """lim_{T->inf} |f(t)/t^a|_{1,T} for the analytic non-increasing variants."""
-    return 0.0 if is_zero(f) else f.weighted_limit(a)
-
-
 def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
     """lim_{T->inf} log_bound(T)/T in closed form.
 
     Available for Constant, ExpDecay and Indicator couplings (after noting
     these equal their own envelopes, except that an increasing coupling is
-    not accepted here); other variants raise DomainError.  Raises
+    not accepted here), and 0 for a zero coupling of any variant; other
+    variants raise DomainError.  Raises
     NoLinearSlope when the bound grows superlinearly (e.g. the
     self-interaction bound with constant coupling), NumericalFailure when
     the slope leaves floating-point range.
@@ -371,30 +332,27 @@ def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> f
 
 def _analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
     co = coefficients(theta, d)
+    if theorem not in (1, 2, 3):
+        raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
+    if is_zero(f):
+        return 0.0
     s = 2.0 - theta
     first_coeff = co.A if theta >= 1.0 else co.C
     if theorem == 1:
         # the weighted second term grows like T^(1-theta/2): sublinear; an
         # integrable coupling saturates the single-integral bound
         return first_coeff * f.mean_power_limit(2.0 / s)
-    if theorem == 2:
-        L = _mass_limit(f)
-        if math.isinf(L):
-            raise NoLinearSlope("self-interaction bound is superlinear for non-integrable coupling")
-        if L == 0.0:
-            return 0.0
-        if theta >= 1.0:
-            return co.A * L ** (2.0 / s) + co.B * _weighted_limit(f, theta / 2.0)
-        return (
-            co.C * L ** (2.0 / s)
-            + co.D * L ** (-(1.0 - theta) / s) * _weighted_limit(f, 0.5)
-        )
+    L = f.mass_limit()
+    if math.isinf(L):
+        bound = "self-interaction" if theorem == 2 else "two-path"
+        raise NoLinearSlope(f"{bound} bound is superlinear for non-integrable coupling")
     if theorem == 3:
-        L = _mass_limit(f)
-        if math.isinf(L):
-            raise NoLinearSlope("two-path bound is superlinear for non-integrable coupling")
         return 2.0 ** (-theta / s) * first_coeff * L ** (2.0 / s)
-    raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
+    if L == 0.0:  # an underflowed mass
+        return 0.0
+    if theta >= 1.0:
+        return co.A * L ** (2.0 / s) + co.B * f.weighted_limit(theta / 2.0)
+    return co.C * L ** (2.0 / s) + co.D * L ** (-(1.0 - theta) / s) * f.weighted_limit(0.5)
 
 
 def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:

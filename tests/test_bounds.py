@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import gamma as gamma_fn
 
 from fkbound import bounds as B
 from fkbound import schedule
-from fkbound.errors import DomainError, NoLinearSlope, NonIntegrable
+from fkbound.errors import DomainError, NoLinearSlope, NonIntegrable, NumericalFailure
 from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw, Tabulated
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -92,19 +93,60 @@ def test_theorem1_low_theta_independent_rederivation():
     assert val == pytest.approx(oracle, rel=1e-10)
 
 
+def _branch_terms(theorem, f, params, branch):
+    """A branch's terms from its own norms, each evaluated by a separate call."""
+    name, T = f"T{theorem}", params.T
+    keys = B._norms(name, params.theta, branch)
+    if theorem == 2:
+        values = {key: schedule.iterated_norm(schedule.envelope(f, T), T, *key) for key in keys}
+    else:
+        source = f if theorem == 3 else schedule.envelope(f, T)
+        values = {(p, w): schedule.norm(source, p, T, weight=w) for p, w in keys}
+    return B._terms(name, B.coefficients(params.theta, params.d), params, branch, values)
+
+
 @pytest.mark.parametrize("theorem", [1, 2, 3])
 @pytest.mark.parametrize("f", [Constant(0.8), ExpDecay(1.2, 0.9), Indicator(0.6, 1.5)])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_branch_agreement_at_theta_one(theorem, f, d):
     # theorem_bound computes both branches at theta = 1 and raises on mismatch
-    rep = B.theorem_bound(theorem, f, B.BoundParams(1.0, d, 2.0))
+    params = B.BoundParams(1.0, d, 2.0)
+    rep = B.theorem_bound(theorem, f, params)
     assert math.isfinite(rep.log_bound)
-    # explicit comparison at the term level
-    if theorem == 1:
-        params = B.BoundParams(1.0, d, 2.0)
-        hi = B._report(B._t1_terms, f, params, "T1", "theta_geq_1")
-        lo = B._report(B._t1_terms, f, params, "T1", "theta_leq_1")
-        assert hi.log_bound == pytest.approx(lo.log_bound, rel=1e-10)
+    # explicit comparison at the term level, each branch from its own norms
+    hi, lo = (sum(t.contribution for t in _branch_terms(theorem, f, params, branch))
+              for branch in ("theta_geq_1", "theta_leq_1"))
+    assert hi == pytest.approx(lo, rel=1e-10)
+    assert hi == rep.log_bound
+
+
+# (norm, iterated_norm) calls of one bound: each distinct norm of the evaluated
+# branches once, so at theta = 1 theorem 1 takes 3 of its branches' 5 norms
+NORM_CALLS = {1: {0.7: (3, 0), 1.0: (3, 0), 1.4: (2, 0)},
+              2: {0.7: (0, 1), 1.0: (0, 1), 1.4: (0, 1)},
+              3: {0.7: (1, 0), 1.0: (1, 0), 1.4: (1, 0)}}
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.0, 1.4])
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+@pytest.mark.parametrize("f", [ExpDecay(0.9, 1.3), Tabulated((0.0, 0.5, 2.0), (0.4, 0.9, 0.2))])
+def test_each_distinct_norm_is_evaluated_once_per_bound(monkeypatch, f, theorem, theta):
+    calls = {"norm": 0, "iterated_norm": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(B, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(B, name, counting)
+    B.theorem_bound(theorem, f, B.BoundParams(theta, 3, 2.0))
+    assert (calls["norm"], calls["iterated_norm"]) == NORM_CALLS[theorem][theta]
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+def test_coefficient_overflow_is_reported_before_the_norms(theorem):
+    # near theta = 2 the coefficients leave float range whatever the coupling;
+    # every theorem reports that before evaluating a norm, here a divergent one
+    with pytest.raises(NumericalFailure, match="bound coefficients overflow"):
+        B.theorem_bound(theorem, PowerLaw(0.6, -0.8), B.BoundParams(1.999, 3, 2.0))
 
 
 @pytest.mark.parametrize("theorem", [1, 2, 3])
@@ -207,6 +249,24 @@ def test_ladder_slope_evaluates_each_rung_once(monkeypatch):
     low, high, top = (original(2, f, B.BoundParams(0.7, 3, T)).log_bound
                       for T in horizons[-3:])
     assert slope == (top - high) / horizons[-2]
+
+
+ZERO_COUPLINGS = [Constant(0.0), ExpDecay(0.0, 1.0), Indicator(0.0, 1.0), PowerLaw(0.0, -0.3),
+                  Tabulated((0.0, 1.0, 2.0), (0.0, 0.0, 0.0))]
+
+
+@pytest.mark.parametrize("theorem", [1, 2, 3])
+@pytest.mark.parametrize("f", ZERO_COUPLINGS)
+def test_analytic_slope_of_a_zero_coupling_is_zero(f, theorem):
+    # whether or not the variant has closed-form large-T norms
+    assert B.analytic_slope(theorem, f, 1.2, 3) == 0.0
+    with pytest.raises(DomainError):
+        B.analytic_slope(4, f, 1.2, 3)
+    model = SimpleNamespace(bound_components=[SimpleNamespace(theorem=theorem, f=f, power=1.0)],
+                            theta=1.2, d=3, name="zero")
+    eb = B.energy_lower_bound(model)
+    assert (eb.slope, eb.subleading) == (0.0, f"T{theorem}: analytic slope")
+
 
 def test_slope_superlinear_raises():
     with pytest.raises(NoLinearSlope):

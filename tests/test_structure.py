@@ -1,10 +1,11 @@
 """Structural guards: only ``schedule`` knows the coupling variants, it has
 one outer quadrature rule, which ``bounds`` and ``kernels`` reach only
-through ``iterated_norm`` imported by name, the Monte Carlo engine makes no
-BLAS call and builds no O(N^2) pair-index table, its single and quadratic
-samplers draw no midpoint noise, only ``mc`` counts cores and starts worker
-threads, no module reads ``FKBOUND_THREADS``, the Pekar kernel is assembled
-only through its unit-grid cache, and the modules import each other one way.
+through ``iterated_norm`` imported by name, ``bounds`` calls its norms in one
+step, the Monte Carlo engine makes no BLAS call and builds no O(N^2)
+pair-index table, its single and quadratic samplers draw no midpoint noise,
+only ``mc`` counts cores and starts worker threads, no module reads
+``FKBOUND_THREADS``, the Pekar kernel is assembled only through its
+unit-grid cache, and the modules import each other one way.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -282,6 +283,15 @@ def test_only_the_unit_grid_cache_assembles_the_pekar_kernel():
     callers = [(path.name, func) for path in sorted(SRC.glob("*.py"))
                for func in _callers(path.read_text(), "_assemble_kernel")]
     assert callers == [("pekar.py", "_unit_kernel")]
+
+
+def test_bounds_evaluates_every_norm_in_one_step():
+    # _evaluate computes each distinct norm of a bound's branches once and the
+    # term formulas read them: a theorem whose terms called norm themselves
+    # would repeat, at theta = 1, the norms both branches take
+    source = (SRC / "bounds.py").read_text()
+    assert _callers(source, "norm") == ["_evaluate"]
+    assert _callers(source, "iterated_norm") == ["_evaluate"]
 
 
 def _package_imports(source: str) -> list:
