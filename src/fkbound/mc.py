@@ -21,10 +21,12 @@ pass, one gather of every coefficient), in a few numpy calls each over the
 whole batch: each call hands the GIL over, and the workers queue at every
 hand-over.  A path's action is a numpy sum over
 that path alone (a pair action one sum per block of node rows, on the band
-of nonzero lag weights and at theta = 1 through sqrt, added in block order),
-and every reduction over paths runs in index order.  The engine makes no
-BLAS call, whose threads would split a long sum, so no result depends on the
-worker count, the batch size or the BLAS thread count.
+of nonzero lag weights, added in block order; its distances come from one
+scipy ``cdist`` call per path and chunk of rows, a sequential per-pair sum
+over coordinates in C with the GIL released), and every reduction over paths
+runs in index order.  The engine makes no BLAS call, whose threads would
+split a long sum, so no result depends on the worker count, the batch size
+or the BLAS thread count.
 
 Draw order within a path is part of the reproducibility contract, with the
 grouping above; each path's (rows, d) block holds the N-row draws listed, in
@@ -57,6 +59,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
+from scipy.spatial.distance import cdist
 
 from .errors import DomainError
 from .kernels import expectation_constant
@@ -197,6 +200,11 @@ _DRAW_ELEMENTS = 1 << 12
 
 # Node rows per block of the pair kernel; fixed, so no sum depends on the batch.
 _BLOCK_ROWS = 16
+
+# Node rows per cdist call of the pair kernel, a multiple of _BLOCK_ROWS; no result depends on it.
+# Each call holds the GIL for some microseconds, so calls must be few: perfbench mc_pair ran 24.3 /
+# 25.6 / 27.8 jobs/s at 32 / 48 / 64 on 2 cores, but 64 added 7-11% to peak RSS.
+_CHUNK_ROWS = 48
 
 
 def _workers() -> int:
@@ -389,18 +397,20 @@ class _PairSampler:
     """Grid-node double sums over node pairs i > j, nodes at t = (k+1) dt.
 
     The action is a sum of terms (W, a, b, offset), added in table order:
-    each is the sum over pairs of W[i, j] (eps^2 + |a_i - b_j + offset e_1|^2)^(-theta/2),
+    each is the sum over pairs of W[i, j] (|a_i - b_j + offset e_1|^2 + eps^2)^(-theta/2),
     with a and b each path 0 (X, the first N drawn rows) or 1 (Y, the next N)
-    and W[i, j] = w_(i-j) a strided view of the lag weights.  Each block of
-    ``_BLOCK_ROWS`` rows i, on the band j >= i - L of nonzero weights, is one
-    numpy sum per path, added in block order; at theta = 1 a pair is W / sqrt(r^2).
+    and W[i, j] = w_(i-j) a strided view of the lag weights.  One ``cdist`` call per
+    path and ``_CHUNK_ROWS`` rows i, on the band j >= i - L of nonzero weights, forms
+    r^2 (at theta = 1 r) as the sequential sum ((d_0^2 + eps^2) + d_1^2) + ..., eps an
+    extra coordinate, no BLAS; each ``_BLOCK_ROWS`` rows are one numpy sum per path,
+    added in block order.
     """
 
     def __init__(self, spec: ActionSpec, steps: int):
         dt = spec.T / steps
         parts = 1 if spec.kind == "self_double" else 2
         self.rows, self.block = parts * steps, (parts, steps, spec.d)
-        self.sq, self.theta, self.eps2 = math.sqrt(dt), spec.theta, spec.epsilon ** 2
+        self.sq, self.theta, self.eps = math.sqrt(dt), spec.theta, spec.epsilon
         # lags N-1, ..., 1, then 0, ..., 1-N: reversed windows give W[i, j] = w_(i-j)
         w = np.append(evaluate(spec.f, np.arange(steps - 1, 0, -1) * dt) * dt * dt, np.zeros(steps))
         self.band = steps - 1 - int(np.argmax(w != 0.0)) if w.any() else 0
@@ -409,34 +419,34 @@ class _PairSampler:
         self.terms = {"self_double": [(W, 0, 0, 0.0)], "cross_double": [(W, 0, 1, spec.offset)],
                       "bipolaron": [(W2, 0, 1, spec.offset), (W, 0, 0, 0.0), (W, 1, 1, 0.0)]}[spec.kind]
 
+    @np.errstate(divide="ignore")  # a zero distance gives the path +inf
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        n, (_, steps, d), K, L = len(z), self.block, _BLOCK_ROWS, self.band
-        # component-major node rows: nodes[p, a, c] is coordinate c of path p's X or Y
-        nodes = (self.sq * z.reshape((n,) + self.block)).cumsum(axis=2).transpose(0, 1, 3, 2).copy()
-        bufs = [np.empty(n * K * min(steps - 1, K - 1 + L)) for _ in range(2)]
+        n, (_, steps, d), C, K, L = len(z), self.block, _CHUNK_ROWS, _BLOCK_ROWS, self.band
+        nodes = (self.sq * z.reshape((n,) + self.block)).cumsum(axis=2)  # (n, parts, steps, d)
+        metric = "euclidean" if self.theta == 1.0 else "sqeuclidean"
+        chunk = np.empty(n * C * min(steps - 1, C - 1 + L))
+        block = np.empty(n * K * min(steps - 1, K - 1 + L))
         out = np.zeros(n)
         for W, a, b, offset in self.terms:
-            x, y = nodes[:, a], nodes[:, b] - offset * np.eye(d, 1)
-            for i0 in range(1, steps, K):
-                i1, j0 = min(i0 + K, steps), max(0, i0 - L)
-                r2, diff = (buf[:n * (i1 - i0) * (i1 - 1 - j0)].reshape(n, i1 - i0, -1) for buf in bufs)
-                for c in range(d):
-                    dc = diff if c else r2
-                    np.subtract(x[:, c, i0:i1, None], y[:, c, None, j0:i1 - 1], out=dc)
-                    dc *= dc
-                    if c:
-                        r2 += dc
-                    elif self.eps2:
-                        r2 += self.eps2
-                wb = W[i0:i1, j0:i1 - 1]
-                # zero weights, j >= i among them, at distance 1: no 0 * inf
-                np.copyto(r2[:, :, i0 - j0:], 1.0, where=wb[:, i0 - j0:] == 0.0)
-                with np.errstate(divide="ignore"):
+            x, y = nodes[:, a], nodes[:, b] - offset * np.eye(1, d) if offset else nodes[:, b]
+            if self.eps:  # (eps - 0)^2 right after d_0^2
+                x, y = np.insert(x, 1, self.eps, axis=2), np.insert(y, 1, 0.0, axis=2)
+            for c0 in range(1, steps, C):
+                c1, h0 = min(c0 + C, steps), max(0, c0 - L)
+                r = chunk[:n * (c1 - c0) * (c1 - 1 - h0)].reshape(n, c1 - c0, -1)
+                for p in range(n):
+                    cdist(x[p, c0:c1], y[p, h0:c1 - 1], metric, out=r[p])
+                for i0 in range(c0, c1, K):
+                    i1, j0 = min(i0 + K, c1), max(0, i0 - L)
+                    wb, rb = W[i0:i1, j0:i1 - 1], r[:, i0 - c0:i1 - c0, j0 - h0:i1 - 1 - h0]
+                    # zero weights, j >= i among them, at distance 1: no 0 * inf
+                    np.copyto(rb[:, :, i0 - j0:], 1.0, where=wb[:, i0 - j0:] == 0.0)
+                    s = block[:n * (i1 - i0) * (i1 - 1 - j0)].reshape(n, i1 - i0, -1)
                     if self.theta == 1.0:
-                        np.divide(wb, np.sqrt(r2, out=r2), out=r2)
+                        np.divide(wb, rb, out=s)
                     else:
-                        np.multiply(np.power(r2, -self.theta / 2.0, out=r2), wb, out=r2)
-                out += r2.sum(axis=(1, 2))
+                        np.multiply(np.power(rb, -self.theta / 2.0, out=s), wb, out=s)
+                    out += s.sum(axis=(1, 2))
         return out
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, fields, replace
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, hyp1f1
 
 from .errors import DomainError, NonIntegrable, NumericalFailure
 
@@ -233,12 +233,15 @@ class ExpDecay(_Coupling):
         # int_0^s e^{-lam t} t^{-b} dt = lam^{b-1} * Gamma(1-b) * P(1-b, lam s)
         lam = q * self.rate
         a = 1.0 - b
-        return (
-            self.amplitude ** q
-            * lam ** (b - 1.0)
-            * math.exp(gammaln(a))
-            * gammainc(a, lam * s)
-        )
+        try:
+            head = self.amplitude ** q * lam ** (b - 1.0)
+        except OverflowError:
+            head = math.inf
+        # lam^(b-1), or its product with f^q, overflows at a tiny rate: there take the
+        # small-x form s^a 1F1(a; a+1; -lam s) / a (DLMF 8.5.1)
+        if head == math.inf:
+            return self.amplitude ** q * s ** a * hyp1f1(a, a + 1.0, -lam * s) / a
+        return head * math.exp(gammaln(a)) * gammainc(a, lam * s)
 
     def mean_power_limit(self, q: float) -> float:
         return 0.0

@@ -482,7 +482,20 @@ def test_tiny_couplings_bound_and_verify(argv, capsys):
     assert json.loads(out).get("all_passed", True) is True
 
 
-def test_large_dimension_inverse_square_verifies(capsys):
+@pytest.mark.parametrize("amplitude", ["1", "1e10"])
+def test_subnormal_decay_rate_bounds_like_a_tiny_one(amplitude, capsys):
+    # rate^-1 overflows below about 5.6e-309 (and its product with amplitude^2 at 1e10):
+    # the norm formed that power before the incomplete gamma and exited 3
+    def bound(rate):
+        coupling = f'{{"kind":"exp_decay","amplitude":{amplitude},"rate":{rate}}}'
+        code, out, err = run_cli(["bound", "--theorem", "1", "--theta", "1", "--dim", "3",
+                                  "--T", "1", "--coupling", coupling], capsys)
+        assert code == 0, err
+        return json.loads(out)["log_bound"]
+
+    tiny = bound("1e-300")
+    assert tiny == {"1": 2.0957691216057217, "1e10": 5.000000001595769e+19}[amplitude]
+    assert abs(bound("4e-309") - tiny) <= 1e-12 * max(1.0, tiny)
     # the moment table's scale X0 = 8 crowded its change into the last cells at large d:
     # the action mean read 15.5% below the exact E[A_N] and jensen_below_mc failed (exit 4)
     argv = ("model --name=inverse_square --alpha=0.01 --dim=65527 --theta=1.3833613493801604 "

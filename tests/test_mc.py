@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from fkbound import kernels, mc, oscillator
 from fkbound.bounds import BoundParams, theorem1_bound
@@ -394,19 +396,85 @@ def test_pair_actions_independent_of_batch_size_and_threads(kind, f, theta, monk
     spec = mc.ActionSpec(kind, f, theta, 3, 1.0, offset=0.4)
     ens = mc.PathEnsemble(seed=4, paths=23, steps=70, horizon=1.0, dim=3)
     sampler = mc._PairSampler(spec, 70)
+    chunk, budget = mc._CHUNK_ROWS, mc._BATCH_ELEMENTS
     base = mc._run(sampler, ens)
-    for paths_per_batch in (None, 1, 3):  # the default budget, then one and three paths
-        if paths_per_batch:
-            monkeypatch.setattr(mc, "_BATCH_ELEMENTS", paths_per_batch * sampler.rows * 3)
-        for cores in (1, 3):
-            _cores(monkeypatch, cores)
-            assert np.array_equal(mc._run(sampler, ens), base)
+    for rows in (chunk, 16, 32):  # the default chunk, then one and two row blocks per cdist call
+        monkeypatch.setattr(mc, "_CHUNK_ROWS", rows)
+        for paths in (None, 1, 3):  # the default budget, then one and three paths per batch
+            monkeypatch.setattr(mc, "_BATCH_ELEMENTS", paths * sampler.rows * 3 if paths else budget)
+            for cores in (1, 3):
+                _cores(monkeypatch, cores)
+                assert np.array_equal(mc._run(sampler, ens), base)
+
+
+class _RowBlockPairSampler(mc._PairSampler):
+    """Reference pair kernel in plain numpy: component-major nodes, and per block of
+    ``_BLOCK_ROWS`` rows one subtract, square and add per coordinate, epsilon^2 added
+    after the first.  The cdist kernel must match it byte for byte."""
+
+    def __call__(self, z):
+        n, (_, steps, d), K, L = len(z), self.block, mc._BLOCK_ROWS, self.band
+        eps2 = self.eps ** 2
+        nodes = (self.sq * z.reshape((n,) + self.block)).cumsum(axis=2).transpose(0, 1, 3, 2).copy()
+        bufs = [np.empty(n * K * min(steps - 1, K - 1 + L)) for _ in range(2)]
+        out = np.zeros(n)
+        for W, a, b, offset in self.terms:
+            x, y = nodes[:, a], nodes[:, b] - offset * np.eye(d, 1)
+            for i0 in range(1, steps, K):
+                i1, j0 = min(i0 + K, steps), max(0, i0 - L)
+                r2, diff = (buf[:n * (i1 - i0) * (i1 - 1 - j0)].reshape(n, i1 - i0, -1) for buf in bufs)
+                for c in range(d):
+                    dc = diff if c else r2
+                    np.subtract(x[:, c, i0:i1, None], y[:, c, None, j0:i1 - 1], out=dc)
+                    dc *= dc
+                    if c:
+                        r2 += dc
+                    elif eps2:
+                        r2 += eps2
+                wb = W[i0:i1, j0:i1 - 1]
+                np.copyto(r2[:, :, i0 - j0:], 1.0, where=wb[:, i0 - j0:] == 0.0)
+                with np.errstate(divide="ignore"):
+                    if self.theta == 1.0:
+                        np.divide(wb, np.sqrt(r2, out=r2), out=r2)
+                    else:
+                        np.multiply(np.power(r2, -self.theta / 2.0, out=r2), wb, out=r2)
+                out += r2.sum(axis=(1, 2))
+        return out
+
+
+# 17 steps fill one row block and part of a chunk; 67, 101 and 300 leave a partial
+# last block and chunk.  The indicator's lag band stops short of N.
+@pytest.mark.parametrize("f", [ExpDecay(0.4, 1.0), Indicator(0.8, 0.37)])
+@pytest.mark.parametrize("kind", ["self_double", "cross_double", "bipolaron"])
+def test_pair_kernel_matches_the_row_block_reference_byte_for_byte(kind, f):
+    offsets = (0.0,) if kind == "self_double" else (0.0, 0.4)
+    for theta, eps, offset, d, steps in itertools.product(
+            (1.0, 1.4), (0.0, 0.05), offsets, (1, 2, 3, 5), (17, 67, 101, 300)):
+        spec = mc.ActionSpec(kind, f, theta, d, 1.0, offset=offset, epsilon=eps)
+        ens = mc.PathEnsemble(seed=21, paths=3, steps=steps, horizon=1.0, dim=d)
+        got = mc._run(mc._PairSampler(spec, steps), ens)
+        want = mc._run(_RowBlockPairSampler(spec, steps), ens)
+        assert got.tobytes() == want.tobytes(), (theta, eps, offset, d, steps)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_cdist_is_the_sequential_coordinate_sum(d):
+    # the pair kernel's bit identity rests on cdist summing ((d_0^2 + d_1^2) + d_2^2) + ...
+    # with no reordering and no fused multiply-add, and on 'euclidean' being its sqrt
+    rng = np.random.default_rng(d)
+    x, y = rng.standard_normal((2, 150, d)) * 10.0 ** rng.uniform(-150, 150, (2, 150, 1))
+    x[:5] = 1e156 * rng.standard_normal((5, d))  # their squares overflow to inf
+    with np.errstate(over="ignore"):
+        r2 = functools.reduce(np.add, [(x[:, None, c] - y[None, :, c]) ** 2 for c in range(d)])
+    assert np.isinf(r2).any() and (r2 < 1e-250).any()
+    assert cdist(x, y, "sqeuclidean").tobytes() == r2.tobytes()
+    assert cdist(x, y, "euclidean").tobytes() == np.sqrt(r2).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["self_double", "bipolaron"])
 def test_pair_kernel_holds_no_quadratic_table(kind):
-    # at N = 1024 a batch's traced peak is its normals, nodes and two row-block
-    # buffers; pair-index and per-pair weight tables took 24-28 MB
+    # at N = 1024 a batch's traced peak is its normals, nodes, one chunk of cdist
+    # distances and one row-block buffer; pair-index and per-pair weight tables took 24-28 MB
     spec = mc.ActionSpec(kind, ExpDecay(0.4, 1.0), 1.0, 3, 1.0)
     ens = mc.PathEnsemble(seed=2, paths=6, steps=1024, horizon=1.0, dim=3)
     tracemalloc.start()
