@@ -496,6 +496,9 @@ def test_subnormal_decay_rate_bounds_like_a_tiny_one(amplitude, capsys):
     tiny = bound("1e-300")
     assert tiny == {"1": 2.0957691216057217, "1e10": 5.000000001595769e+19}[amplitude]
     assert abs(bound("4e-309") - tiny) <= 1e-12 * max(1.0, tiny)
+
+
+def test_large_dimension_inverse_square_verifies(capsys):
     # the moment table's scale X0 = 8 crowded its change into the last cells at large d:
     # the action mean read 15.5% below the exact E[A_N] and jensen_below_mc failed (exit 4)
     argv = ("model --name=inverse_square --alpha=0.01 --dim=65527 --theta=1.3833613493801604 "
