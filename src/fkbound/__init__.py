@@ -6,9 +6,13 @@ linear-in-T content, a complementary variational lower bound at strong
 coupling, and an independent Monte Carlo engine plus exactly solvable
 references (quadratic action, heat-kernel identities) that cross-verify
 every formula.
+
+The tolerances are deliberately fixed constants of the modules that use
+them, so that bound audits reproduce digit for digit; no function takes a
+tolerance argument.
 """
 
-from . import bounds, config, kernels, mc, models, oscillator, pekar, schedule
+from . import bounds, kernels, mc, models, oscillator, pekar, schedule
 from .errors import (
     DomainError,
     FkboundError,
@@ -27,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bounds",
-    "config",
     "kernels",
     "mc",
     "models",

@@ -7,6 +7,7 @@ how the singular interaction 1/|.|^theta is driven:
 * theorem 2: a double time integral of the path against its own past,
 * theorem 3: a double time integral between two independent paths.
 
+``theorem_bound(theorem, f, params)`` is the one entry point for all three.
 Each bound is a sum of two explicit terms built from coupling-schedule norms
 and the dimension/exponent coefficients A, B, C, D below.  Everything is
 computed and reported in the natural-log domain; exp-domain values overflow
@@ -28,9 +29,8 @@ from dataclasses import dataclass
 
 from scipy.special import gammaln
 
-from .config import SLOPE_DOUBLINGS, SLOPE_REL
 from .errors import DomainError, NoLinearSlope, NumericalFailure, VerificationError
-from .schedule import CouplingFunction, envelope, is_zero, iterated_norm, norm
+from .schedule import CouplingFunction, envelope, iterated_norm, norm
 
 __all__ = [
     "BoundParams",
@@ -45,13 +45,12 @@ __all__ = [
     "inverse_square_energy",
     "inverse_square_log_magnitude",
     "ladder_slope",
-    "theorem1_bound",
-    "theorem2_bound",
-    "theorem3_bound",
     "theorem_bound",
 ]
 
 _BRANCH_TOL = 1e-10  # relative agreement required of the two theta=1 branches
+SLOPE_REL = 1e-6      # T-ladder slope extrapolation
+SLOPE_DOUBLINGS = 18  # T-ladder doublings before a slope counts as unsettled
 
 
 @dataclass(frozen=True)
@@ -226,7 +225,7 @@ def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundRe
     # at theta == 1 both branches are evaluated and must agree; the >= branch is reported
     branches = [branch for branch, applies in (("theta_geq_1", theta >= 1.0),
                                                ("theta_leq_1", theta <= 1.0)) if applies]
-    zero = bool(is_zero(f))
+    zero = f.is_zero()
     if zero or T == 0.0:
         return BoundReport(0.0, (), params, theorem, branches[0], zero_coupling=zero)
     source = f if theorem == "T3" else envelope(f, T)
@@ -257,40 +256,22 @@ def _evaluate(theorem: str, f: CouplingFunction, params: BoundParams) -> BoundRe
     return hi
 
 
-def theorem1_bound(f: CouplingFunction, params: BoundParams) -> BoundReport:
-    """Log-domain bound for the single-time-integral functional.
-
-    The reported value bounds the supremum over starting points; the
-    supremum is attained at the origin (checked by Monte Carlo elsewhere,
-    not re-derived here).
-    """
-    return _evaluate("T1", f, params)
-
-
-def theorem2_bound(f: CouplingFunction, params: BoundParams) -> BoundReport:
-    """Log-domain bound for the self-interaction (double time integral) functional."""
-    return _evaluate("T2", f, params)
-
-
-def theorem3_bound(f: CouplingFunction, params: BoundParams) -> BoundReport:
-    """Log-domain bound for the two-independent-paths functional.
-
-    Unlike the other two, this bound consumes f directly (no envelope):
-    only its [0, T] mass enters.
-    """
-    return _evaluate("T3", f, params)
-
-
-_THEOREMS = {1: theorem1_bound, 2: theorem2_bound, 3: theorem3_bound}
-
-
 def theorem_bound(theorem: int, f: CouplingFunction, params: BoundParams) -> BoundReport:
-    """Dispatch on theorem number 1, 2 or 3."""
+    """Log-domain bound of theorem 1, 2 or 3: the single time integral, the
+    self-interaction or the two-independent-paths functional.
+
+    Theorem 1's value bounds the supremum over starting points; the
+    supremum is attained at the origin (checked by Monte Carlo elsewhere,
+    not re-derived here).  Theorem 3 takes f itself, no envelope: only its
+    [0, T] mass enters.
+    """
     try:
-        fn = _THEOREMS[int(theorem)]
-    except (KeyError, ValueError):
-        raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}") from None
-    return fn(f, params)
+        n = int(theorem)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n not in (1, 2, 3):
+        raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
+    return _evaluate(f"T{n}", f, params)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +315,7 @@ def _analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> 
     co = coefficients(theta, d)
     if theorem not in (1, 2, 3):
         raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
-    if is_zero(f):
+    if f.is_zero():
         return 0.0
     s = 2.0 - theta
     first_coeff = co.A if theta >= 1.0 else co.C

@@ -29,7 +29,7 @@ from .errors import (
     NumericalFailure,
     VerificationError,
 )
-from .schedule import Constant, ExpDecay, Tabulated, coupling_from_dict, coupling_to_dict
+from .schedule import Constant, ExpDecay, Tabulated, coupling_from_dict
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -158,7 +158,7 @@ def _cmd_bound(args) -> int:
             "theta": args.theta,
             "dim": args.dim,
             "T": args.T,
-            "coupling": coupling_to_dict(f),
+            "coupling": f.to_dict(),
         },
         "log_bound": report.log_bound,
         "branch": report.branch,
@@ -404,7 +404,9 @@ def _add_model_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=int, default=None)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    # reads no environment, so one parser serves every call of main in a process
     parser = argparse.ArgumentParser(
         prog="fkbound",
         description="Bounds, Monte Carlo checks and reference solutions for "
@@ -489,14 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # reads no environment, so one parser serves every call of main in a process
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (DomainError, NonIntegrable, FileNotFoundError, json.JSONDecodeError,

@@ -32,9 +32,8 @@ from scipy import integrate
 from scipy.special import gammaincc, gammaln, hyp2f1, kv
 
 from .bounds import BoundParams
-from .config import QUAD_ABS, QUAD_REL, sharp_hls_constant
 from .errors import DomainError, QuadratureFailure
-from .schedule import CouplingFunction, evaluate, is_zero, iterated_norm, norm
+from .schedule import CouplingFunction, evaluate, iterated_norm, norm
 
 __all__ = [
     "ConvolutionCoefficient",
@@ -50,9 +49,13 @@ __all__ = [
     "expectation_constant",
     "expected_action",
     "heat_kernel",
+    "sharp_hls_constant",
     "stochastic_derivative_bound",
     "subordination_check",
 ]
+
+QUAD_ABS = 1e-10  # absolute tolerance of every QUADPACK call below
+QUAD_REL = 1e-8   # relative tolerance of the subordination head and the convolution coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,26 @@ def expectation_constant(theta: float, d: int) -> float:
     if not 0.0 < theta < d:
         raise DomainError(f"need 0 < theta < d, got theta={theta}, d={d}")
     return math.exp(gammaln((d - theta) / 2.0) - gammaln(d / 2.0) - (theta / 2.0) * math.log(2.0))
+
+
+def sharp_hls_constant(d: int, theta: float) -> float:
+    """Sharp diagonal Hardy-Littlewood-Sobolev constant.
+
+    For the bilinear form iint f(x) |x-y|^(-theta) g(y) dx dy with
+    ||f||_p ||g||_p on the right and p = 2d/(2d - theta), the optimal
+    constant (Lieb's sharp form, attained by conformal factors) is
+
+        pi^(theta/2) * Gamma(d/2 - theta/2) / Gamma(d - theta/2)
+                     * (Gamma(d/2) / Gamma(d))^(theta/d - 1).
+
+    Used where a cross-pair expectation is reported as an HLS upper bound.
+    """
+    if not 0 < theta < d:
+        raise DomainError(f"HLS constant needs 0 < theta < d, got theta={theta}, d={d}")
+    log_c = (theta / 2) * math.log(math.pi)
+    log_c += gammaln(d / 2 - theta / 2) - gammaln(d - theta / 2)
+    log_c += (theta / d - 1) * (gammaln(d / 2) - gammaln(d))
+    return math.exp(log_c)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +348,7 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
     """
     theta, d, T = params.theta, params.d, params.T
     K = expectation_constant(theta, d)
-    if is_zero(f) or T == 0.0:
+    if f.is_zero() or T == 0.0:
         return ExpectationFormula(kind, K, 0.0)
     if kind == "single":
         val = K * norm(f, 1.0, T, weight=theta / 2.0)

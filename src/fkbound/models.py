@@ -26,7 +26,7 @@ from typing import Optional
 from . import bounds as B
 from . import kernels, mc
 from .errors import DomainError, NoLinearSlope, NumericalFailure
-from .schedule import Constant, CouplingFunction, ExpDecay, Indicator, coupling_to_dict
+from .schedule import Constant, CouplingFunction, ExpDecay, Indicator
 
 __all__ = [
     "BoundComponent",
@@ -99,7 +99,7 @@ class ModelSpec:
             "d": self.d,
             "params": dict(self.params),
             "mc_kind": self.mc_kind,
-            "coupling": coupling_to_dict(self.mc_f),
+            "coupling": self.mc_f.to_dict(),
             "note": self.note,
         }
 

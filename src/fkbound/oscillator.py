@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
 
-from .config import ODE_RESIDUAL
 from .errors import DomainError, StepSizeFailure, VerificationError
 from .mc import McEstimate, PathEnsemble, _QuadraticSampler, _estimates
 
@@ -45,6 +44,8 @@ __all__ = [
     "mc_crosscheck",
     "solve_riccati",
 ]
+
+ODE_RESIDUAL = 1e-8  # integral-equation residual for the ODE solver
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,6 @@ from scipy.linalg.lapack import dgtsv
 from scipy.special import gammaln, hyp2f1
 
 from . import bounds as B
-from .config import PEKAR_FLOOR_REACH, PEKAR_GRAD, PEKAR_ITERATIONS, PEKAR_STALL
 from .errors import DomainError, GridTooSmall, NoConvergence, NotPositiveDefinite, NumericalFailure
 from .kernels import expectation_constant
 
@@ -68,6 +67,11 @@ __all__ = [
     "radial_kernel",
     "solve",
 ]
+
+PEKAR_GRAD = 1e-8          # projected-gradient norm at convergence
+PEKAR_ITERATIONS = 40000   # iteration cap of the descent
+PEKAR_STALL = 16           # iterations on the gradient's roundoff floor before giving up
+PEKAR_FLOOR_REACH = 64.0   # a floor this many times PEKAR_GRAD is out of reach
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,8 @@ __all__ = [
     "Tabulated",
     "CouplingFunction",
     "coupling_from_dict",
-    "coupling_to_dict",
     "envelope",
     "evaluate",
-    "is_zero",
     "iterated_norm",
     "norm",
 ]
@@ -72,6 +70,13 @@ __all__ = [
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise DomainError(message)
+
+
+def _finite_mass(mass: float) -> float:
+    """An integrable coupling's mass; NumericalFailure where it overflowed."""
+    if mass == math.inf:
+        raise NumericalFailure("coupling mass overflows")
+    return mass
 
 
 def _panel_rule(cuts, graded) -> tuple:
@@ -247,7 +252,7 @@ class ExpDecay(_Coupling):
         return 0.0
 
     def mass_limit(self) -> float:
-        return self.amplitude / self.rate
+        return _finite_mass(self.amplitude / self.rate)
 
     def positive_definite_extension(self) -> bool:
         # e^(-rate |t|) has the positive Fourier transform 2 rate / (rate^2 + k^2)
@@ -291,7 +296,7 @@ class Indicator(_Coupling):
         return 0.0
 
     def mass_limit(self) -> float:
-        return self.height * self.cutoff
+        return _finite_mass(self.height * self.cutoff)
 
     def weighted_limit(self, a: float) -> float:
         return self.height * self.cutoff ** (1.0 - a) / (1.0 - a)
@@ -397,6 +402,9 @@ class Tabulated(_Coupling):
         _require(self.grid[-1] == T,
                  f"Tabulated grid ends at {self.grid[-1]}, expected horizon {T}")
         running = np.maximum.accumulate(self._value_array[::-1])[::-1]
+        # a non-increasing table is its own envelope, and keeps its cell sums
+        if np.array_equal(running, self._value_array):
+            return self
         return Tabulated(self.grid, tuple(running.tolist()))
 
     def _within_horizon(self, s: float) -> None:
@@ -445,11 +453,6 @@ CouplingFunction = Union[Constant, ExpDecay, Indicator, PowerLaw, Tabulated]
 _KINDS = {cls.kind: cls for cls in (Constant, ExpDecay, Indicator, PowerLaw, Tabulated)}
 
 
-def coupling_to_dict(f: CouplingFunction) -> dict:
-    """JSON-ready representation, inverse of :func:`coupling_from_dict`."""
-    return f.to_dict()
-
-
 def coupling_from_dict(spec: dict) -> CouplingFunction:
     """Build a coupling from its JSON form, e.g. {"kind": "exp_decay", ...}.
 
@@ -477,11 +480,6 @@ def evaluate(f: CouplingFunction, t):
     """Pointwise values f(t); accepts scalars or numpy arrays, t >= 0."""
     out = f.at(np.asarray(t, dtype=float))
     return out if out.ndim else float(out)
-
-
-def is_zero(f: CouplingFunction) -> bool:
-    """Exact zero-coupling detection (all representation values zero)."""
-    return f.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +564,7 @@ def iterated_norm(
     for _, _, outer in terms:
         if outer < 1:
             raise DomainError(f"outer power must be >= 1, got {outer}")
-    if T == 0 or is_zero(f):
+    if T == 0 or f.is_zero():
         vals = [0.0] * len(terms)
     else:
         vals = _iterated_norms(f, T, terms)

@@ -50,7 +50,7 @@ def test_criterion_01_coefficient_exactness():
     # cross-check against the constant-coupling bound form
     # alpha^2 T / 2 + 2 sqrt(2) alpha sqrt(T) / sqrt(pi)
     for alpha, T in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.5)):
-        rep = B.theorem1_bound(Constant(alpha), B.BoundParams(1.0, 3, T))
+        rep = B.theorem_bound(1, Constant(alpha), B.BoundParams(1.0, 3, T))
         closed = alpha * alpha * T / 2.0 + 2.0 * math.sqrt(2.0) * alpha * math.sqrt(T) / math.sqrt(math.pi)
         ok = ok and abs(rep.log_bound - closed) <= 1e-12 * closed
     report(1, ok, f"coefficients(1,3) = ({co.A}, {co.B:.12f}, {co.C}, {co.D:.12f})")

@@ -55,21 +55,21 @@ def test_coefficients_domain():
 
 def test_hydrogen_bound_closed_form():
     # alpha^2 T / 2 + 2 sqrt(2/pi) alpha sqrt(T)
-    rep = B.theorem1_bound(Constant(1.0), B.BoundParams(1.0, 3, 1.0))
+    rep = B.theorem_bound(1, Constant(1.0), B.BoundParams(1.0, 3, 1.0))
     assert rep.log_bound == pytest.approx(0.5 + 2.0 * SQRT_2_OVER_PI, rel=1e-14)
     assert rep.branch == "theta_geq_1"
     assert rep.log_bound == pytest.approx(2.0958, abs=5e-5)
 
 
 def test_zero_coupling_bound_is_one():
-    for fn in (B.theorem1_bound, B.theorem2_bound, B.theorem3_bound):
-        rep = fn(Constant(0.0), B.BoundParams(1.3, 3, 2.0))
+    for theorem in (1, 2, 3):
+        rep = B.theorem_bound(theorem, Constant(0.0), B.BoundParams(1.3, 3, 2.0))
         assert rep.log_bound == 0.0
         assert rep.zero_coupling
 
 
 def test_terms_sum_to_log_bound():
-    rep = B.theorem1_bound(ExpDecay(1.0, 0.5), B.BoundParams(1.4, 4, 3.0))
+    rep = B.theorem_bound(1, ExpDecay(1.0, 0.5), B.BoundParams(1.4, 4, 3.0))
     assert sum(t.contribution for t in rep.terms) == pytest.approx(rep.log_bound, rel=1e-12)
 
 
@@ -88,7 +88,7 @@ def _second_branch_independent(f_level, theta, d, T):
 
 
 def test_theorem1_low_theta_independent_rederivation():
-    val = B.theorem1_bound(Constant(1.0), B.BoundParams(0.5, 3, 1.0)).log_bound
+    val = B.theorem_bound(1, Constant(1.0), B.BoundParams(0.5, 3, 1.0)).log_bound
     oracle = _second_branch_independent(1.0, 0.5, 3, 1.0)
     assert val == pytest.approx(oracle, rel=1e-10)
 
@@ -161,18 +161,18 @@ def test_theta_one_bound_survives_an_underflowed_squared_norm(theorem):
 
 def test_bound_monotone_in_horizon_and_coupling():
     params = [B.BoundParams(1.2, 3, T) for T in (0.5, 1.0, 2.0, 4.0)]
-    vals = [B.theorem1_bound(Constant(0.7), p).log_bound for p in params]
+    vals = [B.theorem_bound(1, Constant(0.7), p).log_bound for p in params]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    small = B.theorem2_bound(ExpDecay(0.5, 1.0), B.BoundParams(1.2, 3, 2.0)).log_bound
-    large = B.theorem2_bound(ExpDecay(1.0, 1.0), B.BoundParams(1.2, 3, 2.0)).log_bound
+    small = B.theorem_bound(2, ExpDecay(0.5, 1.0), B.BoundParams(1.2, 3, 2.0)).log_bound
+    large = B.theorem_bound(2, ExpDecay(1.0, 1.0), B.BoundParams(1.2, 3, 2.0)).log_bound
     assert large > small
 
 
 def test_theorem1_coupling_scaling_exponents():
     # first term scales as alpha^(2/(2-theta)), second as alpha
     theta, d, T = 1.5, 3, 1.0
-    r1 = B.theorem1_bound(Constant(1.0), B.BoundParams(theta, d, T))
-    r2 = B.theorem1_bound(Constant(2.0), B.BoundParams(theta, d, T))
+    r1 = B.theorem_bound(1, Constant(1.0), B.BoundParams(theta, d, T))
+    r2 = B.theorem_bound(1, Constant(2.0), B.BoundParams(theta, d, T))
     q = 2.0 / (2.0 - theta)
     assert r2.terms[0].contribution / r1.terms[0].contribution == pytest.approx(2 ** q, rel=1e-12)
     assert r2.terms[1].contribution / r1.terms[1].contribution == pytest.approx(2.0, rel=1e-12)
@@ -183,7 +183,7 @@ def test_theorem1_coupling_scaling_exponents():
 # ---------------------------------------------------------------------------
 
 def test_theorem3_unit_example():
-    rep = B.theorem3_bound(Constant(1.0), B.BoundParams(1.0, 3, 1.0))
+    rep = B.theorem_bound(3, Constant(1.0), B.BoundParams(1.0, 3, 1.0))
     assert rep.log_bound == pytest.approx(0.25 + 2.0 / math.sqrt(math.pi), rel=1e-12)
 
 
@@ -193,8 +193,8 @@ def test_theorem3_equals_theorem1_with_rescaled_constant_coupling():
     theta, d, T = 1.4, 3, 2.5
     f = ExpDecay(1.1, 0.8)
     L = 1.1 / 0.8 * (1 - math.exp(-0.8 * T))
-    lhs = B.theorem3_bound(f, B.BoundParams(theta, d, T)).log_bound
-    rhs = B.theorem1_bound(Constant(2 ** (-theta / 2) * L), B.BoundParams(theta, d, T)).log_bound
+    lhs = B.theorem_bound(3, f, B.BoundParams(theta, d, T)).log_bound
+    rhs = B.theorem_bound(1, Constant(2 ** (-theta / 2) * L), B.BoundParams(theta, d, T)).log_bound
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -203,7 +203,7 @@ def test_theorem3_matches_pair_coupling_closed_form():
     alpha = 0.5
     f = ExpDecay(4 * alpha / math.sqrt(2.0), 1.0)
     T = 800.0
-    rep = B.theorem3_bound(f, B.BoundParams(1.0, 3, T))
+    rep = B.theorem_bound(3, f, B.BoundParams(1.0, 3, T))
     slope = B.analytic_slope(3, f, 1.0, 3)
     assert slope == pytest.approx(2 * alpha ** 2, rel=1e-12)
     sqrt_coeff = (rep.log_bound - slope * T) / math.sqrt(T)
@@ -275,6 +275,35 @@ def test_slope_superlinear_raises():
         B.ladder_slope(2, Constant(1.0), 1.0, 3)
 
 
+@pytest.mark.parametrize("theorem", [2, 3])
+@pytest.mark.parametrize("f", [ExpDecay(1.0, 4e-309), ExpDecay(1.0, 1e-300), Indicator(1e200, 1e200)])
+def test_overflowed_mass_of_an_integrable_coupling_is_a_numerical_failure(f, theorem):
+    # amplitude / rate overflows at a subnormal rate: the coupling is still
+    # integrable, so its slope overflows rather than being superlinear
+    with pytest.raises(NumericalFailure):
+        B.analytic_slope(theorem, f, 1.2, 3)
+
+
+@pytest.mark.parametrize("theorem", [0, 4, "x", None, math.inf])
+def test_theorem_number_outside_one_to_three_is_a_domain_error(theorem):
+    with pytest.raises(DomainError, match="theorem must be 1, 2 or 3"):
+        B.theorem_bound(theorem, Constant(1.0), B.BoundParams(1.2, 3, 1.0))
+
+
+def test_non_increasing_table_is_its_own_envelope_and_keeps_its_cell_sums():
+    t = Tabulated((0.0, 0.5, 1.2, 2.0), (0.9, 0.5, 0.5, 0.1))
+    assert t.majorant(2.0) is t
+    params = B.BoundParams(0.8, 3, 2.0)
+    first = B.theorem_bound(2, t, params)
+    cells = dict(t._cells)
+    assert cells
+    assert B.theorem_bound(2, t, params) == first
+    assert t._cells.keys() == cells.keys() and all(t._cells[k] is v for k, v in cells.items())
+    assert B.theorem_bound(2, Tabulated(t.grid, t.values), params) == first
+    rising = Tabulated((0.0, 1.0, 2.0), (0.1, 0.5, 0.2))
+    assert rising.majorant(2.0).values == (0.5, 0.5, 0.2)
+
+
 def test_ladder_slope_for_tabulated_coupling():
     # step-left table equal to an indicator: ladder must recover its slope
     tab_slope = None
@@ -287,8 +316,8 @@ def test_ladder_slope_for_tabulated_coupling():
     quots = []
     T = T0
     for _ in range(6):
-        lb2 = B.theorem2_bound(tab_for(2 * T), B.BoundParams(1.5, 3, 2 * T)).log_bound
-        lb1 = B.theorem2_bound(tab_for(T), B.BoundParams(1.5, 3, T)).log_bound
+        lb2 = B.theorem_bound(2, tab_for(2 * T), B.BoundParams(1.5, 3, 2 * T)).log_bound
+        lb1 = B.theorem_bound(2, tab_for(T), B.BoundParams(1.5, 3, T)).log_bound
         quots.append((lb2 - lb1) / T)
         T *= 2
     assert quots[-1] == pytest.approx(analytic, rel=1e-4)
@@ -342,7 +371,7 @@ def test_log_bound_nonnegative_across_grid():
 
 
 def test_horizon_zero_gives_unit_bound():
-    rep = B.theorem1_bound(Constant(1.0), B.BoundParams(1.0, 3, 0.0))
+    rep = B.theorem_bound(1, Constant(1.0), B.BoundParams(1.0, 3, 0.0))
     assert rep.log_bound == 0.0
 
 

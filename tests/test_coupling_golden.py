@@ -29,10 +29,8 @@ from fkbound.schedule import (
     PowerLaw,
     Tabulated,
     coupling_from_dict,
-    coupling_to_dict,
     envelope,
     evaluate,
-    is_zero,
     iterated_norm,
     norm,
 )
@@ -91,9 +89,9 @@ def _cases():
             yield f"norm:{name}:{p}:{s}:{w}", lambda: norm(f, p, s, weight=w)
         yield f"evaluate:{name}", lambda: evaluate(f, [0.0, 0.5, 1.3, 1.9, 2.0]).tolist()
         yield f"evaluate_scalar:{name}", lambda: evaluate(f, 0.7)
-        yield f"is_zero:{name}", lambda: is_zero(f)
-        yield f"envelope:{name}", lambda: coupling_to_dict(envelope(f, T))
-        yield f"envelope_T3:{name}", lambda: coupling_to_dict(envelope(f, 3.0))
+        yield f"is_zero:{name}", lambda: f.is_zero()
+        yield f"envelope:{name}", lambda: envelope(f, T).to_dict()
+        yield f"envelope_T3:{name}", lambda: envelope(f, 3.0).to_dict()
         for theorem in (1, 2, 3):
             for theta in (0.8, 1.0, 1.5):
                 yield (f"analytic_slope:{name}:T{theorem}:{theta}",
@@ -107,8 +105,8 @@ def _cases():
                lambda: K.conditioned_derivative_magnitude(f, 1.2, 3, 0.3, 0.8, T))
         yield (f"derivative_bound:{name}",
                lambda: K.stochastic_derivative_bound(f, 1.2, 3, 0.3, 0.8))
-        yield f"to_dict:{name}", lambda: coupling_to_dict(f)
-        yield f"round_trip:{name}", lambda: coupling_from_dict(coupling_to_dict(f)) == f
+        yield f"to_dict:{name}", lambda: f.to_dict()
+        yield f"round_trip:{name}", lambda: coupling_from_dict(f.to_dict()) == f
     for name, f in (("long_table", LONG_TABLE), *VARIANTS.items()):
         for inner_p, inner_w, outer in ((1.0, 0.0, 1.0), (1.0, 0.0, 2.0), (1.0, 0.5, 1.0),
                                         (1.0, 0.75, 1.0), (1.0, 0.0, 4.0), (2.0, 0.2, 1.5)):
@@ -126,15 +124,15 @@ def _cases():
     yield "conditioned:exp_decay_theta_0.6", lambda: K.conditioned_derivative_magnitude(
         VARIANTS["exp_decay"], 0.6, 3, 0.0, 1.7, T)
     yield "envelope:zero_horizon", lambda: envelope(Constant(1.0), 0.0)
-    yield "is_zero:zero_table", lambda: is_zero(Tabulated((0, 1), (0, 0)))
-    yield "from_dict:int_fields", lambda: coupling_to_dict(
-        coupling_from_dict({"kind": "exp_decay", "amplitude": 1, "rate": 2}))
-    yield "from_dict:string_fields", lambda: coupling_to_dict(
-        coupling_from_dict({"kind": "indicator", "height": "0.5", "cutoff": "1.5"}))
-    yield "from_dict:extra_field", lambda: coupling_to_dict(
-        coupling_from_dict({"kind": "constant", "level": 0.3, "note": "ignored"}))
-    yield "from_dict:table", lambda: coupling_to_dict(
-        coupling_from_dict({"kind": "tabulated", "grid": [0, 1, 3], "values": [2, 1, 0]}))
+    yield "is_zero:zero_table", lambda: Tabulated((0, 1), (0, 0)).is_zero()
+    yield "from_dict:int_fields", lambda: (
+        coupling_from_dict({"kind": "exp_decay", "amplitude": 1, "rate": 2}).to_dict())
+    yield "from_dict:string_fields", lambda: (
+        coupling_from_dict({"kind": "indicator", "height": "0.5", "cutoff": "1.5"}).to_dict())
+    yield "from_dict:extra_field", lambda: (
+        coupling_from_dict({"kind": "constant", "level": 0.3, "note": "ignored"}).to_dict())
+    yield "from_dict:table", lambda: (
+        coupling_from_dict({"kind": "tabulated", "grid": [0, 1, 3], "values": [2, 1, 0]}).to_dict())
     yield "from_dict:missing_field", lambda: coupling_from_dict({"kind": "power_law",
                                                                  "amplitude": 1.0})
     yield "from_dict:unknown_kind", lambda: coupling_from_dict({"kind": "mystery"})

@@ -8,8 +8,8 @@ from scipy.special import gammaln, hyp2f1
 
 from fkbound import kernels as K
 from fkbound.bounds import BoundParams
-from fkbound.config import sharp_hls_constant
 from fkbound.errors import DomainError, NonIntegrable
+from fkbound.kernels import sharp_hls_constant
 from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw, Tabulated
 
 
@@ -184,6 +184,12 @@ def test_sharp_hls_constant_sane():
     for d, theta in ((3, 1.0), (3, 1.5), (4, 0.7)):
         c = sharp_hls_constant(d, theta)
         assert c > 0 and math.isfinite(c)
+
+
+@pytest.mark.parametrize("d, theta", [(3, 3.0), (3, 0.0), (2, 2.5)])
+def test_sharp_hls_constant_outside_its_range_is_a_domain_error(d, theta):
+    with pytest.raises(DomainError, match="0 < theta < d"):
+        sharp_hls_constant(d, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from fkbound import kernels, mc, oscillator
-from fkbound.bounds import BoundParams, theorem1_bound
+from fkbound.bounds import BoundParams, theorem_bound
 from fkbound.errors import DomainError
 from fkbound.schedule import Constant, ExpDecay, Indicator, Tabulated, evaluate
 
@@ -595,7 +595,7 @@ def test_raw_singularity_at_theta_one_point_five_has_a_finite_moment():
     # bridge-sampled midpoints gave this action an infinite exponential moment
     spec = mc.ActionSpec("single", Constant(0.5), 1.5, 3, 1.0)
     est = mc.estimate(spec, 20_000, 256, 11)
-    bound = theorem1_bound(Constant(0.5), BoundParams(1.5, 3, 1.0)).log_bound
+    bound = theorem_bound(1, Constant(0.5), BoundParams(1.5, 3, 1.0)).log_bound
     assert est.infinite_paths == 0
     assert math.isfinite(est.stderr_log)
     assert est.log_mean < bound
@@ -776,7 +776,7 @@ def test_hydrogen_estimate_in_theory_window():
     # small-budget version of the closed-form sandwich
     est = mc.estimate(hydrogen_spec(), 20_000, 256, 7)
     jensen = 2 * math.sqrt(2 / math.pi) * 0.5
-    upper = theorem1_bound(Constant(0.5), BoundParams(1.0, 3, 1.0)).log_bound
+    upper = theorem_bound(1, Constant(0.5), BoundParams(1.0, 3, 1.0)).log_bound
     slack = 3 * est.stderr_log + 0.05  # generous grid allowance at N=256
     assert jensen - slack <= est.log_mean <= upper + slack
 

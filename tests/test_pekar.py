@@ -7,7 +7,6 @@ import pytest
 from scipy.linalg import solve_banded
 
 from fkbound import models, pekar
-from fkbound.config import PEKAR_GRAD
 from fkbound.errors import (
     DomainError,
     GridTooSmall,
@@ -15,6 +14,7 @@ from fkbound.errors import (
     NotPositiveDefinite,
     NumericalFailure,
 )
+from fkbound.pekar import PEKAR_GRAD
 
 
 def test_choquard_anchor_value():

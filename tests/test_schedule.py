@@ -17,10 +17,8 @@ from fkbound.schedule import (
     PowerLaw,
     Tabulated,
     coupling_from_dict,
-    coupling_to_dict,
     envelope,
     evaluate,
-    is_zero,
     iterated_norm,
     norm,
 )
@@ -266,9 +264,9 @@ def test_iterated_norm_rejects_any_outer_power_below_one():
 
 
 def test_is_zero_detection():
-    assert is_zero(Constant(0.0))
-    assert is_zero(Tabulated((0, 1), (0.0, 0.0)))
-    assert not is_zero(Indicator(0.1, 1.0))
+    assert Constant(0.0).is_zero()
+    assert Tabulated((0, 1), (0.0, 0.0)).is_zero()
+    assert not Indicator(0.1, 1.0).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +281,7 @@ def test_is_zero_detection():
     Tabulated((0.0, 0.5, 1.0), (1.0, 2.0, 0.5)),
 ])
 def test_coupling_dict_round_trip(f):
-    assert coupling_from_dict(coupling_to_dict(f)) == f
+    assert coupling_from_dict(f.to_dict()) == f
 
 
 def test_coupling_validation():

@@ -5,7 +5,9 @@ step, the Monte Carlo engine makes no BLAS call and builds no O(N^2)
 pair-index table, its single and quadratic samplers draw no midpoint noise,
 only ``mc`` counts cores and starts worker threads, no module reads
 ``FKBOUND_THREADS``, the Pekar kernel is assembled only through its
-unit-grid cache, and the modules import each other one way.
+unit-grid cache, the modules import each other one way, no public function
+only forwards its arguments to another, and every name a module exports
+exists.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -15,6 +17,7 @@ module level, and those imports form an acyclic graph.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import fkbound
@@ -363,6 +366,63 @@ def test_module_import_graph_is_acyclic():
                          if func is None}
              for path in SRC.glob("*.py") if path.stem != "__init__"}
     assert _cycle(graph) == []
+
+
+def _forwarding_functions(source: str) -> list:
+    """Public module-level functions whose body, after its docstring, is one
+    ``return`` of a call on nothing but their own parameters and constants."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("_"):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+            continue
+        params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        call = body[0].value
+        args = [arg.value if isinstance(arg, ast.Starred) else arg for arg in call.args]
+        args += [keyword.value for keyword in call.keywords]
+        if all(isinstance(arg, ast.Constant) or getattr(arg, "id", None) in params for arg in args):
+            found.append(node.name)
+    return found
+
+
+def test_guard_sees_forwarding_functions():
+    source = ("def one(f, params):\n"
+              "    \"\"\"Doc.\"\"\"\n"
+              "    return _evaluate('T1', f, params)\n"
+              "def method(f):\n"
+              "    return f.to_dict()\n"
+              "def spread(f, *args, p=2, **kw):\n"
+              "    return g(f, *args, weight=p, **kw)\n"
+              "def _private(f):\n"
+              "    return g(f)\n"
+              "def computes(f, t):\n"
+              "    return g(f, t + 1.0)\n"
+              "def global_arg(f):\n"
+              "    return g(f, T)\n"
+              "def two_steps(f):\n"
+              "    out = g(f)\n"
+              "    return out\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        return g(self)\n")
+    assert _forwarding_functions(source) == ["one", "method", "spread"]
+
+
+def test_no_public_function_only_forwards():
+    # one name per operation: a function that only hands its arguments on is a
+    # second name for the function it calls
+    offenders = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+                 for name in _forwarding_functions(path.read_text())]
+    assert offenders == []
+
+
+def test_every_exported_name_exists():
+    for path in sorted(SRC.glob("*.py")):
+        module = fkbound if path.stem == "__init__" else importlib.import_module(f"fkbound.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], path.name
 
 
 def test_single_and_quadratic_samplers_draw_only_the_increments():
