@@ -20,6 +20,9 @@ norm of the evaluated branches is computed once, so at theta = 1 both read
 one set of norms.  Theorems 1 and 2 share the shape of their terms and differ
 only in those norms: |f|-norms for theorem 1, their time integrals for
 theorem 2.
+
+Energy bounds, energy >= -lim log_bound(T)/T, take that slope in closed form
+only (``analytic_slope``); ``ladder_slope`` is a cross-check on the bounds.
 """
 
 from __future__ import annotations
@@ -265,13 +268,18 @@ def theorem_bound(theorem: int, f: CouplingFunction, params: BoundParams) -> Bou
     not re-derived here).  Theorem 3 takes f itself, no envelope: only its
     [0, T] mass enters.
     """
+    return _evaluate(f"T{_theorem_number(theorem)}", f, params)
+
+
+def _theorem_number(theorem) -> int:
+    """``theorem`` as the int 1, 2 or 3: whatever ``int()`` maps there."""
     try:
         n = int(theorem)
     except (TypeError, ValueError, OverflowError):
         n = None
     if n not in (1, 2, 3):
         raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
-    return _evaluate(f"T{n}", f, params)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +291,6 @@ class EnergyBound:
     """Linear-in-T content of a log bound: energy >= -slope."""
 
     slope: float
-    subleading: str
     model: str
 
     @property
@@ -302,47 +309,45 @@ def analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> f
     self-interaction bound with constant coupling), NumericalFailure when
     the slope leaves floating-point range.
     """
-    try:
-        slope = _analytic_slope(theorem, f, theta, d)
-    except OverflowError:  # a scalar power out of range
-        slope = math.inf
-    if not math.isfinite(slope):
-        raise NumericalFailure(f"T{theorem} slope overflows at theta={theta}, d={d}")
-    return slope
-
-
-def _analytic_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
     co = coefficients(theta, d)
-    if theorem not in (1, 2, 3):
-        raise DomainError(f"theorem must be 1, 2 or 3, got {theorem}")
+    n = _theorem_number(theorem)
     if f.is_zero():
         return 0.0
     s = 2.0 - theta
     first_coeff = co.A if theta >= 1.0 else co.C
-    if theorem == 1:
-        # the weighted second term grows like T^(1-theta/2): sublinear; an
-        # integrable coupling saturates the single-integral bound
-        return first_coeff * f.mean_power_limit(2.0 / s)
-    L = f.mass_limit()
-    if math.isinf(L):
-        bound = "self-interaction" if theorem == 2 else "two-path"
-        raise NoLinearSlope(f"{bound} bound is superlinear for non-integrable coupling")
-    if theorem == 3:
-        return 2.0 ** (-theta / s) * first_coeff * L ** (2.0 / s)
-    if L == 0.0:  # an underflowed mass
-        return 0.0
-    if theta >= 1.0:
-        return co.A * L ** (2.0 / s) + co.B * f.weighted_limit(theta / 2.0)
-    return co.C * L ** (2.0 / s) + co.D * L ** (-(1.0 - theta) / s) * f.weighted_limit(0.5)
+    try:
+        if n == 1:
+            # the weighted second term grows like T^(1-theta/2): sublinear; an
+            # integrable coupling saturates the single-integral bound
+            slope = first_coeff * f.mean_power_limit(2.0 / s)
+        elif math.isinf(L := f.mass_limit()):
+            bound = "self-interaction" if n == 2 else "two-path"
+            raise NoLinearSlope(f"{bound} bound is superlinear for non-integrable coupling")
+        elif n == 3:
+            slope = 2.0 ** (-theta / s) * first_coeff * L ** (2.0 / s)
+        elif L == 0.0:  # an underflowed mass
+            slope = 0.0
+        elif theta >= 1.0:
+            slope = co.A * L ** (2.0 / s) + co.B * f.weighted_limit(theta / 2.0)
+        else:
+            slope = co.C * L ** (2.0 / s) + co.D * L ** (-(1.0 - theta) / s) * f.weighted_limit(0.5)
+    except OverflowError:  # a scalar power out of range
+        slope = math.inf
+    if not math.isfinite(slope):
+        raise NumericalFailure(f"T{n} slope overflows at theta={theta}, d={d}")
+    return slope
 
 
 def ladder_slope(theorem: int, f: CouplingFunction, theta: float, d: int) -> float:
-    """Slope of log_bound(T) in T by a doubling difference quotient.
+    """Slope of log_bound(T) in T by a doubling difference quotient: a
+    cross-check of ``analytic_slope``, which no energy bound reads.
 
     (log_bound(2T) - log_bound(T)) / T cancels additive constants and
     halves the sqrt(T) contamination each doubling; the ladder starts at
     T = 4, evaluates each rung's bound once and stops when two successive
-    quotients agree to SLOPE_REL.
+    quotients agree to SLOPE_REL, absolutely below unit slopes: so it can
+    settle for a superlinear bound of tiny coupling (5.5e-12 for
+    PowerLaw(1e-12, 0.0) at theorem 2 and theta 1).
     """
     def lb(T):
         return theorem_bound(theorem, f, BoundParams(theta, d, T)).log_bound
@@ -371,21 +376,14 @@ def energy_lower_bound(model) -> EnergyBound:
 
     ``model`` provides ``bound_components`` (an iterable of objects with
     ``theorem``, ``f`` and ``power``), plus ``theta``, ``d`` and ``name``.
-    The slope is the power-weighted sum of per-component slopes, analytic
-    where the coupling admits closed-form large-T norms and extracted from
-    a doubling T ladder otherwise.
+    The slope is the power-weighted sum of the components' closed-form
+    slopes (``analytic_slope``), added in order; a component without one
+    raises its DomainError, NoLinearSlope or NumericalFailure.
     """
     total = 0.0
-    sub = []
     for comp in model.bound_components:
-        try:
-            sl = analytic_slope(comp.theorem, comp.f, model.theta, model.d)
-            sub.append(f"T{comp.theorem}: analytic slope")
-        except DomainError:
-            sl = ladder_slope(comp.theorem, comp.f, model.theta, model.d)
-            sub.append(f"T{comp.theorem}: ladder slope")
-        total += comp.power * sl
-    return EnergyBound(slope=total, subleading="; ".join(sub), model=model.name)
+        total += comp.power * analytic_slope(comp.theorem, comp.f, model.theta, model.d)
+    return EnergyBound(slope=total, model=model.name)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ def lower_bound_sandwich(model, nodes: int = 320) -> SandwichReport:
         )
     g = f.mass_limit()
     jens = model.jensen_slope()
-    upper = B.analytic_slope(2, f, model.theta, model.d)
+    upper = B.energy_lower_bound(model).slope
     if g == 0.0:
         return SandwichReport(model.name, 0.0, 0.0, 0.0, True, True)
     sol = solve(PekarProblem(theta=model.theta, coupling=g, d=model.d, nodes=nodes))

@@ -242,11 +242,12 @@ class ExpDecay(_Coupling):
             head = self.amplitude ** q * lam ** (b - 1.0)
         except OverflowError:
             head = math.inf
-        # lam^(b-1), or its product with f^q, overflows at a tiny rate: there take the
-        # small-x form s^a 1F1(a; a+1; -lam s) / a (DLMF 8.5.1)
-        if head == math.inf:
-            return self.amplitude ** q * s ** a * hyp1f1(a, a + 1.0, -lam * s) / a
-        return head * math.exp(gammaln(a)) * gammainc(a, lam * s)
+        # f^q lam^(b-1) overflows at a tiny rate, and gammainc reads a subnormal lam s
+        # inexactly: there take the small-x form s^a 1F1(a; a+1; -lam s) / a (DLMF 8.5.1)
+        x = lam * s
+        if head == math.inf or (x.max() if isinstance(x, np.ndarray) else x) < sys.float_info.min:
+            return self.amplitude ** q * s ** a * hyp1f1(a, a + 1.0, -x) / a
+        return head * math.exp(gammaln(a)) * gammainc(a, x)
 
     def mean_power_limit(self, q: float) -> float:
         return 0.0

@@ -5,9 +5,9 @@ step, the Monte Carlo engine makes no BLAS call and builds no O(N^2)
 pair-index table, its single and quadratic samplers draw no midpoint noise,
 only ``mc`` counts cores and starts worker threads, no module reads
 ``FKBOUND_THREADS``, the Pekar kernel is assembled only through its
-unit-grid cache, the modules import each other one way, no public function
-only forwards its arguments to another, and every name a module exports
-exists.
+unit-grid cache, no module calls a ladder fit, the modules import each
+other one way, no public function only forwards its arguments to another,
+and every name a module exports exists.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -286,6 +286,30 @@ def test_only_the_unit_grid_cache_assembles_the_pekar_kernel():
     callers = [(path.name, func) for path in sorted(SRC.glob("*.py"))
                for func in _callers(path.read_text(), "_assemble_kernel")]
     assert callers == [("pekar.py", "_unit_kernel")]
+
+
+LADDERS = ("ladder_slope", "ladder_allowance")
+
+
+def _ladder_callers(source: str) -> list:
+    return [(ladder, func) for ladder in LADDERS for func in _callers(source, ladder)]
+
+
+def test_guard_sees_ladder_calls():
+    source = ("def energy_lower_bound(model):\n"
+              "    return B.ladder_slope(2, model.f, model.theta, model.d)\n"
+              "allowance = mc.ladder_allowance(spec, 100, 64, 3, 1.0)\n")
+    assert _ladder_callers(source) == [("ladder_slope", "energy_lower_bound"),
+                                       ("ladder_allowance", None)]
+
+
+def test_no_module_reads_a_ladder_fit():
+    # energies come from the closed-form slope alone; the T ladder settles on
+    # finite quotients for superlinear bounds of tiny coupling, so the two
+    # ladder fits remain cross-checks that nothing in the package calls
+    callers = [(path.name, *found) for path in sorted(SRC.glob("*.py"))
+               for found in _ladder_callers(path.read_text())]
+    assert callers == []
 
 
 def test_bounds_evaluates_every_norm_in_one_step():
