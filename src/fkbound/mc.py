@@ -1,43 +1,59 @@
 """Monte Carlo verification engine for the exponential path functionals.
 
-Paths are drawn in consecutive groups of G = max(1, _DRAW_ELEMENTS // (rows d))
-paths, rows x d being one path's normal block.  Group k holds paths kG, ...,
-kG + G - 1 and draws one (G, rows, d) block of standard normals, in C order,
-from the counter-based Philox stream keyed by (seed, k) at counter 0 (Salmon
-et al., SC'11).  So path m's draws depend on the seed, m and the block shape
-alone: not on the path count, the batch size or the worker count.  A shorter
-last group, or a single path, draws a prefix of its group's stream, which holds
-the same values.  Where G = 1 (rows d > _DRAW_ELEMENTS / 2) group k is path k.
+Each sampler names its own draw: D doubles a path, listed below.  Paths are
+drawn in consecutive groups of G = max(1, _DRAW_ELEMENTS // D) paths.  Group k
+holds paths kG, ..., kG + G - 1 and reads the counter-based Philox stream keyed
+by (seed, k) (Salmon et al., SC'11): its standard normals from counter 0, in C
+order over (G, ...) with the path index first, and the single action's
+chi-square values from counter 2^64, which the normals never reach (each takes
+a few of the four outputs a counter step gives).  So path m's draws depend on
+the seed, m and the draw's shape alone: not on the path count, the batch size
+or the worker count.  A shorter last group, or a single path, draws a prefix
+of each of its group's streams, which holds the same values.  Where G = 1
+(D > _DRAW_ELEMENTS / 2) group k is path k.
 
 One path engine serves every sampler.  It cuts the groups into contiguous
-batches of at most a fixed number of drawn doubles (or one group, if that is
+batches of about a fixed number of drawn doubles (or one group, if that is
 larger) and runs one worker thread per core this process may use (its CPU
 affinity mask: narrow it, e.g. with taskset, to use fewer cores), each on one
 contiguous run of groups, the runs' group counts differing by at most one.
 Each worker re-keys one bit generator to (seed, k) per group, draws the
-group's whole block in one call into its batch buffer, and the sampler
-evaluates the batch at once (the single action all its offsets in one moment
-pass, one gather of every coefficient), in a few numpy calls each over the
-whole batch: each call hands the GIL over, and the workers queue at every
-hand-over.  A path's action is a numpy sum over
-that path alone (a pair action one sum per block of node rows, on the band
-of nonzero lag weights, added in block order; its distances come from one
-scipy ``cdist`` call per path and chunk of rows, a sequential per-pair sum
-over coordinates in C with the GIL released), and every reduction over paths
-runs in index order.  The engine makes no BLAS call, whose threads would
-split a long sum, so no result depends on the worker count, the batch size
-or the BLAS thread count.
+group's whole block in one call per stream into its batch buffers, and the
+sampler evaluates the batch at once (the single action all its offsets in
+one moment pass per block of steps, one gather of every coefficient), in a
+few numpy calls each over the whole batch: each call hands the GIL over, and
+the workers queue at every hand-over.  A path's action is a numpy sum over
+that path alone (a single action in step order; a pair action one sum per
+block of node rows, on the band of nonzero lag weights, added in block order;
+its distances come from one scipy ``cdist`` call per path and chunk of rows,
+a sequential per-pair sum over coordinates in C with the GIL released), and
+every reduction over paths runs in index order.  The engine makes no BLAS
+call, whose threads would split a long sum, so no result depends on the
+worker count, the batch size or the BLAS thread count.
 
 Draw order within a path is part of the reproducibility contract, with the
-grouping above; each path's (rows, d) block holds the N-row draws listed, in
-order:
+grouping above; each path draws, in order:
 
-* single action:     grid increments (N, d)
+* single action:     N standard normals Z1 (counter 0), then N Gamma((d-1)/2)
+                     values, half of N chi^2(d-1) values C (counter 2^64; none
+                     at d = 1, where C = 0): D = 2N
 * self-pair action:  grid increments (N, d)
 * cross-pair action: grid increments of X (N, d), then of Y (N, d)
 * bipolaron action:  grid increments of X (N, d), then of Y (N, d)
-* affine action (martingale check): grid increments (N, 1)
+* affine action (martingale check): one endpoint normal, X_T^(1) = sqrt(T) Z
 * quadratic action (oscillator): grid increments (N, 1)
+
+The single action reads a path only through the norms of its midpoint means
+mu_k = X_k + inc_k / 2, and so runs the radial chain instead of the path.
+Write step k's normal as Z = Z1 e + Z_perp with e = X_k / r_k, r_k = |X_k|
+(any unit vector at r_k = 0): Z1 ~ N(0, 1) and |Z_perp|^2 ~ chi^2(d-1) are
+independent, and by isotropy
+    r_{k+1} = sqrt((r_k + sqrt(dt) Z1)^2 + dt C),
+    |mu_k|^2 = (r_k + sqrt(dt) Z1 / 2)^2 + dt C / 4,
+from r_0 = |offset|, is exact in law at every d: the skew-product form of the
+Bessel process (Revuz and Yor, Continuous Martingales and Brownian Motion,
+ch. XI).  Both are sums of squares, so nothing cancels.  Every offset of a
+maximality check runs its own chain on the same draws.
 
 Time discretisation: the single and quadratic actions use midpoint times,
 with each midpoint term replaced by its exact expectation given the two
@@ -86,10 +102,13 @@ _ACTION_KINDS = ("single", "self_double", "cross_double", "bipolaron")
 class PathEnsemble:
     """Recipe for M discretised d-dimensional Brownian paths on an N-step grid.
 
-    Increments of path m at step i are N(0, (T/N) I_d), row m - kG of the
-    normal block that group k = m // G draws from ``generator(k)`` (the
-    module docstring gives G); evaluation order and worker count cannot
-    affect them.
+    Path m's draws are row m - kG of the blocks that group k = m // G
+    draws, its normals from ``generator(k)`` and the single action's
+    chi-square values from the same key at counter 2^64; the sampler names
+    the draw, and the module docstring gives G.  A path's increments are
+    N(0, (T/N) I_d) in law (the single action reads them through their
+    radial components, the affine action through their sum); evaluation
+    order and worker count cannot affect them.
     """
 
     seed: int
@@ -190,13 +209,21 @@ class McEstimate:
 # Doubles in one batch of drawn normals, divided by one group's (G x rows x d) block
 # to give the groups per batch.  At 1 << 15 perfbench mc_single ran 8-13% more jobs a
 # second on 2 cores, with 2-4% more peak RSS (two workers' single-action moment passes
-# at once, whose seven-row coefficient gather is the largest array).
+# at once, whose seven-row coefficient gather is the largest array).  It also bounds
+# the (steps, offsets, paths) block of one single-action moment pass.
 _BATCH_ELEMENTS = 1 << 14
 
-# Doubles in one group's draw, divided by one path's (rows x d) block to give
-# the group size G: one re-key and one Philox call per group, not per path, so
-# worker threads hand the GIL back and forth that much less often.
+# Doubles in one group's draw, divided by one path's draws to give the group size G:
+# one re-key and one Philox call per group, not per path, so worker threads hand
+# the GIL back and forth that much less often.
 _DRAW_ELEMENTS = 1 << 12
+
+# Path-steps in one single-action batch, divided by N to give its paths (512 at N = 256).
+# The radial chain makes four numpy calls a step over the whole batch, so batches must be
+# wide: at 1 << 16 perfbench mc_single's job_p90_s (its three-offset maximality jobs) read
+# 0.067-0.069 s against 0.055-0.059 s at 1 << 17 on 2 cores.  The two step-major draw
+# buffers hold 16 bytes a path-step, 2 MB a worker.
+_RADIAL_ELEMENTS = 1 << 17
 
 # Node rows per block of the pair kernel; fixed, so no sum depends on the batch.
 _BLOCK_ROWS = 16
@@ -228,20 +255,23 @@ def _runs(groups: range, size: int, workers: int) -> list:
 def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
     """Per-path outputs of ``sampler``, shape (outputs, len(paths)).
 
-    A sampler's ``rows`` is the length of the (rows, d) normal block each
-    path draws; it maps a (B, rows, d) batch to B outputs or to an
-    (outputs, B) array.  Paths draw in groups of G (module docstring), and
-    a batch holds at most ``_BATCH_ELEMENTS`` drawn doubles, or one group.
+    A sampler names its own draw: ``draws`` doubles a path, which set the
+    group size G (module docstring); ``batch_paths()``, the paths a batch
+    should hold (at least one group); ``buffers(size)``, a worker's batch
+    buffers for ``size`` paths; ``draw(stream, buffers, n, lo, hi)``, which
+    puts paths lo..hi-1 of the current group into the buffers from path
+    slot n on, reading ``stream(word)``, the group's Generator at Philox
+    counter word * 2^64; and ``batch(buffers, n)``, the first n paths,
+    which the sampler maps to n outputs or to an (outputs, n) array.
     ``_workers()`` workers, one per core this process may use, each take
     one contiguous run of groups (``_runs``); one run executes inline, with
     no pool.  The result depends on neither the worker count nor the batch
     size.
     """
     paths = range(ensemble.paths) if paths is None else paths
-    block = (sampler.rows, ensemble.dim)
-    G = max(1, _DRAW_ELEMENTS // (block[0] * block[1]))
+    G = max(1, _DRAW_ELEMENTS // sampler.draws)
     runs = _runs(range(paths.start // G, -(-paths.stop // G)),
-                 max(1, _BATCH_ELEMENTS // (G * block[0] * block[1])), _workers())
+                 max(1, sampler.batch_paths() // G), _workers())
     size = min(len(paths), G * max(len(batch) for run in runs for batch in run))
 
     def work(run: list) -> list:
@@ -250,25 +280,27 @@ def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
         # (seed, k), counter 0, empty buffer; plain ints convert fastest.
         # Building a generator per group would also pay for an entropy-seeded
         # SeedSequence it then discards.
-        key = [int(ensemble.seed), 0]
-        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        key, counter = [int(ensemble.seed), 0], [0, 0, 0, 0]
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
                  "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         bitgen = Philox(key=np.array(key, dtype=np.uint64))
         rng = Generator(bitgen)
-        z = np.empty((size,) + block)
+
+        def stream(word: int) -> Generator:
+            counter[1] = word
+            bitgen.state = state
+            return rng
+
+        buffers = sampler.buffers(size)
         out = []
         for batch in run:
             n = 0
             for k in batch:
                 first, stop = max(paths.start, k * G), min(paths.stop, k * G + G)
                 key[1] = k
-                bitgen.state = state
-                if first == k * G:
-                    rng.standard_normal(out=z[n:n + stop - first])
-                else:  # a prefix of the group's draws, from path kG to stop - 1
-                    z[n:n + stop - first] = rng.standard_normal((stop - k * G,) + block)[first - k * G:]
+                sampler.draw(stream, buffers, n, first - k * G, stop - k * G)
                 n += stop - first
-            out.append(sampler(z[:n]))
+            out.append(sampler(sampler.batch(buffers, n)))
         return out
 
     if len(runs) == 1:
@@ -277,6 +309,30 @@ def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
         with ThreadPoolExecutor(max_workers=len(runs)) as ex:
             parts = [part for run in ex.map(work, runs) for part in run]
     return np.concatenate(parts, axis=-1).reshape(-1, len(paths))
+
+
+class _Normals:
+    """The draw of a sampler that reads a (rows, d) block of standard normals a path:
+    group k's (G, rows, d) block, in C order, from counter 0 of its stream."""
+
+    def __init__(self, rows: int, d: int):
+        self.rows, self.block, self.draws = rows, (rows, d), rows * d
+
+    def batch_paths(self) -> int:
+        return _BATCH_ELEMENTS // self.draws
+
+    def buffers(self, size: int) -> np.ndarray:
+        return np.empty((size,) + self.block)
+
+    def draw(self, stream, z: np.ndarray, n: int, lo: int, hi: int) -> None:
+        if lo == 0:
+            stream(0).standard_normal(out=z[n:n + hi])
+        else:  # a prefix of the group's draws, from its first path to hi - 1
+            z[n:n + hi - lo] = stream(0).standard_normal((hi,) + self.block)[lo:]
+
+    @staticmethod
+    def batch(z: np.ndarray, n: int) -> np.ndarray:
+        return z[:n]
 
 
 def _midpoint_means(z: np.ndarray, sq: float) -> np.ndarray:
@@ -341,13 +397,16 @@ def _moment_table(theta: float, d: int, c: float) -> np.ndarray:
 
 
 class _SingleSampler:
-    """Midpoint-rule single action, one output row per starting offset; each midpoint
-    term is its expectation E(|mu + offset e_1|^2) given the grid nodes (``_moment_table``),
-    every offset's in one stacked ``_moment`` pass over the batch."""
+    """Midpoint-rule single action, one output row per starting offset, read off the radial
+    chain (module docstring): every offset's chain runs on the batch's shared draws, and each
+    midpoint term is its expectation E(|mu_k|^2) given the grid nodes (``_moment_table``), every
+    offset's in one stacked ``_moment`` pass per block of steps.  A path adds its terms in step
+    order."""
 
     def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
         dt = spec.T / steps
-        self.rows, self.sq = steps, math.sqrt(dt)
+        self.steps, self.draws = steps, 2 * steps
+        self.sq, self.dt, self.shape = math.sqrt(dt), dt, (spec.d - 1) / 2.0
         self.fw = np.asarray(evaluate(spec.f, (np.arange(steps) + 0.5) * dt), dtype=float) * dt
         c = spec.epsilon ** 2 / (dt / 2.0)  # eps^2 / (2 s^2), s^2 = dt / 4
         if not (c < 1e200 and (c or spec.theta < spec.d)):
@@ -355,6 +414,26 @@ class _SingleSampler:
                               f"d {spec.d}, epsilon {spec.epsilon}, dt {dt}")
         self.table, self.y0 = _moment_table(spec.theta, spec.d, c), (_x0(spec.d) + c) * dt / 2.0
         self.theta, self.offsets = spec.theta, tuple(map(float, offsets))
+
+    def batch_paths(self) -> int:
+        return _RADIAL_ELEMENTS // self.steps
+
+    def buffers(self, size: int) -> np.ndarray:
+        """Step-major rows of Z1 and of C / 2; the C / 2 rows stay 0 at d = 1."""
+        return np.zeros((2, self.steps, size))
+
+    def draw(self, stream, buffers: np.ndarray, n: int, lo: int, hi: int) -> None:
+        """The group's (paths, N) normals from counter 0 and (paths, N) Gamma((d - 1)/2) values
+        from counter 2^64, path-major, up to path hi - 1; paths lo.. go into the step-major rows."""
+        z = stream(0).standard_normal((hi, self.steps))
+        buffers[0, :, n:n + hi - lo] = z[lo:].T
+        if self.shape:
+            g = stream(1).standard_gamma(self.shape, (hi, self.steps))
+            buffers[1, :, n:n + hi - lo] = g[lo:].T
+
+    @staticmethod
+    def batch(buffers: np.ndarray, n: int) -> np.ndarray:
+        return buffers[:, :, :n]
 
     def _moment(self, y: np.ndarray) -> np.ndarray:
         """E(y), elementwise; overwrites y."""
@@ -374,26 +453,47 @@ class _SingleSampler:
         q **= -self.theta / 2.0  # not np.power: ** keeps numpy's exact forms (1/q at theta 2)
         return np.multiply(g, q, out=g)
 
-    def _distances(self, z: np.ndarray) -> np.ndarray:
-        """|mu + offset e_1|^2 at every midpoint mean, (offsets, B, N): (2 offset) mu_1 + |mu|^2
-        + offset^2, exactly |mu|^2 at offset 0."""
-        mu = _midpoint_means(z, self.sq)
-        r2 = np.einsum("bij,bij->bi", mu, mu)
-        if self.offsets == (0.0,):
-            return r2[None]
-        offsets = np.array(self.offsets)[:, None, None]
-        y = (2.0 * offsets) * mu[:, :, 0]
-        y += r2
-        y += offsets * offsets
-        return y
+    def _midpoint_norms(self, draws: np.ndarray):
+        """Per block of steps k0 <= k < k1: (k0, the radii r_k1, the |mu_k|^2), shapes
+        (offsets, n) and (k1 - k0, offsets, n), in buffers the next block reuses.
+        Scales ``draws`` in place."""
+        z, c = draws
+        s = np.multiply(z, self.sq, out=z)  # radial steps sqrt(dt) Z1
+        np.multiply(c, 2.0 * self.dt, out=c)  # dt C
+        offsets, n = len(self.offsets), z.shape[1]
+        rows = max(1, min(self.steps, _BATCH_ELEMENTS // (offsets * n)))
+        r = np.empty((rows + 1, offsets, n))
+        r[-1] = np.abs(self.offsets)[:, None]  # each block starts from the row the last one ended on
+        for k0 in range(0, self.steps, rows):
+            k1 = min(k0 + rows, self.steps)
+            radii, sk, ck = r[:k1 - k0 + 1], s[k0:k1], c[k0:k1]
+            radii[0] = r[-1]
+            chain = radii[:, 0] if offsets == 1 else radii  # one offset: 1-d rows, no broadcast
+            for rk, nxt, step, chi in zip(chain, chain[1:], sk, ck):
+                np.add(rk, step, out=nxt)  # r_{k+1} = sqrt((r_k + s_k)^2 + dt C_k)
+                np.multiply(nxt, nxt, out=nxt)
+                np.add(nxt, chi, out=nxt)
+                np.sqrt(nxt, out=nxt)
+            # the block's draws and radii r_k are spent: |mu_k|^2 = (r_k + s_k/2)^2 + dt C_k/4 over them
+            sk *= 0.5
+            ck *= 0.25
+            mu2 = np.add(radii[:-1], sk[:, None], out=radii[:-1])
+            mu2 *= mu2
+            mu2 += ck[:, None]
+            yield k0, radii[-1], mu2
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        m = self._moment(self._distances(z))
-        m *= self.fw
-        return m.sum(axis=-1)
+    def __call__(self, draws: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self.offsets), draws.shape[-1]))
+        for k0, _, mu2 in self._midpoint_norms(draws):
+            terms = self._moment(mu2)
+            terms *= self.fw[k0:k0 + len(terms), None, None]
+            for term in terms:  # step order, whatever the block and batch
+                out += term
+            del terms, term  # off the peak, which the next block's gather sets
+        return out
 
 
-class _PairSampler:
+class _PairSampler(_Normals):
     """Grid-node double sums over node pairs i > j, nodes at t = (k+1) dt.
 
     The action is a sum of terms (W, a, b, offset), added in table order:
@@ -409,7 +509,8 @@ class _PairSampler:
     def __init__(self, spec: ActionSpec, steps: int):
         dt = spec.T / steps
         parts = 1 if spec.kind == "self_double" else 2
-        self.rows, self.block = parts * steps, (parts, steps, spec.d)
+        super().__init__(parts * steps, spec.d)
+        self.block = (parts, steps, spec.d)  # X's rows, then Y's
         self.sq, self.theta, self.eps = math.sqrt(dt), spec.theta, spec.epsilon
         # lags N-1, ..., 1, then 0, ..., 1-N: reversed windows give W[i, j] = w_(i-j)
         w = np.append(evaluate(spec.f, np.arange(steps - 1, 0, -1) * dt) * dt * dt, np.zeros(steps))
@@ -450,25 +551,28 @@ class _PairSampler:
         return out
 
 
-class _AffineSampler:
-    """lam * X_T^(1), capped at ``truncation`` unless it is None."""
+class _AffineSampler(_Normals):
+    """lam * X_T^(1), capped at ``truncation`` unless it is None.  The action reads the
+    endpoint alone, and sqrt(dt) times a sum of N standard normals is sqrt(T) Z exactly in
+    law: one normal a path."""
 
     def __init__(self, lam: float, ensemble: PathEnsemble, truncation: float = None):
-        self.rows, self.sq = ensemble.steps, math.sqrt(ensemble.dt)
-        self.lam, self.truncation = lam, truncation
+        super().__init__(1, 1)
+        self.sq, self.lam, self.truncation = math.sqrt(ensemble.horizon), lam, truncation
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        x1 = (self.sq * z[:, :, 0]).sum(axis=1)
+        x1 = self.sq * z[:, 0, 0]
         return self.lam * (x1 if self.truncation is None else np.minimum(x1, self.truncation))
 
 
-class _QuadraticSampler:
+class _QuadraticSampler(_Normals):
     """ln E[exp(-(w^2/2) sum_k |X_mid,k|^2 dt) | grid nodes], the midpoint rule's exact
     conditional log-moment: a midpoint N(mu, s^2 I_d) gives -a|mu|^2/(1 + 2as^2) - (d/2) ln(1 + 2as^2)."""
 
     def __init__(self, omega: float, ensemble: PathEnsemble):
         a2s2 = 0.25 * omega * omega * ensemble.dt ** 2  # 2 a s^2, a = w^2 dt / 2, s^2 = dt / 4
-        self.rows, self.sq = ensemble.steps, math.sqrt(ensemble.dt)
+        super().__init__(ensemble.steps, ensemble.dim)
+        self.sq = math.sqrt(ensemble.dt)
         self.coeff = -0.5 * omega * omega * ensemble.dt / (1.0 + a2s2)
         self.shift = -0.5 * ensemble.dim * ensemble.steps * math.log1p(a2s2)
 
@@ -638,8 +742,8 @@ def martingale_lemma_check(lam: float, T: float, d: int, paths: int, steps: int,
     standard errors (equality case); with truncation the estimate must sit
     strictly below it.
     """
-    # only X_T^(1) enters the action, and its law does not depend on d: draw one coordinate
-    ensemble = replace(PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=d), dim=1)
+    # only X_T^(1) enters the action, and its law depends on neither d nor N: one normal a path
+    ensemble = PathEnsemble(seed=seed, paths=paths, steps=steps, horizon=T, dim=d)
     est = _estimates(_AffineSampler(lam, ensemble, truncation), ensemble)[1][0]
     ceiling = lam * lam * T / 2.0
     gap, se = ceiling - est.log_mean, est.stderr_log

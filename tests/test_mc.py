@@ -89,16 +89,30 @@ def test_increment_moments():
     assert abs(total.var() - 1.0) <= 0.01
 
 
-class _RawBlocks:
+class _RawBlocks(mc._Normals):
     """Engine sampler that returns each path's drawn (rows, d) block, flattened, and
     records each batch's path count."""
 
-    def __init__(self, rows=5):
-        self.rows, self.batches = rows, []
+    def __init__(self, rows=5, d=3):
+        super().__init__(rows, d)
+        self.batches = []
 
     def __call__(self, z):
         self.batches.append(len(z))
         return z.reshape(len(z), -1).T.copy()
+
+
+class _RawRadial(mc._SingleSampler):
+    """Single-action sampler that returns each path's drawn Z1 row, then its
+    Gamma((d - 1)/2) row, and records each batch's path count."""
+
+    def __init__(self, steps=5, d=3):
+        super().__init__(mc.ActionSpec("single", _F, 1.0, d, 1.0, epsilon=0.1), steps, (0.0,))
+        self.batches = []
+
+    def __call__(self, draws):
+        self.batches.append(draws.shape[-1])
+        return draws.reshape(2 * self.steps, -1).copy()
 
 
 def _path_normals(ens, rows, m):
@@ -108,27 +122,44 @@ def _path_normals(ens, rows, m):
     return ens.generator(k).standard_normal((G, rows, ens.dim))[m - k * G]
 
 
+def _path_radial(ens, m):
+    """Path m's Z1 and Gamma((d - 1)/2) rows: row m - kG of the (G, N) blocks that group
+    k = m // G draws at counter 0 and at counter 2^64 of its key."""
+    G = max(1, mc._DRAW_ELEMENTS // (2 * ens.steps))
+    k = m // G
+    far = mc.Generator(mc.Philox(key=np.array([ens.seed, k], dtype=np.uint64), counter=2 ** 64))
+    gamma = far.standard_gamma((ens.dim - 1) / 2, (G, ens.steps)) if ens.dim > 1 else np.zeros((G, ens.steps))
+    return np.concatenate([ens.generator(k).standard_normal((G, ens.steps))[m - k * G],
+                           gamma[m - k * G]])
+
+
 @pytest.mark.parametrize("seed", [0, 77, 2 ** 64 - 1])
 def test_engine_stream_equals_path_generator(seed, monkeypatch):
-    # 15 normals per path leave the previous group's Philox buffer part used,
-    # so every group after the first in a batch checks the re-keying; groups
-    # of 7 leave a short last group at 40 and 41 paths; a group of 1 is one
-    # path, keyed (seed, m), as where rows x d exceeds _DRAW_ELEMENTS / 2
-    for group, paths in itertools.product((7, 1), (40, 41)):
-        monkeypatch.setattr(mc, "_DRAW_ELEMENTS", group * 15 + 14)
-        ens = mc.PathEnsemble(seed=seed, paths=paths, steps=5, horizon=1.0, dim=3)
-        expected = np.stack([_path_normals(ens, 5, m).ravel() for m in range(paths)], axis=1)
-        # one batch; then one group a batch, though a group exceeds the budget
-        for budget, most in ((42 * 15, paths), (14, group)):
-            monkeypatch.setattr(mc, "_BATCH_ELEMENTS", budget)
-            for cores in (1, 3):
-                _cores(monkeypatch, cores)
-                sampler = _RawBlocks()
-                assert np.array_equal(mc._run(sampler, ens), expected)
-                assert max(sampler.batches) == most
-        for m in (0, 1, 17, paths - 1):
-            single = mc._run(_RawBlocks(), ens, paths=range(m, m + 1))
-            assert np.array_equal(single[:, 0], expected[:, m])
+    # 15 normals per path (10 draws a radial path: 5 normals, 5 chi-square halves, none
+    # at d = 1) leave the previous group's Philox buffer part used, so every group after
+    # the first in a batch checks the re-keying; groups of 7 leave a short last group at
+    # 40 and 41 paths; a group of 1 is one path, keyed (seed, m), as where a path's
+    # draws exceed _DRAW_ELEMENTS / 2
+    probes = [(_RawBlocks, lambda ens, m: _path_normals(ens, 5, m).ravel(), 3),
+              (_RawRadial, _path_radial, 3), (functools.partial(_RawRadial, d=1), _path_radial, 1)]
+    for make, path, dim in probes:
+        for group, paths in itertools.product((7, 1), (40, 41)):
+            draws = make().draws
+            monkeypatch.setattr(mc, "_DRAW_ELEMENTS", group * draws + draws - 1)
+            ens = mc.PathEnsemble(seed=seed, paths=paths, steps=5, horizon=1.0, dim=dim)
+            expected = np.stack([path(ens, m) for m in range(paths)], axis=1)
+            # one batch; then one group a batch, though a group exceeds the budget
+            for budget, most in ((42, paths), (0, group)):
+                monkeypatch.setattr(mc, "_BATCH_ELEMENTS", budget * 15)
+                monkeypatch.setattr(mc, "_RADIAL_ELEMENTS", budget * 5)
+                for cores in (1, 3):
+                    _cores(monkeypatch, cores)
+                    sampler = make()
+                    assert np.array_equal(mc._run(sampler, ens), expected)
+                    assert max(sampler.batches) == most
+            for m in (0, 1, 17, paths - 1):
+                single = mc._run(make(), ens, paths=range(m, m + 1))
+                assert np.array_equal(single[:, 0], expected[:, m])
 
 
 @pytest.mark.parametrize("paths, steps, dim, cores", [
@@ -147,9 +178,34 @@ def test_one_philox_call_per_group(paths, steps, dim, cores, monkeypatch):
     monkeypatch.setattr(mc, "Generator", Counting)
     _cores(monkeypatch, cores)
     ens = mc.PathEnsemble(seed=1, paths=paths, steps=steps, horizon=1.0, dim=dim)
-    mc._run(mc._AffineSampler(1.0, ens), ens)
+    mc._run(mc._QuadraticSampler(1.3, ens), ens)
     G = max(1, mc._DRAW_ELEMENTS // (steps * dim))
     assert len(calls) == -(-paths // G)
+
+
+@pytest.mark.parametrize("paths, steps, dim, cores", [
+    (1000, 64, 3, 1), (1037, 64, 4, 2), (700, 256, 1, 2), (7, 2048, 7, 2), (1, 16, 2, 1)])
+def test_radial_draw_makes_two_philox_calls_per_group(paths, steps, dim, cores, monkeypatch):
+    # one call for the normals and, except at d = 1, one for the chi-square halves;
+    # G depends on N alone
+    calls, real = [], mc.Generator
+
+    class Counting:
+        def __init__(self, bitgen):
+            self.rng = real(bitgen)
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(mc, "Generator", Counting)
+    _cores(monkeypatch, cores)
+    ens = mc.PathEnsemble(seed=1, paths=paths, steps=steps, horizon=1.0, dim=dim)
+    mc._run(mc._SingleSampler(mc.ActionSpec("single", _F, 1.0, dim, 1.0, epsilon=0.1), steps, (0.0,)), ens)
+    groups = -(-paths // max(1, mc._DRAW_ELEMENTS // (2 * steps)))
+    assert calls.count("standard_normal") == groups
+    assert calls.count("standard_gamma") == (groups if dim > 1 else 0)
+    assert len(calls) == groups * (2 if dim > 1 else 1)
 
 
 @pytest.mark.parametrize("kind", ["single", "quadratic"])
@@ -159,9 +215,20 @@ def test_path_action_independent_of_path_count(kind):
                               horizon=1.0, dim=3 if kind == "single" else 1) for M in (1000, 1037)}
     sampler = (mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0), 64, (0.0,))
                if kind == "single" else mc._QuadraticSampler(1.3, ens[1000]))
-    G = mc._DRAW_ELEMENTS // (sampler.rows * ens[1000].dim)
+    G = mc._DRAW_ELEMENTS // sampler.draws
     assert 1000 % G and G > 1
     assert np.array_equal(mc._run(sampler, ens[1037])[0, :1000], mc._run(sampler, ens[1000])[0])
+
+
+def test_radial_sample_action_is_path_m_of_the_estimate():
+    # 1037 paths at N = 256 are groups of 8 in three batches; a path drawn alone reads
+    # the same prefix of its group's two streams
+    spec = mc.ActionSpec("single", _F, 1.2, 3, 1.0, offset=0.3)
+    ens = mc.PathEnsemble(seed=8, paths=1037, steps=256, horizon=1.0, dim=3)
+    assert 2 * mc._make_sampler(spec, 256).batch_paths() < 1037
+    full = mc._run(mc._make_sampler(spec, 256), ens)[0]
+    for m in (0, 7, 8, 511, 512, 1036):
+        assert mc.sample_action(spec, ens, m) == full[m]
 
 
 @pytest.mark.parametrize("kind", ["single", "self_double", "cross_double", "bipolaron"])
@@ -182,14 +249,15 @@ def _cores(monkeypatch, n):
 
 
 _F = ExpDecay(0.4, 1.0)
-_PAIR, _LINE = (mc.PathEnsemble(seed=2, paths=400, steps=32, horizon=1.0, dim=3),
-                mc.PathEnsemble(seed=2, paths=700, steps=64, horizon=1.0, dim=1))
+_PAIR, _LINE, _RADIAL = (mc.PathEnsemble(seed=2, paths=400, steps=32, horizon=1.0, dim=3),
+                         mc.PathEnsemble(seed=2, paths=700, steps=64, horizon=1.0, dim=1),
+                         mc.PathEnsemble(seed=2, paths=800, steps=512, horizon=1.0, dim=3))
 _SAMPLERS = {  # kind: (sampler, ensemble), three or more batches at the default budget
     "single_offsets": (mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0, epsilon=0.1),
-                                         32, (0.0, 0.3, 1.0)), _PAIR),
+                                         512, (0.0, 0.3, 1.0)), _RADIAL),
     **{kind: (mc._PairSampler(mc.ActionSpec(kind, _F, 1.0, 3, 1.0, offset=0.4), 32), _PAIR)
        for kind in ("self_double", "cross_double", "bipolaron")},
-    "affine": (mc._AffineSampler(0.7, _LINE, truncation=0.5), _LINE),
+    "affine": (mc._AffineSampler(0.7, _LINE, truncation=0.5), replace(_LINE, paths=60_000)),
     "quadratic": (mc._QuadraticSampler(1.3, _LINE), _LINE),
 }
 
@@ -199,7 +267,7 @@ def test_default_workers_match_one_worker(kind, monkeypatch):
     sampler, ens = _SAMPLERS[kind]
     _cores(monkeypatch, 1)
     base = mc._run(sampler, ens)
-    assert -(-ens.paths // (mc._BATCH_ELEMENTS // (sampler.rows * ens.dim))) >= 3
+    assert -(-ens.paths // sampler.batch_paths()) >= 3
     for cores in (1, 2, 3):
         _cores(monkeypatch, cores)
         assert mc._workers() == cores
@@ -275,7 +343,7 @@ def test_one_batch_starts_no_thread(monkeypatch):
     monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
     spec = hydrogen_spec()
     ens = mc.PathEnsemble(seed=9, paths=100, steps=16, horizon=1.0, dim=3)
-    assert 100 * 16 * 3 <= mc._BATCH_ELEMENTS  # the whole estimate is one batch
+    assert 100 <= mc._make_sampler(spec, 16).batch_paths()  # the whole estimate is one batch
     actions = [mc.sample_action(spec, ens, m) for m in range(100)]
     assert mc.estimate(spec, 100, 16, 9) == mc.summarize_actions(actions, 9, 16)
 
@@ -486,6 +554,25 @@ def test_pair_kernel_holds_no_quadratic_table(kind):
     assert peak < 4 * 2 ** 20
 
 
+def test_single_sampler_peak_memory_is_bounded(monkeypatch):
+    # a worker's traced peak is its two step-major draw buffers (16 bytes a path-step,
+    # _RADIAL_ELEMENTS path-steps: 2 MB) and one block of the moment pass (every offset,
+    # _BATCH_ELEMENTS doubles, with its seven-row gather: about 1.3 MB), 3.3 MB in all;
+    # a wider batch or block would show here before it shows in peak RSS
+    spec = mc.ActionSpec("single", ExpDecay(0.4, 1.0), 1.2, 3, 1.0, epsilon=0.1)
+    ens = mc.PathEnsemble(seed=2, paths=400, steps=1024, horizon=1.0, dim=3)
+    sampler = mc._SingleSampler(spec, 1024, (0.0, 0.3, 1.0))
+    _cores(monkeypatch, 1)
+    assert -(-ens.paths // sampler.batch_paths()) >= 3
+    tracemalloc.start()
+    try:
+        mc._run(sampler, ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 def test_infinite_path_flagged_not_clamped():
     actions = np.array([0.1, math.inf, 0.2, 0.3])
     est = mc.summarize_actions(actions, seed=0, steps=16)
@@ -564,6 +651,41 @@ def test_midpoint_moment_matches_mpmath_at_large_dimension(d):
     assert worst <= 1e-12
 
 
+def _radial_draws(z: np.ndarray, offset: float, sq: float) -> np.ndarray:
+    """The (Z1, C / 2) draws, as a (2, N, 1) batch, under which the radial chain from
+    |offset| retraces the path X_k = offset e_1 + sq (z_0 + ... + z_(k-1)) of the (N, d)
+    normals z: Z1 = z_k . e and C = |z_k - Z1 e|^2, e = X_k / |X_k| (e_1 at 0)."""
+    x, draws = offset * np.eye(1, z.shape[1])[0], np.empty((2, len(z), 1))
+    for k, zk in enumerate(z):
+        r = np.linalg.norm(x)
+        e = x / r if r else np.eye(1, len(x))[0]
+        draws[0, k, 0] = z1 = float(np.sum(zk * e))
+        draws[1, k, 0] = float(np.sum((zk - z1 * e) ** 2)) / 2.0
+        x = x + sq * zk
+    return draws
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("offset", [0.0, 0.7])
+def test_radial_chain_retraces_the_path_norms(d, offset):
+    # the chain is the path's norms, step by step, not just in law: fed the radial
+    # components of a given path, it returns its |mu_k|^2 and |X_N| to rounding
+    steps, T = 16, 1.0
+    spec = mc.ActionSpec("single", _F, 1.0, d, T, epsilon=0.1)
+    sq = math.sqrt(T / steps)
+    for seed in range(5):
+        z = np.random.default_rng(seed).standard_normal((steps, d))
+        nodes = offset * np.eye(1, d) + np.concatenate([np.zeros((1, d)), np.cumsum(sq * z, axis=0)])
+        mids = nodes[:-1] + 0.5 * sq * z
+        sampler = mc._SingleSampler(spec, steps, (offset,))
+        ends, mu2 = [], []
+        for _, r, m in sampler._midpoint_norms(_radial_draws(z, offset, sq)):
+            ends.append(r[0, 0])
+            mu2.append(m[:, 0, 0].copy())
+        assert np.allclose(np.concatenate(mu2), np.sum(mids * mids, axis=1), rtol=1e-12, atol=0)
+        assert ends[-1] == pytest.approx(np.linalg.norm(nodes[-1]), rel=1e-12)
+
+
 @pytest.mark.parametrize("theta, d, eps, offset", [(1.0, 3, 0.0, 0.0), (1.3, 3, 0.05, 0.4),
                                                    (1.2, 4, 0.0, 0.2)])
 def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offset):
@@ -572,12 +694,41 @@ def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offse
     spec = mc.ActionSpec("single", ExpDecay(0.7, 1.0), theta, d, T, offset=offset, epsilon=eps)
     z = np.random.default_rng(3).standard_normal((1, steps, d))
     sampler = mc._SingleSampler(spec, steps, (offset,))
-    value = sampler(z)[0, 0]
     sq = math.sqrt(T / steps)
+    value = sampler(_radial_draws(z[0], offset, sq))[0, 0]
     mids = np.cumsum(sq * z[0], axis=0) - 0.5 * sq * z[0] + offset * np.eye(1, d)
     mids = mids + 0.5 * sq * np.random.default_rng(4).standard_normal((draws, steps, d))
     old = ((np.sum(mids * mids, axis=2) + eps * eps) ** (-theta / 2.0) * sampler.fw).sum(axis=1)
     assert abs(value - old.mean()) <= 4.0 * old.std(ddof=1) / math.sqrt(draws)
+
+
+class _RadialNorms(mc._SingleSampler):
+    """Single-action sampler that returns each path's |mu_k|^2 (k < N), then |Y_N|^2."""
+
+    def __call__(self, draws):
+        rows = []
+        for _, end, mu2 in self._midpoint_norms(draws):
+            rows.append(mu2[:, 0].copy())
+        return np.concatenate(rows + [end ** 2])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("offset", [0.0, 0.7])
+def test_radial_draw_has_the_brownian_law(d, offset):
+    # E|mu_k|^2 = offset^2 + d (k + 1/4) dt and E|Y_N|^2 = offset^2 + d T, each within 4 se;
+    # from the origin at d >= 3, where |Y_N|^-1 has a finite variance, E|Y_N|^-1 = K T^(-1/2)
+    steps, T, paths = 16, 1.0, 20_000
+    spec = mc.ActionSpec("single", _F, 1.0, d, T, epsilon=0.1)
+    ens = mc.PathEnsemble(seed=31, paths=paths, steps=steps, horizon=T, dim=d)
+    norms = mc._run(_RadialNorms(spec, steps, (offset,)), ens)
+    dt = T / steps
+    want = offset ** 2 + d * dt * np.append(np.arange(steps) + 0.25, steps)
+    se = norms.std(axis=1, ddof=1) / math.sqrt(paths)
+    assert np.all(np.abs(norms.mean(axis=1) - want) <= 4.0 * se)
+    if offset == 0.0 and d >= 3:
+        inverse = norms[-1] ** -0.5
+        want = kernels.expectation_constant(1.0, d) / math.sqrt(T)
+        assert abs(inverse.mean() - want) <= 4.0 * inverse.std(ddof=1) / math.sqrt(paths)
 
 
 @pytest.mark.parametrize("theta, d", [(1.0, 3), (1.5, 3), (1.9, 2), (0.5, 1)])
@@ -885,22 +1036,29 @@ def test_maximality_rows_are_the_single_offset_estimates_bit_for_bit():
 
 
 @pytest.mark.parametrize("offsets", [(0.0,), (0.7,), (0.0, 0.3, 1.0)])
-def test_single_sampler_makes_one_moment_pass_per_batch(offsets, monkeypatch):
-    sampler = mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0), 32, offsets)
-    calls = {"batches": 0, "moments": 0}
+def test_single_sampler_stacks_every_offset_in_each_moment_pass(offsets, monkeypatch):
+    # one moment pass per block of steps takes every offset's terms at once, and the
+    # blocks of a batch cover each path-step once, each within _BATCH_ELEMENTS doubles
+    sampler = mc._SingleSampler(mc.ActionSpec("single", _F, 1.2, 3, 1.0), 512, offsets)
+    calls = {"batches": 0, "moments": []}
     moment, call = mc._SingleSampler._moment, mc._SingleSampler.__call__
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted_moment(self, y):
+        calls["moments"].append(y.shape)
+        return moment(self, y)
 
-    monkeypatch.setattr(mc._SingleSampler, "_moment", counted("moments", moment))
-    monkeypatch.setattr(mc._SingleSampler, "__call__", counted("batches", call))
-    out = mc._run(sampler, _PAIR)
-    assert out.shape == (len(offsets), _PAIR.paths)
-    assert calls["batches"] >= 3 and calls["moments"] == calls["batches"]
+    def counted_call(self, draws):
+        calls["batches"] += 1
+        return call(self, draws)
+
+    monkeypatch.setattr(mc._SingleSampler, "_moment", counted_moment)
+    monkeypatch.setattr(mc._SingleSampler, "__call__", counted_call)
+    out = mc._run(sampler, _RADIAL)
+    assert out.shape == (len(offsets), _RADIAL.paths)
+    assert calls["batches"] >= 3
+    assert {shape[1] for shape in calls["moments"]} == {len(offsets)}
+    assert sum(rows * n for rows, _, n in calls["moments"]) == 512 * _RADIAL.paths
+    assert max(math.prod(shape) for shape in calls["moments"]) <= mc._BATCH_ELEMENTS
 
 
 def test_maximality_requires_single_action():
@@ -966,20 +1124,20 @@ def _fingerprint(result) -> list:
 
 GOLDEN = {
     'single': [
-        '0x1.90f23f15ff10ep-1', '0x1.fc7661b2aaf6dp-7', '0x1.82d6c05639dfdp-1',
-        '0x1.ad857844726e1p-7',
+        '0x1.95567066b2b3bp-1', '0x1.1285a8fecd803p-6', '0x1.858114a721a3dp-1',
+        '0x1.c4d5281f7c3d2p-7',
     ],
     'single_offset_eps': [
-        '0x1.72073afe1b0aap-1', '0x1.bddd0a4595fe8p-6', '0x1.487fc1f4a3794p-1',
-        '0x1.7fc81193a1b6dp-6',
+        '0x1.6868743cffbe0p-1', '0x1.00fc4b99c07fap-5', '0x1.43b420b6b0418p-1',
+        '0x1.70b97bbbb7757p-6',
     ],
     'single_max_seed': [
-        '0x1.8814a411c4288p-1', '0x1.52a1e1954ba80p-6', '0x1.77d045f77822ap-1',
-        '0x1.6ac95579c7dedp-6',
+        '0x1.8751c20f472aap-1', '0x1.3ecdd172f848dp-6', '0x1.77779b1579401p-1',
+        '0x1.611bc39d38296p-6',
     ],
     'single_threads': [
-        '0x1.96fd230cb6208p-1', '0x1.fcb6f5d45acefp-7', '0x1.888df3a20e04ap-1',
-        '0x1.026a3f60b6513p-6',
+        '0x1.9f0eb8edc383ep-1', '0x1.d8047fdbf82f9p-7', '0x1.914c169e57778p-1',
+        '0x1.fd681bb4b138dp-7',
     ],
     'self_double': [
         '0x1.23b03d257de7ep-2', '0x1.44d9d4403cb08p-8', '0x1.22acecd1ae925p-2',
@@ -994,26 +1152,26 @@ GOLDEN = {
         '0x1.8db0ba6c8c743p-7',
     ],
     'maximality_0.0': [
-        '0x0.0p+0', '0x1.6488e8cc6dc09p-1', '0x1.725c86dd59a71p-7',
+        '0x0.0p+0', '0x1.79173fe4e83a4p-1', '0x1.cff98efa6d3c4p-7',
         '0x0.0p+0', '0x0.0p+0',
     ],
     'maximality_0.5': [
-        '0x1.0000000000000p-1', '0x1.2856c44b88775p-1', '0x1.feeb73dc4b089p-7',
-        '0x1.e19124072a4a0p-4', '0x1.9fd14ab299928p-7',
+        '0x1.0000000000000p-1', '0x1.30b7faad71228p-1', '0x1.d11ef13171b0ap-7',
+        '0x1.217d14dddc5f0p-3', '0x1.6d5444943df9bp-8',
     ],
     'maximality_1.0': [
-        '0x1.0000000000000p+0', '0x1.bb0499b87970cp-2', '0x1.97693d03dd5efp-7',
-        '0x1.0e0d37e062106p-2', '0x1.8508c716447aap-7',
+        '0x1.0000000000000p+0', '0x1.c1086dccb5526p-2', '0x1.952921d84e3cdp-7',
+        '0x1.312611fd1b222p-2', '0x1.aac3240d15c9ep-8',
     ],
     'martingale_equality': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', 'nan',
-        '0x1.c2eadfc3ee51cp-2', '0x1.0b834931667d4p-4', '0x1.0000000000000p-1',
-        '0x1.e8a901e08d720p-5',
+        '0x1.cb50525a014d0p-2', '0x1.1a0d79b2ff421p-4', '0x1.0000000000000p-1',
+        '0x1.a57d6d2ff5980p-5',
     ],
     'martingale_truncated': [
         '0x1.0000000000000p+0', '0x1.0000000000000p+0', '0x0.0p+0',
-        '-0x1.2cad9ba67cad4p-2', '0x1.8af0b68f958b9p-6', '0x1.0000000000000p-1',
-        '0x1.9656cdd33e56ap-1',
+        '-0x1.21c1178b0075dp-2', '0x1.b0c04aa3bdf94p-6', '0x1.0000000000000p-1',
+        '0x1.90e08bc5803aep-1',
     ],
     'oscillator': [
         '-0x1.49c9304c80fa5p-1', '0x1.44b4e4c85413fp-5', '-0x1.fc525c077ccb4p-1',

@@ -3,11 +3,12 @@ one outer quadrature rule, which ``bounds`` and ``kernels`` reach only
 through ``iterated_norm`` imported by name, ``bounds`` calls its norms in one
 step, the Monte Carlo engine makes no BLAS call and builds no O(N^2)
 pair-index table, its single and quadratic samplers draw no midpoint noise,
-only ``mc`` counts cores and starts worker threads, no module reads
-``FKBOUND_THREADS``, the Pekar kernel is assembled only through its
-unit-grid cache, no module calls a ladder fit, the modules import each
-other one way, no public function only forwards its arguments to another,
-and every name a module exports exists.
+its single sampler calls no ``cumsum`` or ``einsum``, only ``mc`` counts
+cores and starts worker threads, no module reads ``FKBOUND_THREADS``, the
+Pekar kernel is assembled only through its unit-grid cache, no module calls
+a ladder fit, the modules import each other one way, no public function
+only forwards its arguments to another, and every name a module exports
+exists.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -191,13 +192,17 @@ def test_mc_makes_no_blas_call():
     assert _blas_uses((SRC / "mc.py").read_text()) == []
 
 
+def _calls_named(source: str, names: set) -> list:
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return [name for name in (getattr(func, "attr", getattr(func, "id", None)) for func in calls)
+            if name in names]
+
+
 INDEX_TABLES = {"tril_indices", "triu_indices", "take"}
 
 
 def _index_table_calls(source: str) -> list:
-    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
-    names = [getattr(func, "attr", getattr(func, "id", None)) for func in calls]
-    return [name for name in names if name in INDEX_TABLES]
+    return _calls_named(source, INDEX_TABLES)
 
 
 def test_guard_sees_index_tables():
@@ -214,6 +219,25 @@ def test_mc_builds_no_pair_index_tables():
     tree.body = [node for node in tree.body if node not in single]
     assert _index_table_calls(ast.unparse(tree)) == []
     assert _index_table_calls(ast.unparse(single[0])) == ["take"]
+
+
+GIL_HOLDERS = {"cumsum", "einsum"}
+
+
+def test_guard_sees_cumsum_and_einsum():
+    source = ("class _SingleSampler:\n"
+              "    def f(self, z):\n"
+              "        mu = np.cumsum(z, axis=1) + z.cumsum(axis=0)\n"
+              "        return einsum('bij,bij->bi', mu, mu)\n")
+    assert sorted(_calls_named(source, GIL_HOLDERS)) == ["cumsum", "cumsum", "einsum"]
+
+
+def test_single_sampler_calls_no_cumsum_or_einsum():
+    # both held the GIL for a whole d-vector batch, so the engine's workers queued
+    # behind them; the radial chain reads the path through two draws a step
+    tree = ast.parse((SRC / "mc.py").read_text())
+    (single,) = [node for node in tree.body if getattr(node, "name", None) == "_SingleSampler"]
+    assert _calls_named(ast.unparse(single), GIL_HOLDERS) == []
 
 
 WORKER_NAMES = {"ThreadPoolExecutor", "sched_getaffinity", "cpu_count", "FKBOUND_THREADS"}
@@ -450,8 +474,11 @@ def test_every_exported_name_exists():
 
 
 def test_single_and_quadratic_samplers_draw_only_the_increments():
-    # each midpoint term is its expectation given the grid nodes: no bridge noise is drawn
-    spec = mc.ActionSpec("single", Constant(0.5), 1.2, 3, 1.0, epsilon=0.1)
+    # each midpoint term is its expectation given the grid nodes: no bridge noise is drawn.
+    # The single action draws the increments' radial components, one normal and one
+    # chi-square value a step, whatever d and the offsets; the quadratic one draws them whole
+    for d in (1, 3, 64):
+        spec = mc.ActionSpec("single", Constant(0.5), 1.2, d, 1.0, epsilon=0.1)
+        assert mc._SingleSampler(spec, 48, (0.0, 0.5)).draws == 2 * 48
     ensemble = mc.PathEnsemble(seed=1, paths=10, steps=48, horizon=1.0, dim=1)
-    assert mc._SingleSampler(spec, 48, (0.0, 0.5)).rows == 48
-    assert mc._QuadraticSampler(1.0, ensemble).rows == 48
+    assert mc._QuadraticSampler(1.0, ensemble).draws == 48
