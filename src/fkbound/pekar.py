@@ -220,6 +220,7 @@ def solve(problem: PekarProblem) -> PekarSolution:
         if not sys.float_info.min <= scale * scale < math.inf:
             raise NumericalFailure(f"{name} {scale!r} is out of floating-point range")
     r = h * np.arange(1, n + 1)
+    r2 = r * r
     W = _unit_kernel(n, theta, d)
     gh = g * h ** (2.0 - theta)  # g h^2 times the h^-theta of the unit-grid kernel
     cd = (d - 1) * (d - 3) / 4.0
@@ -230,17 +231,24 @@ def solve(problem: PekarProblem) -> PekarSolution:
         dv[0], dv[n] = v[0], -v[-1]
         np.subtract(v[1:], v[:-1], out=dv[1:n])
         kin = 0.5 * float(dv @ dv) / h
-        if cd:
-            kin += 0.5 * cd * float(np.sum(v * v / (r * r))) * h
         q = v * v
+        if cd:
+            kin += 0.5 * cd * float(np.sum(q / r2)) * h
         Wq = W @ q
         inter = gh * float(q @ Wq)
-        lap = 2.0 * v
-        lap[1:] -= v[:-1]
-        lap[:-1] -= v[1:]
-        grad = lap / h - 4.0 * gh * v * Wq
+        # grad = lap / h - 4 gh v Wq (+ c_d v / r^2 h), in place in that order
+        grad = 2.0 * v
+        grad[1:] -= v[:-1]
+        grad[:-1] -= v[1:]
+        grad /= h
+        term = 4.0 * gh * v
+        term *= Wq
+        grad -= term
         if cd:
-            grad += cd * v / (r * r) * h
+            np.multiply(cd, v, out=term)
+            term /= r2
+            term *= h
+            grad += term
         return kin - inter, grad, kin, inter
 
     # Sobolev preconditioner: (sigma + L_h + c_d/r^2)^-1 applied by a
@@ -249,15 +257,15 @@ def solve(problem: PekarProblem) -> PekarSolution:
     sigma = 1.0 / (width * width)
     band = np.zeros((3, n))
     band[0, 1:] = -1.0 / (h * h)
-    band[1, :] = sigma + 2.0 / (h * h) + (cd / (r * r) if cd else 0.0)
+    band[1, :] = sigma + 2.0 / (h * h) + (cd / r2 if cd else 0.0)
     band[2, :-1] = -1.0 / (h * h)
     precondition = _tridiagonal_solver(band)
     # G_i sums terms of magnitude (2 v_i + v_(i-1) + v_(i+1))/h^2, 4 gh v_i (W q)_i / h
     # and c_d v_i/r_i^2, all nonnegative since v >= 0, so their sum is
     # (4/h^2 + 2 c_d/r^2) v - G; each entry of G is rounded at relative eps of it
-    term_scale = 4.0 / (h * h) + (2.0 * cd / (r * r) if cd else 0.0)
+    term_scale = 4.0 / (h * h) + (2.0 * cd / r2 if cd else 0.0)
 
-    v = r * np.exp(-r * r / (4.0 * width * width))
+    v = r * np.exp(-r2 / (4.0 * width * width))
     mass = float(v @ v) * h
     if not 0.0 < mass < math.inf:
         raise NumericalFailure(f"grid step {h!r} does not resolve the Gaussian width {width!r}")
@@ -268,7 +276,8 @@ def solve(problem: PekarProblem) -> PekarSolution:
     pg_norm = math.inf
     iterations = on_floor = 0
     # backtracking accepts up to additive float roundoff of the energy scale
-    slack = 64.0 * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    slack = 64.0 * eps
     for iterations in range(1, PEKAR_ITERATIONS + 1):
         G = grad / h
         pg = G - (float(G @ v) * h) * v
@@ -278,7 +287,7 @@ def solve(problem: PekarProblem) -> PekarSolution:
         if not pg_norm < math.inf:
             raise NumericalFailure(f"projected gradient is not finite at iteration {iterations}")
         terms = term_scale * v - G
-        floor = np.finfo(float).eps * math.sqrt(float(terms @ terms) * h)
+        floor = eps * math.sqrt(float(terms @ terms) * h)
         on_floor += pg_norm <= floor
         if on_floor == PEKAR_STALL or floor > PEKAR_FLOOR_REACH * PEKAR_GRAD:
             raise NoConvergence(
@@ -293,7 +302,7 @@ def solve(problem: PekarProblem) -> PekarSolution:
             denom = float(sv @ sg) * h
             step = float(sv @ sv) * h / denom if denom > 1e-300 else 1.0
         step = min(max(step, 1e-8), 1e6)
-        prev_v, prev_dir = v.copy(), dirn.copy()
+        prev_v, prev_dir = v, dirn  # neither is written to again
         t = step
         accepted = False
         tol_e = slack * max(1.0, abs(E))

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from typing import ClassVar, Union
 
 import numpy as np
@@ -70,6 +71,11 @@ __all__ = [
 def _require(ok: bool, message: str) -> None:
     if not ok:
         raise DomainError(message)
+
+
+def _powers(xs: tuple, e: float) -> np.ndarray:
+    """x ** e for each float x, by the scalar libm pow."""
+    return np.fromiter(map(pow, xs, repeat(e)), float, len(xs))
 
 
 def _finite_mass(mass: float) -> float:
@@ -352,10 +358,16 @@ class Tabulated(_Coupling):
     point is the horizon the table is defined up to, and its value is used
     for f at that single point.
 
-    Each instance keeps numpy copies of its grid and values and, per (q, b),
-    the cell powers and cumulative sums of ``power_integral``.  They are
-    plain attributes, not fields, so equality, hashing, ``to_dict`` and
-    ``replace`` see only the grid and the values.
+    Each instance keeps numpy copies of its grid and values, the grid powers
+    g_k^a per exponent a, and per (q, b) the cell powers and cumulative sums
+    of ``power_integral``.  They are plain attributes, not fields, so
+    equality, hashing, ``to_dict`` and ``replace`` see only the grid and the
+    values.  The envelope is built from these checked arrays and shares the
+    grid powers (its grid is the same), but not the cell sums.  A power by 1
+    is the array itself; every other power is the scalar libm ``pow`` of
+    Python's ``**``, not ``np.power``, whose SIMD loops round differently
+    from it in the last bit on some CPUs.  A 2-D argument whose rows each
+    lie in one cell, as the panel rule's do, takes one cell lookup per row.
     """
 
     grid: tuple
@@ -365,8 +377,6 @@ class Tabulated(_Coupling):
     def __post_init__(self):
         grid = tuple(map(float, self.grid))
         values = tuple(map(float, self.values))
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
         _require(len(grid) >= 2 and len(grid) == len(values),
                  "Tabulated needs matching grid/values with at least 2 points")
         _require(grid[0] == 0.0, f"Tabulated grid must start at 0, got {grid[0]}")
@@ -375,10 +385,16 @@ class Tabulated(_Coupling):
                  "Tabulated grid must be finite and strictly increasing")
         _require(bool(np.all((v >= 0.0) & (v < math.inf))),
                  "Tabulated values must be finite and nonnegative")
+        self._keep(grid, values, t, v, {}, np.append(t[1:-1], math.inf))
+
+    def _keep(self, grid, values, t, v, grid_powers, upper) -> None:
+        """Set the fields and the checked arrays; grid_powers maps a to g^a and
+        upper[k] is the upper edge of cell k, the last open above."""
         t.flags.writeable = v.flags.writeable = False
-        object.__setattr__(self, "_grid_array", t)
-        object.__setattr__(self, "_value_array", v)
-        object.__setattr__(self, "_cells", {})
+        for name, value in (("grid", grid), ("values", values), ("_grid_array", t),
+                            ("_value_array", v), ("_grid_powers", grid_powers),
+                            ("_upper", upper), ("_cells", {})):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "grid": list(self.grid), "values": list(self.values)}
@@ -406,7 +422,11 @@ class Tabulated(_Coupling):
         # a non-increasing table is its own envelope, and keeps its cell sums
         if np.array_equal(running, self._value_array):
             return self
-        return Tabulated(self.grid, tuple(running.tolist()))
+        # the running maximum of checked values needs no second check
+        env = object.__new__(Tabulated)
+        env._keep(self.grid, tuple(running.tolist()), self._grid_array, running,
+                  self._grid_powers, self._upper)
+        return env
 
     def _within_horizon(self, s: float) -> None:
         _require(s <= self.grid[-1] * (1.0 + 1e-12),
@@ -414,22 +434,36 @@ class Tabulated(_Coupling):
 
     def _cell_sums(self, q: float, b: float) -> tuple:
         """(v_k^q, g_k^a, cum) with a = 1 - b and cum[k] = int_0^g_k f^q t^-b dt,
-        built once per (q, b); scalar powers keep the sums bit-equal to a loop
-        over the cells."""
+        built once per (q, b), g^a once per a; scalar powers keep the sums
+        bit-equal to a loop over the cells."""
         sums = self._cells.get((q, b))
         if sums is None:
             a = 1.0 - b
-            vq = np.array([v ** q for v in self.values[:-1]])
-            ga = np.array([g ** a for g in self.grid])
+            vq = self._value_array[:-1] if q == 1.0 else _powers(self.values[:-1], q)
+            ga = self._grid_powers.get(a)
+            if ga is None:
+                ga = self._grid_powers[a] = self._grid_array if a == 1.0 else _powers(self.grid, a)
             cum = np.concatenate(([0.0], np.cumsum(vq * np.diff(ga) / a)))
             sums = self._cells[q, b] = (vq, ga, cum)
         return sums
+
+    def _cell_index(self, s):
+        """The cell k of each s, grid[k] <= s < grid[k+1] with the last cell open
+        above, as np.searchsorted over every element finds it.  A 2-D s whose
+        rows each lie in one cell looks up only its first column, after every
+        element is checked against its row's cell edges."""
+        grid, cells = self._grid_array, len(self._upper)
+        if getattr(s, "ndim", 0) == 2 and s.size:
+            k = np.minimum(np.searchsorted(grid, s[:, 0], side="right"), cells)[:, None] - 1
+            if np.all((grid[k] <= s) & (s < self._upper[k])):
+                return k
+        return np.minimum(np.searchsorted(grid, s, side="right"), cells) - 1
 
     def power_integral(self, q: float, b: float, s):
         self._within_horizon(np.max(s))
         a, grid = 1.0 - b, self._grid_array
         vq, ga, cum = self._cell_sums(q, b)
-        k = np.minimum(np.searchsorted(grid, s, side="right"), len(vq)) - 1
+        k = self._cell_index(s)
         return cum[k] + vq[k] * (np.minimum(s, grid[-1]) ** a - ga[k]) / a
 
     def breakpoints(self, T: float) -> list:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fkbound import cli, schedule
+from fkbound import bounds, cli, schedule
 from fkbound.errors import DomainError, NonIntegrable, NumericalFailure
 from fkbound.schedule import (
     Constant,
@@ -390,6 +390,29 @@ def test_tabulated_cell_sums_are_kept_out_of_the_fields():
     assert norm(f, 2.0, 1.7, weight=0.3) == first
 
 
+def test_tabulated_envelope_is_the_running_maximum_table():
+    rng = np.random.default_rng(11)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 60))])
+    f = Tabulated(tuple(grid), tuple(rng.uniform(0.0, 2.0, 61)))
+    T = f.grid[-1]
+    norm(f, 1.0, T, weight=0.5)  # the source's grid powers at a = 1/2, before the envelope
+    env, ref = f.majorant(T), Tabulated(f.grid, brute_force_running_max(f.values))
+    assert [getattr(env, fld.name) for fld in dataclasses.fields(env)] == [f.grid, ref.values]
+    assert env == ref and hash(env) == hash(ref) and env.to_dict() == ref.to_dict()
+    assert env._grid_powers is f._grid_powers and env._cells is not f._cells
+    assert dataclasses.replace(env) == ref and dataclasses.replace(env)._grid_powers is not f._grid_powers
+    for p, w in ((1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (1.0 / 0.7, 0.0), (1.0, 0.65), (3.0, 0.2)):
+        for s in (T, 0.37 * T, float(grid[17])):
+            assert norm(env, p, s, weight=w).hex() == norm(ref, p, s, weight=w).hex()
+    terms = ((1.0, 0.0, 2.0), (1.0, 0.5, 1.0), (1.0, 0.65, 1.0), (2.0, 0.2, 1.5))
+    assert iterated_norm(env, T, *zip(*terms)) == iterated_norm(ref, T, *zip(*terms))
+    assert (env.integral_against(T, np.cos, np.sin, [(1.0, 0.0)]).hex()
+            == ref.integral_against(T, np.cos, np.sin, [(1.0, 0.0)]).hex())
+    assert env._cells.keys() == ref._cells.keys() and f._cells.keys() == {(1.0, 0.5)}
+    # a non-increasing table is its own envelope, with its cell sums
+    assert env.majorant(T) is env
+
+
 def _loop_power_integral(f, q, b, s):
     # the cell-by-cell loop the cumulative sums replace
     total, a = 0.0, 1.0 - b
@@ -401,13 +424,115 @@ def _loop_power_integral(f, q, b, s):
     return total
 
 
+def _formula_power_integral(f, q, b, s):
+    # the cumulative-sum formula with nothing skipped or shared: a list of scalar
+    # powers for every cell and grid point, and a search for every element of s
+    a, grid = 1.0 - b, np.array(f.grid)
+    vq = np.array([v ** q for v in f.values[:-1]])
+    ga = np.array([g ** a for g in f.grid])
+    cum = np.concatenate(([0.0], np.cumsum(vq * np.diff(ga) / a)))
+    k = np.minimum(np.searchsorted(grid, s, side="right"), len(vq)) - 1
+    return cum[k] + vq[k] * (np.minimum(s, grid[-1]) ** a - ga[k]) / a
+
+
+def _hex(x):
+    return [float(v).hex() for v in np.ravel(x)]
+
+
+def _bound_keys(theta):
+    """(q, b) keys of power_integral covering every one a theorem bound asks for
+    at theta: the norms |f/t^w|_p of theorems 1 and 3 (b = w p), and theorem
+    2's inner norms."""
+    return {(1.0, 0.0), (2.0, 0.0), (1.0, 0.5), (2.0 / (2.0 - theta), 0.0), (1.0, theta / 2.0)}
+
+
+def _exactness_tables():
+    """Tables of 1, 2, 20 and 1000 cells with zero cells, equal neighbours and
+    cell widths within 1000x."""
+    rng = np.random.default_rng(29)
+    tables = [Tabulated((0.0, 1.7), (0.6, 0.2)), Tabulated((0.0, 2e-3, 1.7), (0.0, 0.9, 0.9))]
+    for cells in (20, 1000):
+        widths = 10.0 ** rng.uniform(-1.5, 1.5, cells)
+        grid = np.concatenate([[0.0], np.cumsum(widths / widths.sum() * 1.7)])
+        grid[-1] = 1.7
+        values = rng.uniform(0.0, 2.0, cells + 1)
+        values[rng.integers(0, cells, cells // 5)] = 0.0
+        values[1::7] = values[:-1:7]
+        tables.append(Tabulated(tuple(grid), tuple(values)))
+    return tables
+
+
 def test_tabulated_power_integral_matches_cell_loop():
     rng = np.random.default_rng(5)
     grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 40))])
     f = Tabulated(tuple(grid), tuple(rng.uniform(0.0, 2.0, 41)))
     for q, b in ((1.0, 0.0), (2.0, 0.5), (1.5, 0.45), (3.0, 0.2)):
         for s in (0.0, grid[1] / 3, grid[7], 0.5 * (grid[20] + grid[21]), grid[-1]):
-            assert f.power_integral(q, b, float(s)) == _loop_power_integral(f, q, b, s)
+            want = _loop_power_integral(f, q, b, s)
+            assert f.power_integral(q, b, float(s)) == want
+            assert float(_formula_power_integral(f, q, b, float(s))) == want
+
+
+@pytest.mark.parametrize("theta", [0.73, 1.0, 1.3, 1.65])
+def test_tabulated_fast_paths_match_the_formula_bit_for_bit(theta):
+    # powers by 1 skipped, grid powers shared with the envelope, one cell lookup
+    # per row: each changes no bit of any value a bound reads
+    for f in _exactness_tables():
+        T, grid = f.grid[-1], np.array(f.grid)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        nodes = schedule._panel_rule(f.breakpoints(T), [(f.support_start(), T)])[0]
+        rows = np.linspace(0.0, T, 4 * 16).reshape(4, 16)  # rows across many cells
+        edges = np.stack([np.linspace(lo, hi, 16) for lo, hi in zip(grid, grid[1:])])
+        in_cells = np.stack([np.linspace(lo, hi, 17)[:-1] for lo, hi in zip(grid, grid[1:])])
+        past = np.full((2, 16), T * (1.0 + 1e-13))  # inside the horizon's tolerance
+        arguments = [0.0, T, float(mids[-1]), float(grid[len(grid) // 2]), mids,
+                     np.append(grid, T * (1.0 + 1e-13)), nodes, rows, edges, in_cells, past]
+        for g in (f, f.majorant(T)):
+            for q, b in sorted(_bound_keys(theta)):
+                for s in arguments:
+                    got, want = g.power_integral(q, b, s), _formula_power_integral(g, q, b, s)
+                    assert np.shape(got) == np.shape(want)
+                    assert _hex(got) == _hex(want), (len(g.grid), q, b, np.shape(s))
+        for T3 in (T, float(mids[len(mids) // 2])):  # theorem 3 on and off the grid
+            (term, *_) = bounds.theorem_bound(3, f, bounds.BoundParams(theta, 3, T3)).terms
+            assert term.norm_value.hex() == float(_formula_power_integral(f, 1.0, 0.0, T3)).hex()
+
+
+def test_one_cell_lookup_per_row_only_where_every_row_stays_in_its_cell(monkeypatch):
+    f = _exactness_tables()[2]
+    grid = np.array(f.grid)
+    inside = np.stack([np.linspace(lo, hi, 17)[:-1] for lo, hi in zip(grid, grid[1:])])
+    straddle = inside.copy()
+    straddle[3, -1] = grid[4]  # the next cell's first point
+    keys = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, **kw: keys.append(np.size(v)) or
+                        searchsorted(a, v, **kw))
+    for s, looked_up in ((inside, len(inside)), (straddle, len(inside) + straddle.size)):
+        keys.clear()
+        got = f.power_integral(1.0, 0.5, s)
+        assert sum(keys) == looked_up
+        assert _hex(got) == _hex(_formula_power_integral(f, 1.0, 0.5, s))
+
+
+def _powers_of_two_and_predecessors():
+    powers = [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    return powers + [math.nextafter(x, 0.0) for x in powers] + [math.nextafter(x, math.inf)
+                                                               for x in powers]
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False), st.floats(0.0, 2.0 ** -1022, exclude_max=True),
+                 st.integers(0, 2 ** 64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+                 .filter(lambda x: not math.isnan(x))))
+def test_a_scalar_power_by_one_is_the_number_itself(x):
+    # why a table skips its powers by 1: libm pow(x, 1) returns x, subnormals included
+    assert pow(x, 1.0).hex() == x.hex()
+
+
+def test_a_power_by_one_is_the_number_itself_at_every_binade():
+    xs = _powers_of_two_and_predecessors() + [5e-324, 2.2e-308, -0.0, math.inf]
+    assert [pow(x, 1.0).hex() for x in xs] == [x.hex() for x in xs]
 
 
 def _mp_iterated(grid, values, T, p, w, outer):

@@ -5,10 +5,10 @@ step, the Monte Carlo engine makes no BLAS call and builds no O(N^2)
 pair-index table, its single and quadratic samplers draw no midpoint noise,
 its single sampler calls no ``cumsum`` or ``einsum``, only ``mc`` counts
 cores and starts worker threads, no module reads ``FKBOUND_THREADS``, the
-Pekar kernel is assembled only through its unit-grid cache, no module calls
-a ladder fit, the modules import each other one way, no public function
-only forwards its arguments to another, and every name a module exports
-exists.
+Pekar kernel is assembled only through its unit-grid cache, a table's norms
+look up one cell per panel row, no module calls a ladder fit, the modules
+import each other one way, no public function only forwards its arguments to
+another, and every name a module exports exists.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -21,9 +21,11 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 import fkbound
-from fkbound import mc
-from fkbound.schedule import Constant
+from fkbound import bounds, mc
+from fkbound.schedule import Constant, Tabulated, _panel_rule, envelope
 
 VARIANTS = {"Constant", "ExpDecay", "Indicator", "PowerLaw", "Tabulated"}
 SRC = Path(fkbound.__file__).parent
@@ -343,6 +345,41 @@ def test_bounds_evaluates_every_norm_in_one_step():
     source = (SRC / "bounds.py").read_text()
     assert _callers(source, "norm") == ["_evaluate"]
     assert _callers(source, "iterated_norm") == ["_evaluate"]
+
+
+def _table_lookup_load(monkeypatch) -> tuple:
+    """(keys passed to ``np.searchsorted``, the allowance of panels + 1 per
+    distinct inner norm) for one theorem-2 bound at theta 1 on a 1000-cell
+    table, where it takes both branches."""
+    rng = np.random.default_rng(1000)
+    grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 1000))])
+    f = Tabulated(tuple(2.0 * grid / grid[-1]), tuple(rng.uniform(0.1, 1.0, 1001)))
+    env = envelope(f, 2.0)
+    panels = len(_panel_rule(env.breakpoints(2.0), [(env.support_start(), 2.0)])[0])
+    inner = {(p, a) for branch in ("theta_geq_1", "theta_leq_1")
+             for p, a, _ in bounds._norms("T2", 1.0, branch)}
+    keys = []
+    searchsorted = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted",
+                        lambda a, v, **kw: keys.append(np.size(v)) or searchsorted(a, v, **kw))
+    bounds.theorem_bound(2, f, bounds.BoundParams(1.0, 3, 2.0))
+    return sum(keys), len(inner) * (panels + 1)
+
+
+def test_guard_sees_an_elementwise_table_lookup(monkeypatch):
+    def elementwise(self, s):
+        return np.minimum(np.searchsorted(self._grid_array, s, side="right"), len(self._upper)) - 1
+
+    monkeypatch.setattr(Tabulated, "_cell_index", elementwise)
+    keys, allowed = _table_lookup_load(monkeypatch)
+    assert keys > allowed
+
+
+def test_table_norms_look_up_one_cell_per_panel_row(monkeypatch):
+    # the panel rule cuts at every grid point, so each row of 16 nodes lies in
+    # one cell: a search over every node cost 0.2 ms per inner norm at G = 1000
+    keys, allowed = _table_lookup_load(monkeypatch)
+    assert keys <= allowed
 
 
 def _package_imports(source: str) -> list:
