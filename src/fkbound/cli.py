@@ -182,7 +182,9 @@ def _simulate_inputs_from_args(args) -> dict:
     if args.spec:
         with open(args.spec) as fh:
             payload = json.load(fh)
-        inputs = payload.get("inputs", payload)
+        inputs = payload.get("inputs", payload) if isinstance(payload, dict) else payload
+        if not isinstance(inputs, dict):
+            raise DomainError("a simulate spec is a JSON object, and so are its inputs")
     else:
         if not args.model:
             raise DomainError("simulate needs --model or --spec")
@@ -202,7 +204,24 @@ def _simulate_inputs_from_args(args) -> dict:
     inputs.setdefault("params", {})
     inputs.setdefault("offset", 0.0)
     inputs.setdefault("epsilon", 0.0)
+    # paths, steps and seed are left to PathEnsemble, which takes integers only
+    if not isinstance(inputs["model"], str):
+        raise DomainError(f"simulate input 'model' must be a name, got {inputs['model']!r}")
+    params = inputs["params"]
+    if not (isinstance(params, dict) and set(params) <= {*_MODEL_PARAM_FLAGS, "d"}
+            and all(map(_is_number, params.values()))):
+        raise DomainError(f"simulate input 'params' must map {', '.join(_MODEL_PARAM_FLAGS)} "
+                          f"to finite numbers, got {params!r}")
+    for key in ("T", "offset", "epsilon"):
+        if not _is_number(inputs[key]):
+            raise DomainError(f"simulate input {key!r} must be a finite number, got {inputs[key]!r}")
     return inputs
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number: not a boolean, nor an integer past every float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _cmd_simulate(args) -> int:

@@ -8,9 +8,9 @@ order over (G, ...) with the path index first, and the single action's
 chi-square values from counter 2^64, which the normals never reach (each takes
 a few of the four outputs a counter step gives).  So path m's draws depend on
 the seed, m and the draw's shape alone: not on the path count, the batch size
-or the worker count.  A shorter last group, or a single path, draws a prefix
-of each of its group's streams, which holds the same values.  Where G = 1
-(D > _DRAW_ELEMENTS / 2) group k is path k.
+or the worker count.  A shorter last group draws the first paths of its
+group's blocks, a prefix of each stream, which holds the same values.  Where
+G = 1 (D > _DRAW_ELEMENTS / 2) group k is path k.
 
 One path engine serves every sampler.  It cuts the groups into contiguous
 batches of about a fixed number of drawn doubles (or one group, if that is
@@ -105,7 +105,8 @@ class PathEnsemble:
     Path m's draws are row m - kG of the blocks that group k = m // G
     draws, its normals from ``generator(k)`` and the single action's
     chi-square values from the same key at counter 2^64; the sampler names
-    the draw, and the module docstring gives G.  A path's increments are
+    the draw, and the module docstring gives G.  Group k draws its first
+    min(G, M - kG) rows, so path m's draws do not depend on M.  A path's increments are
     N(0, (T/N) I_d) in law (the single action reads them through their
     radial components, the affine action through their sum); evaluation
     order and worker count cannot affect them.
@@ -252,27 +253,25 @@ def _runs(groups: range, size: int, workers: int) -> list:
     return [[groups[i:min(i + size, b)] for i in range(a, b, size)] for a, b in zip(edges, edges[1:])]
 
 
-def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
-    """Per-path outputs of ``sampler``, shape (outputs, len(paths)).
+def _run(sampler, ensemble: PathEnsemble) -> np.ndarray:
+    """Per-path outputs of ``sampler`` over the whole ensemble, shape (outputs, M).
 
-    A sampler names its own draw: ``draws`` doubles a path, which set the
-    group size G (module docstring); ``batch_paths()``, the paths a batch
-    should hold (at least one group); ``buffers(size)``, a worker's batch
-    buffers for ``size`` paths; ``draw(stream, buffers, n, lo, hi)``, which
-    puts paths lo..hi-1 of the current group into the buffers from path
-    slot n on, reading ``stream(word)``, the group's Generator at Philox
-    counter word * 2^64; and ``batch(buffers, n)``, the first n paths,
-    which the sampler maps to n outputs or to an (outputs, n) array.
-    ``_workers()`` workers, one per core this process may use, each take
-    one contiguous run of groups (``_runs``); one run executes inline, with
-    no pool.  The result depends on neither the worker count nor the batch
-    size.
+    A sampler names its own draw in five members: ``draws``, the doubles a
+    path draws, which set the group size G (module docstring); ``batch_paths``,
+    the paths a batch should hold (at least one group); ``buffers(size)``, a
+    worker's batch buffers for ``size`` paths; ``draw(stream, buffers, n,
+    count)``, which puts the current group's first ``count`` paths into the
+    buffers from path slot n on, reading ``stream(word)``, the group's
+    Generator at Philox counter word * 2^64; and ``sampler(buffers, n)``,
+    which maps the buffers' first n paths to n outputs or to an (outputs, n)
+    array.  Group k holds min(G, M - kG) paths.  ``_workers()`` workers, one
+    per core this process may use, each take one contiguous run of groups
+    (``_runs``); one run executes inline, with no pool.  The result depends
+    on neither the worker count nor the batch size.
     """
-    paths = range(ensemble.paths) if paths is None else paths
-    G = max(1, _DRAW_ELEMENTS // sampler.draws)
-    runs = _runs(range(paths.start // G, -(-paths.stop // G)),
-                 max(1, sampler.batch_paths() // G), _workers())
-    size = min(len(paths), G * max(len(batch) for run in runs for batch in run))
+    M, G = ensemble.paths, max(1, _DRAW_ELEMENTS // sampler.draws)
+    runs = _runs(range(-(-M // G)), max(1, sampler.batch_paths // G), _workers())
+    size = min(M, G * max(len(batch) for run in runs for batch in run))
 
     def work(run: list) -> list:
         # One Philox per worker (state assignment is not thread-safe), re-keyed
@@ -296,11 +295,11 @@ def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
         for batch in run:
             n = 0
             for k in batch:
-                first, stop = max(paths.start, k * G), min(paths.stop, k * G + G)
+                count = min(G, M - k * G)
                 key[1] = k
-                sampler.draw(stream, buffers, n, first - k * G, stop - k * G)
-                n += stop - first
-            out.append(sampler(sampler.batch(buffers, n)))
+                sampler.draw(stream, buffers, n, count)
+                n += count
+            out.append(sampler(buffers, n))
         return out
 
     if len(runs) == 1:
@@ -308,39 +307,24 @@ def _run(sampler, ensemble: PathEnsemble, paths: range = None) -> np.ndarray:
     else:
         with ThreadPoolExecutor(max_workers=len(runs)) as ex:
             parts = [part for run in ex.map(work, runs) for part in run]
-    return np.concatenate(parts, axis=-1).reshape(-1, len(paths))
+    return np.concatenate(parts, axis=-1).reshape(-1, M)
 
 
 class _Normals:
     """The draw of a sampler that reads a (rows, d) block of standard normals a path:
-    group k's (G, rows, d) block, in C order, from counter 0 of its stream."""
+    group k's (G, rows, d) block, in C order, from counter 0 of its stream.  A subclass's
+    ``__call__(z, n)`` maps the first n paths of the buffer z to their outputs."""
 
     def __init__(self, rows: int, d: int):
         self.rows, self.block, self.draws = rows, (rows, d), rows * d
-
-    def batch_paths(self) -> int:
-        return _BATCH_ELEMENTS // self.draws
+        self.batch_paths = _BATCH_ELEMENTS // self.draws
 
     def buffers(self, size: int) -> np.ndarray:
         return np.empty((size,) + self.block)
 
-    def draw(self, stream, z: np.ndarray, n: int, lo: int, hi: int) -> None:
-        if lo == 0:
-            stream(0).standard_normal(out=z[n:n + hi])
-        else:  # a prefix of the group's draws, from its first path to hi - 1
-            z[n:n + hi - lo] = stream(0).standard_normal((hi,) + self.block)[lo:]
-
     @staticmethod
-    def batch(z: np.ndarray, n: int) -> np.ndarray:
-        return z[:n]
-
-
-def _midpoint_means(z: np.ndarray, sq: float) -> np.ndarray:
-    """Means X_k + inc_k / 2 of the grid midpoints given the nodes, from (N, d) increments / sq."""
-    mu = np.cumsum(z, axis=1)
-    mu -= 0.5 * z
-    mu *= sq
-    return mu
+    def draw(stream, z: np.ndarray, n: int, count: int) -> None:
+        stream(0).standard_normal(out=z[n:n + count])
 
 
 # E(y) = G(xi) (y + y0)^(-theta/2), xi = y / (y + y0), y0 = (_x0(d) + c) 2 s^2: G is a
@@ -405,7 +389,7 @@ class _SingleSampler:
 
     def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
         dt = spec.T / steps
-        self.steps, self.draws = steps, 2 * steps
+        self.steps, self.draws, self.batch_paths = steps, 2 * steps, _RADIAL_ELEMENTS // steps
         self.sq, self.dt, self.shape = math.sqrt(dt), dt, (spec.d - 1) / 2.0
         self.fw = np.asarray(evaluate(spec.f, (np.arange(steps) + 0.5) * dt), dtype=float) * dt
         c = spec.epsilon ** 2 / (dt / 2.0)  # eps^2 / (2 s^2), s^2 = dt / 4
@@ -415,25 +399,16 @@ class _SingleSampler:
         self.table, self.y0 = _moment_table(spec.theta, spec.d, c), (_x0(spec.d) + c) * dt / 2.0
         self.theta, self.offsets = spec.theta, tuple(map(float, offsets))
 
-    def batch_paths(self) -> int:
-        return _RADIAL_ELEMENTS // self.steps
-
     def buffers(self, size: int) -> np.ndarray:
         """Step-major rows of Z1 and of C / 2; the C / 2 rows stay 0 at d = 1."""
         return np.zeros((2, self.steps, size))
 
-    def draw(self, stream, buffers: np.ndarray, n: int, lo: int, hi: int) -> None:
-        """The group's (paths, N) normals from counter 0 and (paths, N) Gamma((d - 1)/2) values
-        from counter 2^64, path-major, up to path hi - 1; paths lo.. go into the step-major rows."""
-        z = stream(0).standard_normal((hi, self.steps))
-        buffers[0, :, n:n + hi - lo] = z[lo:].T
+    def draw(self, stream, buffers: np.ndarray, n: int, count: int) -> None:
+        """The group's first ``count`` paths' (count, N) normals from counter 0 and (count, N)
+        Gamma((d - 1)/2) values from counter 2^64, path-major, into the step-major rows."""
+        buffers[0, :, n:n + count] = stream(0).standard_normal((count, self.steps)).T
         if self.shape:
-            g = stream(1).standard_gamma(self.shape, (hi, self.steps))
-            buffers[1, :, n:n + hi - lo] = g[lo:].T
-
-    @staticmethod
-    def batch(buffers: np.ndarray, n: int) -> np.ndarray:
-        return buffers[:, :, :n]
+            buffers[1, :, n:n + count] = stream(1).standard_gamma(self.shape, (count, self.steps)).T
 
     def _moment(self, y: np.ndarray) -> np.ndarray:
         """E(y), elementwise; overwrites y."""
@@ -482,9 +457,9 @@ class _SingleSampler:
             mu2 += ck[:, None]
             yield k0, radii[-1], mu2
 
-    def __call__(self, draws: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(self.offsets), draws.shape[-1]))
-        for k0, _, mu2 in self._midpoint_norms(draws):
+    def __call__(self, buffers: np.ndarray, n: int) -> np.ndarray:
+        out = np.zeros((len(self.offsets), n))
+        for k0, _, mu2 in self._midpoint_norms(buffers[:, :, :n]):
             terms = self._moment(mu2)
             terms *= self.fw[k0:k0 + len(terms), None, None]
             for term in terms:  # step order, whatever the block and batch
@@ -521,9 +496,9 @@ class _PairSampler(_Normals):
                       "bipolaron": [(W2, 0, 1, spec.offset), (W, 0, 0, 0.0), (W, 1, 1, 0.0)]}[spec.kind]
 
     @np.errstate(divide="ignore")  # a zero distance gives the path +inf
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        n, (_, steps, d), C, K, L = len(z), self.block, _CHUNK_ROWS, _BLOCK_ROWS, self.band
-        nodes = (self.sq * z.reshape((n,) + self.block)).cumsum(axis=2)  # (n, parts, steps, d)
+    def __call__(self, z: np.ndarray, n: int) -> np.ndarray:
+        (_, steps, d), C, K, L = self.block, _CHUNK_ROWS, _BLOCK_ROWS, self.band
+        nodes = (self.sq * z[:n]).cumsum(axis=2)  # (n, parts, steps, d)
         metric = "euclidean" if self.theta == 1.0 else "sqeuclidean"
         chunk = np.empty(n * C * min(steps - 1, C - 1 + L))
         block = np.empty(n * K * min(steps - 1, K - 1 + L))
@@ -560,8 +535,8 @@ class _AffineSampler(_Normals):
         super().__init__(1, 1)
         self.sq, self.lam, self.truncation = math.sqrt(ensemble.horizon), lam, truncation
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        x1 = self.sq * z[:, 0, 0]
+    def __call__(self, z: np.ndarray, n: int) -> np.ndarray:
+        x1 = self.sq * z[:n, 0, 0]
         return self.lam * (x1 if self.truncation is None else np.minimum(x1, self.truncation))
 
 
@@ -576,8 +551,11 @@ class _QuadraticSampler(_Normals):
         self.coeff = -0.5 * omega * omega * ensemble.dt / (1.0 + a2s2)
         self.shift = -0.5 * ensemble.dim * ensemble.steps * math.log1p(a2s2)
 
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        mu = _midpoint_means(z, self.sq)
+    def __call__(self, z: np.ndarray, n: int) -> np.ndarray:
+        z = z[:n]
+        mu = np.cumsum(z, axis=1)  # the midpoint means X_k + inc_k / 2 given the nodes
+        mu -= 0.5 * z
+        mu *= self.sq
         return self.coeff * np.sum(mu * mu, axis=(1, 2)) + self.shift
 
 
@@ -601,12 +579,14 @@ def _make_sampler(spec: ActionSpec, steps: int):
 
 
 def sample_action(spec: ActionSpec, ensemble: PathEnsemble, m: int) -> float:
-    """The discretised action of path m (pure function of seed, m and the block shape)."""
+    """The discretised action of path m (pure function of seed, m and the block shape).
+
+    Runs the ensemble's first m + 1 paths and returns the last: O(m) work, not O(G)."""
     if ensemble.horizon != spec.T or ensemble.dim != spec.d:
         raise DomainError("spec and ensemble disagree on (T, d)")
     if not 0 <= m < ensemble.paths:
         raise DomainError(f"path index {m} outside ensemble of {ensemble.paths}")
-    return float(_run(_make_sampler(spec, ensemble.steps), ensemble, paths=range(m, m + 1))[0, 0])
+    return float(_run(_make_sampler(spec, ensemble.steps), replace(ensemble, paths=m + 1))[0, m])
 
 
 # ---------------------------------------------------------------------------

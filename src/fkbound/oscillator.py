@@ -59,6 +59,8 @@ class OscillatorConfig:
             raise DomainError(f"frequency must be nonnegative with a finite square, got {self.omega}")
         if not 0 < self.T < math.inf:
             raise DomainError(f"horizon must be positive and finite, got {self.T}")
+        if isinstance(self.grid, bool) or not isinstance(self.grid, (int, np.integer)):
+            raise DomainError(f"grid must be an integer, got {self.grid!r}")
         if self.grid < 8:
             raise DomainError(f"grid must have at least 8 steps, got {self.grid}")
 

@@ -83,6 +83,10 @@ class PekarProblem:
     nodes: int = 768
 
     def __post_init__(self):
+        for name in ("d", "nodes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.theta < 2.0:
             raise DomainError(f"theta must lie in (0, 2), got {self.theta}")
         if self.theta >= self.d:

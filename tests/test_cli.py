@@ -362,6 +362,33 @@ def test_simulate_spec_non_integer_exit_2(field, value, tmp_path, capsys):
     assert out == ""
     assert f"{field} must be an integer" in err
 
+_SPEC_INPUTS = {"model": "hydrogen", "params": {"alpha": 0.5}, "T": 1.0, "paths": 100,
+                "steps": 16, "seed": 1}
+
+
+@pytest.mark.parametrize("payload", [
+    {"inputs": {**_SPEC_INPUTS, "params": 5}},
+    {"inputs": {**_SPEC_INPUTS, "T": "1"}},
+    {"inputs": {**_SPEC_INPUTS, "T": True}},
+    {"inputs": {**_SPEC_INPUTS, "offset": [0.0]}},
+    {"inputs": {**_SPEC_INPUTS, "T": 10 ** 400}},
+    {"inputs": {**_SPEC_INPUTS, "params": {"alpha": "x"}}},
+    {"inputs": {**_SPEC_INPUTS, "params": {"alpha": False}}},
+    {"inputs": {**_SPEC_INPUTS, "params": {"beta": 0.5}}},
+    {"inputs": {**_SPEC_INPUTS, "model": 5}},
+    {"inputs": [1, 2]},
+    [1, 2],
+])
+def test_simulate_spec_mistyped_field_exit_2(payload, tmp_path, capsys):
+    # each of these raised AttributeError, TypeError or OverflowError out of cli.main
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    code, out, err = run_cli(["simulate", "--spec", str(spec)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_out_file_writes_valid_json(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(["bound", "--theorem", "2", "--theta", "1.0",

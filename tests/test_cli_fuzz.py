@@ -8,6 +8,8 @@ Numeric flags draw the edges: nan, +-inf, +-0, negatives and 1e+-300.
 Coupling fields are now and then a JSON integer too large for any float.
 ``simulate``, ``model verify`` and ``oscillator --mc`` run at most 200
 paths of 32 steps, around the budget floor of 100 paths and 16 steps.
+``simulate --spec`` reads a valid record of 100 paths and 16 steps with one
+input field replaced by a JSON value of another type.
 ``pekar`` runs on grids of at most 100 nodes, mostly 16 to 48, where a
 descent that cannot reach its tolerance stops at its roundoff floor.
 """
@@ -173,6 +175,29 @@ def test_simulate_argv(model, T, paths, steps, seed, offset, epsilon, capsys):
     _run(["simulate", f"--model={name}", *model[1:], _flag("T", T), _flag("paths", paths),
           _flag("steps", steps), _flag("seed", seed), _flag("offset", offset),
           _flag("epsilon", epsilon)], capsys)
+
+
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_TYPES = {  # a JSON value of each type; integers and floats are one type, numbers
+    type(None): st.none(), bool: st.booleans(), float: st.integers() | st.floats(),
+    str: st.text(max_size=6), list: st.lists(SCALARS, max_size=3),
+    dict: st.dictionaries(st.text(max_size=6), SCALARS, max_size=3)}
+SPEC_INPUTS = {"model": "hydrogen", "params": {"alpha": 0.5}, "T": 1.0, "paths": 100, "steps": 16,
+               "seed": 1, "offset": 0.0, "epsilon": 0.0}
+
+
+def _json_type(value):
+    return float if type(value) is int else type(value)
+
+
+@settings(FUZZ, max_examples=80)
+@given(field=st.sampled_from(sorted(SPEC_INPUTS)), data=st.data())
+def test_simulate_spec_field_of_another_type(field, data, tmp_path, capsys):
+    other = [t for t in JSON_TYPES if t is not _json_type(SPEC_INPUTS[field])]
+    value = data.draw(st.sampled_from(other).flatmap(JSON_TYPES.get))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"command": "simulate", "inputs": {**SPEC_INPUTS, field: value}}))
+    _run(["simulate", f"--spec={spec}"], capsys)
 
 
 @settings(FUZZ, max_examples=4)

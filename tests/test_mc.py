@@ -97,9 +97,9 @@ class _RawBlocks(mc._Normals):
         super().__init__(rows, d)
         self.batches = []
 
-    def __call__(self, z):
-        self.batches.append(len(z))
-        return z.reshape(len(z), -1).T.copy()
+    def __call__(self, z, n):
+        self.batches.append(n)
+        return z[:n].reshape(n, -1).T.copy()
 
 
 class _RawRadial(mc._SingleSampler):
@@ -110,9 +110,9 @@ class _RawRadial(mc._SingleSampler):
         super().__init__(mc.ActionSpec("single", _F, 1.0, d, 1.0, epsilon=0.1), steps, (0.0,))
         self.batches = []
 
-    def __call__(self, draws):
-        self.batches.append(draws.shape[-1])
-        return draws.reshape(2 * self.steps, -1).copy()
+    def __call__(self, buffers, n):
+        self.batches.append(n)
+        return buffers[:, :, :n].reshape(2 * self.steps, -1).copy()
 
 
 def _path_normals(ens, rows, m):
@@ -157,9 +157,6 @@ def test_engine_stream_equals_path_generator(seed, monkeypatch):
                     sampler = make()
                     assert np.array_equal(mc._run(sampler, ens), expected)
                     assert max(sampler.batches) == most
-            for m in (0, 1, 17, paths - 1):
-                single = mc._run(make(), ens, paths=range(m, m + 1))
-                assert np.array_equal(single[:, 0], expected[:, m])
 
 
 @pytest.mark.parametrize("paths, steps, dim, cores", [
@@ -221,11 +218,12 @@ def test_path_action_independent_of_path_count(kind):
 
 
 def test_radial_sample_action_is_path_m_of_the_estimate():
-    # 1037 paths at N = 256 are groups of 8 in three batches; a path drawn alone reads
-    # the same prefix of its group's two streams
+    # 1037 paths at N = 256 are groups of 8 in three batches; the first m + 1 paths end
+    # in a short group wherever m + 1 is not a multiple of 8, which reads the same prefix
+    # of its group's two streams
     spec = mc.ActionSpec("single", _F, 1.2, 3, 1.0, offset=0.3)
     ens = mc.PathEnsemble(seed=8, paths=1037, steps=256, horizon=1.0, dim=3)
-    assert 2 * mc._make_sampler(spec, 256).batch_paths() < 1037
+    assert 2 * mc._make_sampler(spec, 256).batch_paths < 1037
     full = mc._run(mc._make_sampler(spec, 256), ens)[0]
     for m in (0, 7, 8, 511, 512, 1036):
         assert mc.sample_action(spec, ens, m) == full[m]
@@ -267,7 +265,7 @@ def test_default_workers_match_one_worker(kind, monkeypatch):
     sampler, ens = _SAMPLERS[kind]
     _cores(monkeypatch, 1)
     base = mc._run(sampler, ens)
-    assert -(-ens.paths // sampler.batch_paths()) >= 3
+    assert -(-ens.paths // sampler.batch_paths) >= 3
     for cores in (1, 2, 3):
         _cores(monkeypatch, cores)
         assert mc._workers() == cores
@@ -343,7 +341,7 @@ def test_one_batch_starts_no_thread(monkeypatch):
     monkeypatch.setattr(mc, "ThreadPoolExecutor", refuse)
     spec = hydrogen_spec()
     ens = mc.PathEnsemble(seed=9, paths=100, steps=16, horizon=1.0, dim=3)
-    assert 100 <= mc._make_sampler(spec, 16).batch_paths()  # the whole estimate is one batch
+    assert 100 <= mc._make_sampler(spec, 16).batch_paths  # the whole estimate is one batch
     actions = [mc.sample_action(spec, ens, m) for m in range(100)]
     assert mc.estimate(spec, 100, 16, 9) == mc.summarize_actions(actions, 9, 16)
 
@@ -470,9 +468,11 @@ def test_pair_actions_independent_of_batch_size_and_threads(kind, f, theta, monk
         monkeypatch.setattr(mc, "_CHUNK_ROWS", rows)
         for paths in (None, 1, 3):  # the default budget, then one and three paths per batch
             monkeypatch.setattr(mc, "_BATCH_ELEMENTS", paths * sampler.rows * 3 if paths else budget)
+            resized = mc._PairSampler(spec, 70)  # a sampler reads its batch budget when built
+            assert resized.batch_paths == (paths or budget // sampler.draws)
             for cores in (1, 3):
                 _cores(monkeypatch, cores)
-                assert np.array_equal(mc._run(sampler, ens), base)
+                assert np.array_equal(mc._run(resized, ens), base)
 
 
 class _RowBlockPairSampler(mc._PairSampler):
@@ -480,10 +480,10 @@ class _RowBlockPairSampler(mc._PairSampler):
     ``_BLOCK_ROWS`` rows one subtract, square and add per coordinate, epsilon^2 added
     after the first.  The cdist kernel must match it byte for byte."""
 
-    def __call__(self, z):
-        n, (_, steps, d), K, L = len(z), self.block, mc._BLOCK_ROWS, self.band
+    def __call__(self, z, n):
+        (_, steps, d), K, L = self.block, mc._BLOCK_ROWS, self.band
         eps2 = self.eps ** 2
-        nodes = (self.sq * z.reshape((n,) + self.block)).cumsum(axis=2).transpose(0, 1, 3, 2).copy()
+        nodes = (self.sq * z[:n]).cumsum(axis=2).transpose(0, 1, 3, 2).copy()
         bufs = [np.empty(n * K * min(steps - 1, K - 1 + L)) for _ in range(2)]
         out = np.zeros(n)
         for W, a, b, offset in self.terms:
@@ -563,7 +563,7 @@ def test_single_sampler_peak_memory_is_bounded(monkeypatch):
     ens = mc.PathEnsemble(seed=2, paths=400, steps=1024, horizon=1.0, dim=3)
     sampler = mc._SingleSampler(spec, 1024, (0.0, 0.3, 1.0))
     _cores(monkeypatch, 1)
-    assert -(-ens.paths // sampler.batch_paths()) >= 3
+    assert -(-ens.paths // sampler.batch_paths) >= 3
     tracemalloc.start()
     try:
         mc._run(sampler, ens)
@@ -695,7 +695,7 @@ def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offse
     z = np.random.default_rng(3).standard_normal((1, steps, d))
     sampler = mc._SingleSampler(spec, steps, (offset,))
     sq = math.sqrt(T / steps)
-    value = sampler(_radial_draws(z[0], offset, sq))[0, 0]
+    value = sampler(_radial_draws(z[0], offset, sq), 1)[0, 0]
     mids = np.cumsum(sq * z[0], axis=0) - 0.5 * sq * z[0] + offset * np.eye(1, d)
     mids = mids + 0.5 * sq * np.random.default_rng(4).standard_normal((draws, steps, d))
     old = ((np.sum(mids * mids, axis=2) + eps * eps) ** (-theta / 2.0) * sampler.fw).sum(axis=1)
@@ -705,9 +705,9 @@ def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offse
 class _RadialNorms(mc._SingleSampler):
     """Single-action sampler that returns each path's |mu_k|^2 (k < N), then |Y_N|^2."""
 
-    def __call__(self, draws):
+    def __call__(self, buffers, n):
         rows = []
-        for _, end, mu2 in self._midpoint_norms(draws):
+        for _, end, mu2 in self._midpoint_norms(buffers[:, :, :n]):
             rows.append(mu2[:, 0].copy())
         return np.concatenate(rows + [end ** 2])
 
@@ -1047,9 +1047,9 @@ def test_single_sampler_stacks_every_offset_in_each_moment_pass(offsets, monkeyp
         calls["moments"].append(y.shape)
         return moment(self, y)
 
-    def counted_call(self, draws):
+    def counted_call(self, buffers, n):
         calls["batches"] += 1
-        return call(self, draws)
+        return call(self, buffers, n)
 
     monkeypatch.setattr(mc._SingleSampler, "_moment", counted_moment)
     monkeypatch.setattr(mc._SingleSampler, "__call__", counted_call)

@@ -122,6 +122,13 @@ def test_mc_crosscheck_budget_floor(paths, steps):
         osc.mc_crosscheck(osc.OscillatorConfig(1.0, 2.0), paths=paths, steps=steps, seed=1)
 
 
+@pytest.mark.parametrize("grid", [100.5, 128.0, True])
+def test_config_grid_must_be_an_integer(grid):
+    # a fractional grid passed validation, then died in np.linspace with a TypeError
+    with pytest.raises(DomainError, match="must be an integer"):
+        osc.OscillatorConfig(1.0, 2.0, grid=grid)
+
+
 def test_mc_crosscheck_tail_guard():
     with pytest.raises(DomainError):
         osc.mc_crosscheck(osc.OscillatorConfig(3.0, 2.0), paths=200, steps=32, seed=1)

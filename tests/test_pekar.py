@@ -211,6 +211,14 @@ def test_problem_validation():
         pekar.PekarProblem(theta=1.0, coupling=1.0, d=2)
 
 
+@pytest.mark.parametrize("size", [{"nodes": 100.5}, {"nodes": True}, {"d": 3.5, "nodes": 64},
+                                  {"d": 3.0}, {"d": True}])
+def test_problem_sizes_must_be_integers(size):
+    # a fractional node count died in solve with a TypeError; a fractional d solved
+    with pytest.raises(DomainError, match="must be an integer"):
+        pekar.PekarProblem(1.0, 1.0, **size)
+
+
 def test_radial_kernel_newton_identity():
     # theta = 1, d = 3: the spherical average collapses to 1/max(r, r')
     r = np.array([0.5, 1.0, 2.0])
