@@ -4,7 +4,7 @@ Closed-form log-domain upper bounds for E[exp(action)] over Brownian paths
 with inverse-power interactions, ground-state-energy extraction from their
 linear-in-T content, a complementary variational lower bound at strong
 coupling, and an independent Monte Carlo engine plus exactly solvable
-references (quadratic action, heat-kernel identities) that cross-verify
+references (quadratic action, the subordination identity) that cross-verify
 every formula.
 
 The tolerances are deliberately fixed constants of the modules that use

@@ -83,7 +83,9 @@ def _emit(record: dict, fmt: str, out: str, csv_rows=None) -> None:
     elif fmt == "csv":
         rows = csv_rows if csv_rows is not None else [_flatten(record)]
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+        # rows of mixed checks carry different keys: every key, in first-seen order
+        writer = csv.DictWriter(buf, restval="",
+                                fieldnames=list(dict.fromkeys(k for row in rows for k in row)))
         writer.writeheader()
         writer.writerows(rows)
         text = buf.getvalue().rstrip("\n")
@@ -130,7 +132,7 @@ def _pretty(record: dict, indent: int = 0) -> str:
             lines.append(f"{pad}{key}: {val:.10g}")
         else:
             lines.append(f"{pad}{key}: {val}")
-    return "\n".join(line for line in lines if line is not None)
+    return "\n".join(lines)
 
 
 def _model_params(args) -> dict:
@@ -324,7 +326,6 @@ def _cmd_pekar(args) -> int:
 
 def _cmd_kernels(args) -> int:
     checks = []
-    ok = True
     which = args.check
     if which in ("subordination", "all"):
         for theta in (0.5, 1.0, 1.5):
@@ -514,8 +515,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, NonIntegrable, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (DomainError, NonIntegrable, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NumericalFailure, NoLinearSlope) as exc:

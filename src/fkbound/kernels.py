@@ -2,9 +2,9 @@
 
 Contents:
 
-* the Gaussian transition density p_t(z) of d-dimensional Brownian motion,
 * a numeric verification of the subordination identity writing 1/|x|^theta
-  as a time integral of heat kernels,
+  as a time integral of the heat kernels p_t(z) of d-dimensional Brownian
+  motion,
 * the smoothing coefficient a(theta, r, h) produced when a heat kernel is
   convolved against the gradient of the singular potential, together with
   its uniform bound 2 ||h||_inf / (theta (d - theta)),
@@ -39,7 +39,6 @@ __all__ = [
     "ConvolutionCoefficient",
     "ExpectationFormula",
     "ExpWeight",
-    "HeatKernelQuery",
     "IndicatorWeight",
     "One",
     "clark_ocone_variance_bound",
@@ -48,7 +47,6 @@ __all__ = [
     "convolution_coefficient",
     "expectation_constant",
     "expected_action",
-    "heat_kernel",
     "sharp_hls_constant",
     "stochastic_derivative_bound",
     "subordination_check",
@@ -56,30 +54,6 @@ __all__ = [
 
 QUAD_ABS = 1e-10  # absolute tolerance of every QUADPACK call below
 QUAD_REL = 1e-8   # relative tolerance of the subordination head and the convolution coefficient
-
-
-# ---------------------------------------------------------------------------
-# heat kernel
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HeatKernelQuery:
-    t: float
-    r: float
-    d: int
-
-    def __post_init__(self):
-        if not self.t > 0:
-            raise DomainError(f"time must be positive, got {self.t}")
-        if self.r < 0:
-            raise DomainError(f"radius must be nonnegative, got {self.r}")
-        if int(self.d) != self.d or self.d < 1:
-            raise DomainError(f"dimension must be a positive integer, got {self.d}")
-
-
-def heat_kernel(q: HeatKernelQuery) -> float:
-    """p_t(z) = (2 pi t)^(-d/2) exp(-|z|^2 / (2t)) at |z| = r."""
-    return (2.0 * math.pi * q.t) ** (-q.d / 2.0) * math.exp(-q.r * q.r / (2.0 * q.t))
 
 
 def expectation_constant(theta: float, d: int) -> float:
@@ -334,12 +308,10 @@ class ExpectationFormula:
     note: str = ""
 
 
-def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
-                    offset_radius: float = 0.0) -> ExpectationFormula:
-    """Closed-form expectation of the action over Brownian paths.
+def expected_action(kind: str, f: CouplingFunction, params: BoundParams) -> ExpectationFormula:
+    """Closed-form expectation of the action over Brownian paths from the origin.
 
-    single:      K |f(t)/t^(theta/2)|_{1,T}; exact when the path starts at
-                 the origin, an upper bound otherwise (flagged).
+    single:      K |f(t)/t^(theta/2)|_{1,T}, exact.
     self_double: K int_0^T |f(s)/s^(theta/2)|_{1,t} dt, exact regardless of
                  the starting point.
     cross_double: no exact display is exposed; returns the
@@ -352,12 +324,7 @@ def expected_action(kind: str, f: CouplingFunction, params: BoundParams,
         return ExpectationFormula(kind, K, 0.0)
     if kind == "single":
         val = K * norm(f, 1.0, T, weight=theta / 2.0)
-        up = offset_radius > 0.0
-        return ExpectationFormula(
-            kind, K, val,
-            is_upper_bound=up,
-            note="upper bound away from the origin" if up else "exact at the origin",
-        )
+        return ExpectationFormula(kind, K, val, note="exact at the origin")
     if kind == "self_double":
         val = K * iterated_norm(f, T, 1.0, theta / 2.0, 1.0)
         return ExpectationFormula(kind, K, val, note="exact")

@@ -91,7 +91,6 @@ __all__ = [
     "estimate",
     "martingale_lemma_check",
     "maximality_check",
-    "sample_action",
     "summarize_actions",
 ]
 
@@ -576,17 +575,6 @@ def _make_sampler(spec: ActionSpec, steps: int):
     if spec.kind == "single":
         return _SingleSampler(spec, steps, (spec.offset,))
     return _PairSampler(spec, steps)
-
-
-def sample_action(spec: ActionSpec, ensemble: PathEnsemble, m: int) -> float:
-    """The discretised action of path m (pure function of seed, m and the block shape).
-
-    Runs the ensemble's first m + 1 paths and returns the last: O(m) work, not O(G)."""
-    if ensemble.horizon != spec.T or ensemble.dim != spec.d:
-        raise DomainError("spec and ensemble disagree on (T, d)")
-    if not 0 <= m < ensemble.paths:
-        raise DomainError(f"path index {m} outside ensemble of {ensemble.paths}")
-    return float(_run(_make_sampler(spec, ensemble.steps), replace(ensemble, paths=m + 1))[0, m])
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,9 @@ def build(name: str, alpha: float = None, gamma: float = None, tau: float = None
             raise DomainError(f"nelson_q needs 1 < theta < 2, got {theta}")
         f = Indicator(gamma, tau)
         try:
-            c1 = B.coefficients(theta, 3).A * tau ** (2.0 / (2.0 - theta))
-            c2 = B.coefficients(theta, 3).B * tau ** (1.0 - theta / 2.0) / (1.0 - theta / 2.0)
+            coeffs = B.coefficients(theta, 3)
+            c1 = coeffs.A * tau ** (2.0 / (2.0 - theta))
+            c2 = coeffs.B * tau ** (1.0 - theta / 2.0) / (1.0 - theta / 2.0)
         except OverflowError:
             raise NumericalFailure(f"nelson_q constant overflows at tau={tau}") from None
         return ModelSpec(

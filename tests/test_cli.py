@@ -232,6 +232,19 @@ def test_kernels_suite(capsys):
     assert all(c["residual"] < 1e-8 for c in payload["checks"])
 
 
+def test_kernels_csv_has_one_row_per_check(capsys):
+    # the three checks carry different columns; every row gets every column
+    code, out, _ = run_cli(["kernels"], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    code, out, _ = run_cli(["kernels", "--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["check"] for row in rows] == [c["check"] for c in checks]
+    assert {"residual", "weight", "bound", "target"} <= set(rows[0])
+    assert rows[0]["weight"] == "" and rows[-1]["residual"] == ""
+
+
 def test_sweep_inverse_square_threshold(capsys):
     code, out, _ = run_cli([
         "sweep", "--model", "inverse_square", "--alpha", "0.1",
@@ -286,6 +299,33 @@ def test_threads_is_rejected_by_every_subcommand(argv, capsys):
         cli.main(argv + ["--threads", "2"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "pretty"])
+@pytest.mark.parametrize("argv", [  # each subcommand at the fuzz suite's budgets
+    ["bound", "--theorem", "2", "--theta", "1", "--dim", "3", "--T", "1",
+     "--coupling", '{"kind":"exp_decay","amplitude":1,"rate":1}'],
+    ["simulate", "--model", "polaron", "--alpha", "0.5", "--T", "1", "--paths", "100",
+     "--steps", "16"],
+    ["model", "--name", "nelson_q", "--gamma", "1", "--tau", "1", "show"],
+    ["model", "--name", "hydrogen", "--alpha", "0.5", "--T", "1", "verify", "--paths", "200",
+     "--steps", "32"],
+    ["oscillator", "--omega", "1", "--T", "1", "--grid", "128", "--mc", "--paths", "200",
+     "--steps", "32"],
+    ["pekar", "--theta", "1", "--coupling", "1", "--grid", "10,48", "--scaling"],
+    ["kernels"],
+    ["sweep", "--model", "hydrogen", "--param", "alpha", "--grid", "0.5,1", "--mc",
+     "--paths", "100", "--steps", "16"],
+])
+def test_every_subcommand_writes_csv_and_pretty(argv, fmt, capsys):
+    code, out, err = run_cli(argv + ["--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    if fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header[0] in ("command", "check", "param", "theorem", "model") and rows
+        assert all(len(row) == len(header) for row in rows)
+    else:
+        assert out.startswith(f"command: {argv[0]}")
 
 
 _CLI_SCRIPT = """
@@ -399,6 +439,21 @@ def test_out_file_writes_valid_json(tmp_path, capsys):
     assert out == ""  # nothing on stdout when --out given
     payload = json.loads(target.read_text())
     assert payload["log_bound"] > 0
+
+
+_BOUND = ["bound", "--theorem", "1", "--theta", "1", "--dim", "3", "--T", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*_BOUND, "--coupling", "DIR"],
+    ["simulate", "--spec", "DIR"],
+    [*_BOUND, "--coupling", '{"kind":"constant","level":1}', "--out", "DIR/"],
+])
+def test_directory_path_exit_2(argv, tmp_path, capsys):
+    code, out, err = run_cli([arg.replace("DIR", str(tmp_path)) for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_bound_infinite_horizon_exit_2(capsys):

@@ -12,8 +12,12 @@ paths of 32 steps, around the budget floor of 100 paths and 16 steps.
 input field replaced by a JSON value of another type.
 ``pekar`` runs on grids of at most 100 nodes, mostly 16 to 48, where a
 descent that cannot reach its tolerance stops at its roundoff floor.
+``kernels`` also draws the output format: a CSV record is a header and rows
+of its width, a pretty one starts with its command.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -75,9 +79,9 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def _run(argv, capsys):
+def _run(argv, capsys, fmt="json"):
     try:
-        code = cli.main(argv + ["--format", "json"])
+        code = cli.main(argv + ["--format", fmt])
     except SystemExit as exc:  # argparse rejects the argv
         code = exc.code
     out, err = capsys.readouterr()
@@ -86,10 +90,16 @@ def _run(argv, capsys):
     # (a bad value reads "invalid choice" or "invalid ... value" instead)
     assert "unrecognized arguments" not in err, (argv, err)
     assert "Traceback" not in err
-    if code in (0, 4):
+    if code in (0, 4) and fmt == "json":
         _strict_json(out)
+    elif code in (0, 4) and fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(header) for row in rows), (argv, out)
+    elif code in (0, 4):
+        assert out.startswith("command: "), (argv, out)
     else:
         assert out == "", (argv, out)
+    return code
 
 
 # capsys is read out after every example, so one fixture serves them all
@@ -200,10 +210,12 @@ def test_simulate_spec_field_of_another_type(field, data, tmp_path, capsys):
     _run(["simulate", f"--spec={spec}"], capsys)
 
 
-@settings(FUZZ, max_examples=4)
-@given(check=st.sampled_from(["subordination", "convolution", "expectation", "all", "none"]))
-def test_kernels_argv(check, capsys):
-    _run(["kernels", f"--check={check}"], capsys)
+@settings(FUZZ, max_examples=15)
+@given(check=st.sampled_from(["subordination", "convolution", "expectation", "all", "none"]),
+       fmt=st.sampled_from(["json", "csv", "pretty"]))
+def test_kernels_argv(check, fmt, capsys):
+    # every suite passes in every format; only the unknown check is refused
+    assert _run(["kernels", f"--check={check}"], capsys, fmt) == (2 if check == "none" else 0)
 
 
 @settings(FUZZ, max_examples=40)

@@ -72,8 +72,8 @@ def _bound(theorem, f, theta):
         x for t in rep.terms for x in (t.coefficient, t.norm_value)]
 
 
-def _expectation(kind, f, theta, offset=0.0):
-    ea = K.expected_action(kind, f, B.BoundParams(theta, 3, T), offset_radius=offset)
+def _expectation(kind, f, theta):
+    ea = K.expected_action(kind, f, B.BoundParams(theta, 3, T))
     return [ea.value, ea.K, ea.is_upper_bound, ea.note]
 
 
@@ -97,7 +97,6 @@ def _cases():
                 yield (f"analytic_slope:{name}:T{theorem}:{theta}",
                        lambda: B.analytic_slope(theorem, f, theta, 3))
         yield f"expected:{name}:single", lambda: _expectation("single", f, 1.2)
-        yield f"expected:{name}:single_offset", lambda: _expectation("single", f, 1.2, 0.5)
         yield f"expected:{name}:self_double", lambda: _expectation("self_double", f, 1.2)
         yield f"expected:{name}:cross_double", lambda: _expectation("cross_double", f, 1.2)
         yield f"expected:{name}:cross_double_0.8", lambda: _expectation("cross_double", f, 0.8)
@@ -203,10 +202,6 @@ GOLDEN = {
     'expected:constant:single': [
         '0x1.0cbad570738fcp+1', '0x1.9751781d8bdfbp-1', False, 'exact at the origin',
     ],
-    'expected:constant:single_offset': [
-        '0x1.0cbad570738fcp+1', '0x1.9751781d8bdfbp-1', True,
-        'upper bound away from the origin',
-    ],
     'expected:constant:self_double': [
         '0x1.7fe6557c12cd6p+1', '0x1.9751781d8bdfbp-1', False, 'exact',
     ],
@@ -291,10 +286,6 @@ GOLDEN = {
     'analytic_slope:exp_decay:T3:1.5': '0x1.0fedd0c150d56p-2',
     'expected:exp_decay:single': [
         '0x1.7d48d97f94f6cp+0', '0x1.9751781d8bdfbp-1', False, 'exact at the origin',
-    ],
-    'expected:exp_decay:single_offset': [
-        '0x1.7d48d97f94f6cp+0', '0x1.9751781d8bdfbp-1', True,
-        'upper bound away from the origin',
     ],
     'expected:exp_decay:self_double': [
         '0x1.44242838d4a0ep+1', '0x1.9751781d8bdfbp-1', False, 'exact',
@@ -385,10 +376,6 @@ GOLDEN = {
     'expected:indicator:single': [
         '0x1.8bd6f0c419f64p+0', '0x1.9751781d8bdfbp-1', False, 'exact at the origin',
     ],
-    'expected:indicator:single_offset': [
-        '0x1.8bd6f0c419f64p+0', '0x1.9751781d8bdfbp-1', True,
-        'upper bound away from the origin',
-    ],
     'expected:indicator:self_double': [
         '0x1.4253982aa76d1p+1', '0x1.9751781d8bdfbp-1', False, 'exact',
     ],
@@ -472,10 +459,6 @@ GOLDEN = {
     'expected:power_law:single': [
         '0x1.476a27214fbf8p+2', '0x1.9751781d8bdfbp-1', False, 'exact at the origin',
     ],
-    'expected:power_law:single_offset': [
-        '0x1.476a27214fbf8p+2', '0x1.9751781d8bdfbp-1', True,
-        'upper bound away from the origin',
-    ],
     'expected:power_law:self_double': [
         '0x1.29a6521e487f9p+3', '0x1.9751781d8bdfbp-1', False, 'exact',
     ],
@@ -556,10 +539,6 @@ GOLDEN = {
     'analytic_slope:power_law_up:T3:1.5': 'raises DomainError',
     'expected:power_law_up:single': [
         '0x1.bb3d28c07b65dp-1', '0x1.9751781d8bdfbp-1', False, 'exact at the origin',
-    ],
-    'expected:power_law_up:single_offset': [
-        '0x1.bb3d28c07b65dp-1', '0x1.9751781d8bdfbp-1', True,
-        'upper bound away from the origin',
     ],
     'expected:power_law_up:self_double': [
         '0x1.ec7cd7f250384p-1', '0x1.9751781d8bdfbp-1', False, 'exact',
@@ -650,10 +629,6 @@ GOLDEN = {
     'analytic_slope:tabulated:T3:1.5': 'raises DomainError',
     'expected:tabulated:single': [
         '0x1.77cd7b15db17fp+0', '0x1.9751781d8bdfbp-1', False, 'exact at the origin',
-    ],
-    'expected:tabulated:single_offset': [
-        '0x1.77cd7b15db17fp+0', '0x1.9751781d8bdfbp-1', True,
-        'upper bound away from the origin',
     ],
     'expected:tabulated:self_double': [
         '0x1.10e92fdffa1c8p+1', '0x1.9751781d8bdfbp-1', False, 'exact',

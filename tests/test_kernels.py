@@ -14,23 +14,8 @@ from fkbound.schedule import Constant, ExpDecay, Indicator, PowerLaw, Tabulated
 
 
 # ---------------------------------------------------------------------------
-# heat kernel
+# expectation constant
 # ---------------------------------------------------------------------------
-
-def test_heat_kernel_values():
-    assert K.heat_kernel(K.HeatKernelQuery(1.0, 0.0, 3)) == pytest.approx(
-        (2 * math.pi) ** -1.5, rel=1e-14)
-    assert K.heat_kernel(K.HeatKernelQuery(2.0, 1.0, 2)) == pytest.approx(
-        math.exp(-0.25) / (4 * math.pi), rel=1e-14)
-
-
-@pytest.mark.parametrize("lam", [0.3, 2.0, 7.5])
-def test_heat_kernel_brownian_scaling(lam):
-    t, r, d = 1.7, 0.9, 4
-    lhs = K.heat_kernel(K.HeatKernelQuery(lam * t, math.sqrt(lam) * r, d))
-    rhs = lam ** (-d / 2) * K.heat_kernel(K.HeatKernelQuery(t, r, d))
-    assert lhs == pytest.approx(rhs, rel=1e-13)
-
 
 def test_expectation_constant_value():
     assert K.expectation_constant(1.0, 3) == pytest.approx(
@@ -138,9 +123,6 @@ def test_expected_action_single_hydrogen():
     ea = K.expected_action("single", Constant(0.5), BoundParams(1.0, 3, 1.0))
     assert ea.value == pytest.approx(math.sqrt(2 / math.pi) * 2 * 0.5, rel=1e-12)
     assert not ea.is_upper_bound
-    off = K.expected_action("single", Constant(0.5), BoundParams(1.0, 3, 1.0),
-                            offset_radius=1.0)
-    assert off.is_upper_bound
 
 
 def test_expected_action_self_double_large_time_slope():

@@ -40,11 +40,15 @@ def test_estimate_bit_identical_across_threads(monkeypatch):
 def test_sample_action_is_pure_function_of_seed_and_index():
     spec = hydrogen_spec()
     ens = mc.PathEnsemble(seed=9, paths=50, steps=32, horizon=1.0, dim=3)
-    first = [mc.sample_action(spec, ens, m) for m in range(5)]
-    again = [mc.sample_action(spec, ens, m) for m in range(5)]
+
+    def action(m):  # path m from a run of the first m + 1 paths
+        return mc._run(mc._make_sampler(spec, 32), replace(ens, paths=m + 1))[0, m]
+
+    first = [action(m) for m in range(5)]
+    again = [action(m) for m in range(5)]
     assert first == again
     # evaluation order must not matter
-    reverse = [mc.sample_action(spec, ens, m) for m in reversed(range(5))]
+    reverse = [action(m) for m in reversed(range(5))]
     assert reverse == first[::-1]
 
 
@@ -57,7 +61,7 @@ cases = [("self_double", 0.0, 256), ("cross_double", 0.5, 256), ("bipolaron", 0.
 for kind, offset, steps in cases:
     spec = mc.ActionSpec(kind, f, 1.0, 3, 1.0, offset=offset)
     ens = mc.PathEnsemble(seed=3, paths=10, steps=steps, horizon=1.0, dim=3)
-    print(kind, [mc.sample_action(spec, ens, m).hex() for m in range(10)])
+    print(kind, [a.hex() for a in mc._run(mc._make_sampler(spec, steps), ens)[0]])
 """
 
 
@@ -226,14 +230,14 @@ def test_radial_sample_action_is_path_m_of_the_estimate():
     assert 2 * mc._make_sampler(spec, 256).batch_paths < 1037
     full = mc._run(mc._make_sampler(spec, 256), ens)[0]
     for m in (0, 7, 8, 511, 512, 1036):
-        assert mc.sample_action(spec, ens, m) == full[m]
+        assert mc._run(mc._make_sampler(spec, 256), replace(ens, paths=m + 1))[0, m] == full[m]
 
 
 @pytest.mark.parametrize("kind", ["single", "self_double", "cross_double", "bipolaron"])
 def test_sample_action_agrees_with_estimate(kind):
     spec = mc.ActionSpec(kind, ExpDecay(0.4, 1.0), 1.0, 3, 1.0, offset=0.2, epsilon=0.01)
     ens = mc.PathEnsemble(seed=5, paths=100, steps=16, horizon=1.0, dim=3)
-    actions = [mc.sample_action(spec, ens, m) for m in range(100)]
+    actions = mc._run(mc._make_sampler(spec, 16), ens)[0]
     assert mc.summarize_actions(actions, 5, 16) == mc.estimate(spec, 100, 16, 5)
 
 
@@ -342,7 +346,7 @@ def test_one_batch_starts_no_thread(monkeypatch):
     spec = hydrogen_spec()
     ens = mc.PathEnsemble(seed=9, paths=100, steps=16, horizon=1.0, dim=3)
     assert 100 <= mc._make_sampler(spec, 16).batch_paths  # the whole estimate is one batch
-    actions = [mc.sample_action(spec, ens, m) for m in range(100)]
+    actions = mc._run(mc._make_sampler(spec, 16), ens)[0]
     assert mc.estimate(spec, 100, 16, 9) == mc.summarize_actions(actions, 9, 16)
 
 
@@ -359,7 +363,7 @@ def test_workers_fall_back_to_cpu_count(monkeypatch):
 def test_self_double_matches_hand_computed_sum():
     spec = mc.ActionSpec("self_double", ExpDecay(1.0, 0.7), 1.0, 3, 1.0)
     ens = mc.PathEnsemble(seed=7, paths=1, steps=3, horizon=1.0, dim=3)
-    val = mc.sample_action(spec, ens, 0)
+    val = mc._run(mc._make_sampler(spec, 3), ens)[0, 0]
     dt = 1.0 / 3.0
     inc = math.sqrt(dt) * ens.generator(0).standard_normal((3, 3))
     nodes = np.cumsum(inc, axis=0)
@@ -396,7 +400,7 @@ def test_bipolaron_action_decomposes():
     base = ExpDecay(0.5, 1.0)
     spec = mc.ActionSpec("bipolaron", base, 1.0, 3, 1.0)
     ens = mc.PathEnsemble(seed=3, paths=1, steps=16, horizon=1.0, dim=3)
-    val = mc.sample_action(spec, ens, 0)
+    val = mc._run(mc._make_sampler(spec, 16), ens)[0, 0]
     # reconstruct from the same stream: cross with doubled coupling + both selfs
     dt = 1.0 / 16.0
     rng = ens.generator(0)

@@ -8,7 +8,8 @@ cores and starts worker threads, no module reads ``FKBOUND_THREADS``, the
 Pekar kernel is assembled only through its unit-grid cache, a table's norms
 look up one cell per panel row, no module calls a ladder fit, the modules
 import each other one way, no public function only forwards its arguments to
-another, and every name a module exports exists.
+another, every name a module exports exists, and only the conditioned-
+derivative trio is exported for tests alone.
 
 Every per-variant fact is a method of the variant's class and every
 heat-kernel weight is read as one profile, so no module tests
@@ -29,6 +30,7 @@ from fkbound.schedule import Constant, Tabulated, _panel_rule, envelope
 
 VARIANTS = {"Constant", "ExpDecay", "Indicator", "PowerLaw", "Tabulated"}
 SRC = Path(fkbound.__file__).parent
+ROOT = Path(__file__).parents[1]
 
 
 def _package_classes() -> set:
@@ -508,6 +510,73 @@ def test_every_exported_name_exists():
         module = fkbound if path.stem == "__init__" else importlib.import_module(f"fkbound.{path.stem}")
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert missing == [], path.name
+
+
+def _named(nodes) -> set:
+    """Every identifier the nodes use: names, attributes and imported names."""
+    found = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name.rsplit(".", 1)[-1])
+    return found
+
+
+def _defines(node, name: str) -> bool:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return any(getattr(target, "id", None) == name for target in targets)
+
+
+def _test_only_exports(package: dict, callers: list) -> list:
+    """Each ``__all__`` name, as "module.name", of the package sources {module: source}
+    that no package source names outside the name's own module-level definition and no
+    caller source names at all."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    outside = _named(ast.parse(source) for source in callers)
+    found = []
+    for module, tree in trees.items():
+        exported = [elt.value for node in tree.body if _defines(node, "__all__")
+                    for elt in node.value.elts]
+        for name in exported:
+            used = _named(node for other, t in trees.items() for node in t.body
+                          if not (other == module and _defines(node, name)))
+            if name not in used | outside:
+                found.append(f"{module}.{name}")
+    return found
+
+
+def test_guard_sees_test_only_exports():
+    package = {"a": ('__all__ = ["used", "only_tested", "by_caller", "Cls", "LIMIT"]\n'
+                     "LIMIT = 3\n"
+                     "def used(): pass\n"
+                     "def only_tested(n):\n"
+                     "    return only_tested(n - 1) if n else LIMIT\n"
+                     "def by_caller(): pass\n"
+                     "class Cls:\n"
+                     "    def copy(self):\n"
+                     "        return Cls()\n"),
+               "b": "from .a import used\n"}
+    callers = ["from fkbound import a\na.by_caller()\n"]
+    assert _test_only_exports(package, callers) == ["a.only_tested", "a.Cls"]
+
+
+def test_only_the_derivative_trio_is_exported_for_tests_alone():
+    # every other public name has a caller in the package, its command line, scripts/ or
+    # perfbench/; the three functions behind the pointwise bound on the conditioned
+    # derivative wait for the check of the paper's representation on sampled paths,
+    # and this list loses them when it lands
+    package = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = [path.read_text() for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py")) if not path.name.startswith("test_")]
+    assert callers
+    assert _test_only_exports(package, callers) == [
+        "kernels.clark_ocone_variance_bound", "kernels.conditioned_derivative_magnitude",
+        "kernels.stochastic_derivative_bound"]
 
 
 def test_single_and_quadratic_samplers_draw_only_the_increments():
