@@ -15,21 +15,21 @@ G = 1 (D > _DRAW_ELEMENTS / 2) group k is path k.
 One path engine serves every sampler.  It cuts the groups into contiguous
 batches of about a fixed number of drawn doubles (or one group, if that is
 larger) and runs one worker thread per core this process may use (its CPU
-affinity mask: narrow it, e.g. with taskset, to use fewer cores), each on one
-contiguous run of groups, the runs' group counts differing by at most one.
-Each worker re-keys one bit generator to (seed, k) per group, draws the
-group's whole block in one call per stream into its batch buffers, and the
-sampler evaluates the batch at once (the single action all its offsets in
-one moment pass per block of steps, one gather of every coefficient), in a
-few numpy calls each over the whole batch: each call hands the GIL over, and
-the workers queue at every hand-over.  A path's action is a numpy sum over
-that path alone (a single action in step order; a pair action one sum per
-block of node rows, on the band of nonzero lag weights, added in block order;
-its distances come from one scipy ``cdist`` call per path and chunk of rows,
-a sequential per-pair sum over coordinates in C with the GIL released), and
-every reduction over paths runs in index order.  The engine makes no BLAS
-call, whose threads would split a long sum, so no result depends on the
-worker count, the batch size or the BLAS thread count.
+affinity mask: narrow it, e.g. with taskset, to use fewer cores), each on
+one contiguous run of groups, the runs' group counts differing by at most
+one.  Each worker re-keys one bit generator to (seed, k) per group, draws the
+group's whole block in one call per stream, in place in its rows of the batch
+buffers, and the sampler evaluates the batch at once (the single action all
+its offsets in one moment pass per block of steps, one gather per coefficient
+row), in a few numpy calls each over the whole batch: each call hands the GIL
+over, and the workers queue at every hand-over.  A path's action is a numpy
+sum over that path alone (a single action in step order; a pair action one
+sum per block of node rows, on the band of nonzero lag weights, added in
+block order; its distances come from one scipy ``cdist`` call per path and
+chunk of rows, a sequential per-pair sum over coordinates in C with the GIL
+released), and every reduction over paths runs in index order.  The engine
+makes no BLAS call, whose threads would split a long sum, so no result
+depends on the worker count, the batch size or the BLAS thread count.
 
 Draw order within a path is part of the reproducibility contract, with the
 grouping above; each path draws, in order:
@@ -209,7 +209,7 @@ class McEstimate:
 # Doubles in one batch of drawn normals, divided by one group's (G x rows x d) block
 # to give the groups per batch.  At 1 << 15 perfbench mc_single ran 8-13% more jobs a
 # second on 2 cores, with 2-4% more peak RSS (two workers' single-action moment passes
-# at once, whose seven-row coefficient gather is the largest array).  It also bounds
+# at once, whose seven-row coefficient gather was then the largest array).  It also bounds
 # the (steps, offsets, paths) block of one single-action moment pass.
 _BATCH_ELEMENTS = 1 << 14
 
@@ -221,7 +221,7 @@ _DRAW_ELEMENTS = 1 << 12
 # Path-steps in one single-action batch, divided by N to give its paths (512 at N = 256).
 # The radial chain makes four numpy calls a step over the whole batch, so batches must be
 # wide: at 1 << 16 perfbench mc_single's job_p90_s (its three-offset maximality jobs) read
-# 0.067-0.069 s against 0.055-0.059 s at 1 << 17 on 2 cores.  The two step-major draw
+# 0.067-0.069 s against 0.055-0.059 s at 1 << 17 on 2 cores.  The two path-major draw
 # buffers hold 16 bytes a path-step, 2 MB a worker.
 _RADIAL_ELEMENTS = 1 << 17
 
@@ -383,7 +383,8 @@ class _SingleSampler:
     """Midpoint-rule single action, one output row per starting offset, read off the radial
     chain (module docstring): every offset's chain runs on the batch's shared draws, and each
     midpoint term is its expectation E(|mu_k|^2) given the grid nodes (``_moment_table``), every
-    offset's in one stacked ``_moment`` pass per block of steps.  A path adds its terms in step
+    offset's in one stacked ``_moment`` pass per block of steps, which the chain reads from the
+    path-major draws into step-major scratch, one call per stream.  A path adds its terms in step
     order."""
 
     def __init__(self, spec: ActionSpec, steps: int, offsets: Sequence[float]):
@@ -399,15 +400,15 @@ class _SingleSampler:
         self.theta, self.offsets = spec.theta, tuple(map(float, offsets))
 
     def buffers(self, size: int) -> np.ndarray:
-        """Step-major rows of Z1 and of C / 2; the C / 2 rows stay 0 at d = 1."""
-        return np.zeros((2, self.steps, size))
+        """Path-major rows of Z1 and of C / 2, (2, size, N); the C / 2 rows stay 0 at d = 1."""
+        return np.zeros((2, size, self.steps))
 
     def draw(self, stream, buffers: np.ndarray, n: int, count: int) -> None:
         """The group's first ``count`` paths' (count, N) normals from counter 0 and (count, N)
-        Gamma((d - 1)/2) values from counter 2^64, path-major, into the step-major rows."""
-        buffers[0, :, n:n + count] = stream(0).standard_normal((count, self.steps)).T
+        Gamma((d - 1)/2) values from counter 2^64, each in place in its rows of the buffers."""
+        stream(0).standard_normal(out=buffers[0, n:n + count])
         if self.shape:
-            buffers[1, :, n:n + count] = stream(1).standard_gamma(self.shape, (count, self.steps)).T
+            stream(1).standard_gamma(self.shape, out=buffers[1, n:n + count])
 
     def _moment(self, y: np.ndarray) -> np.ndarray:
         """E(y), elementwise; overwrites y."""
@@ -416,9 +417,9 @@ class _SingleSampler:
         u *= _CELLS
         cell = u.astype(np.intp)
         u -= cell + 0.5
-        # every coefficient in one gather, (degree + 1,) + y.shape; Horner in place on its rows
-        g, *coeffs = np.take(self.table, cell, axis=1)[::-1]
-        del cell  # off the peak, which the gather sets
+        # Horner in place from the top coefficient, each row gathered as Horner reaches it
+        coeffs = (row.take(cell) for row in self.table[::-1])
+        g = next(coeffs)
         for coeff in coeffs:
             g *= u
             g += coeff
@@ -428,19 +429,20 @@ class _SingleSampler:
         return np.multiply(g, q, out=g)
 
     def _midpoint_norms(self, draws: np.ndarray):
-        """Per block of steps k0 <= k < k1: (k0, the radii r_k1, the |mu_k|^2), shapes
-        (offsets, n) and (k1 - k0, offsets, n), in buffers the next block reuses.
-        Scales ``draws`` in place."""
+        """Per block of steps k0 <= k < k1 of the path-major (2, n, N) ``draws``: (k0, the
+        radii r_k1, the |mu_k|^2), shapes (offsets, n) and (k1 - k0, offsets, n), in buffers
+        the next block reuses."""
         z, c = draws
-        s = np.multiply(z, self.sq, out=z)  # radial steps sqrt(dt) Z1
-        np.multiply(c, 2.0 * self.dt, out=c)  # dt C
-        offsets, n = len(self.offsets), z.shape[1]
+        offsets, n = len(self.offsets), z.shape[0]
         rows = max(1, min(self.steps, _BATCH_ELEMENTS // (offsets * n)))
-        r = np.empty((rows + 1, offsets, n))
+        r, scaled = np.empty((rows + 1, offsets, n)), np.empty((2, rows, n))
         r[-1] = np.abs(self.offsets)[:, None]  # each block starts from the row the last one ended on
         for k0 in range(0, self.steps, rows):
             k1 = min(k0 + rows, self.steps)
-            radii, sk, ck = r[:k1 - k0 + 1], s[k0:k1], c[k0:k1]
+            # the block's steps, step-major: radial steps sqrt(dt) Z1 and dt C
+            sk = np.multiply(z[:, k0:k1].T, self.sq, out=scaled[0, :k1 - k0])
+            ck = np.multiply(c[:, k0:k1].T, 2.0 * self.dt, out=scaled[1, :k1 - k0])
+            radii = r[:k1 - k0 + 1]
             radii[0] = r[-1]
             chain = radii[:, 0] if offsets == 1 else radii  # one offset: 1-d rows, no broadcast
             for rk, nxt, step, chi in zip(chain, chain[1:], sk, ck):
@@ -458,7 +460,7 @@ class _SingleSampler:
 
     def __call__(self, buffers: np.ndarray, n: int) -> np.ndarray:
         out = np.zeros((len(self.offsets), n))
-        for k0, _, mu2 in self._midpoint_norms(buffers[:, :, :n]):
+        for k0, _, mu2 in self._midpoint_norms(buffers[:, :n]):
             terms = self._moment(mu2)
             terms *= self.fw[k0:k0 + len(terms), None, None]
             for term in terms:  # step order, whatever the block and batch

@@ -116,7 +116,7 @@ class _RawRadial(mc._SingleSampler):
 
     def __call__(self, buffers, n):
         self.batches.append(n)
-        return buffers[:, :, :n].reshape(2 * self.steps, -1).copy()
+        return buffers[:, :n].transpose(0, 2, 1).reshape(2 * self.steps, n).copy()
 
 
 def _path_normals(ens, rows, m):
@@ -187,8 +187,8 @@ def test_one_philox_call_per_group(paths, steps, dim, cores, monkeypatch):
 @pytest.mark.parametrize("paths, steps, dim, cores", [
     (1000, 64, 3, 1), (1037, 64, 4, 2), (700, 256, 1, 2), (7, 2048, 7, 2), (1, 16, 2, 1)])
 def test_radial_draw_makes_two_philox_calls_per_group(paths, steps, dim, cores, monkeypatch):
-    # one call for the normals and, except at d = 1, one for the chi-square halves;
-    # G depends on N alone
+    # one call for the normals and, except at d = 1, one for the chi-square halves,
+    # each writing in place into the batch buffers; G depends on N alone
     calls, real = [], mc.Generator
 
     class Counting:
@@ -196,8 +196,13 @@ def test_radial_draw_makes_two_philox_calls_per_group(paths, steps, dim, cores, 
             self.rng = real(bitgen)
 
         def __getattr__(self, name):
-            calls.append(name)
-            return getattr(self.rng, name)
+            method = getattr(self.rng, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                assert kwargs.get("out") is not None, name
+                return method(*args, **kwargs)
+            return call
 
     monkeypatch.setattr(mc, "Generator", Counting)
     _cores(monkeypatch, cores)
@@ -559,10 +564,12 @@ def test_pair_kernel_holds_no_quadratic_table(kind):
 
 
 def test_single_sampler_peak_memory_is_bounded(monkeypatch):
-    # a worker's traced peak is its two step-major draw buffers (16 bytes a path-step,
-    # _RADIAL_ELEMENTS path-steps: 2 MB) and one block of the moment pass (every offset,
-    # _BATCH_ELEMENTS doubles, with its seven-row gather: about 1.3 MB), 3.3 MB in all;
-    # a wider batch or block would show here before it shows in peak RSS
+    # a worker's traced peak is its two path-major draw buffers (16 bytes a path-step,
+    # _RADIAL_ELEMENTS path-steps: 2 MB), the block's step-major scaled draws and radii
+    # (0.2 MB) and one block of the moment pass (every offset, _BATCH_ELEMENTS doubles,
+    # with at most two gathered coefficient rows at once: about 0.6 MB), 2.8 MB in all
+    # (3.3 MB with all seven rows gathered at once); a wider batch or block would show
+    # here before it shows in peak RSS
     spec = mc.ActionSpec("single", ExpDecay(0.4, 1.0), 1.2, 3, 1.0, epsilon=0.1)
     ens = mc.PathEnsemble(seed=2, paths=400, steps=1024, horizon=1.0, dim=3)
     sampler = mc._SingleSampler(spec, 1024, (0.0, 0.3, 1.0))
@@ -656,15 +663,15 @@ def test_midpoint_moment_matches_mpmath_at_large_dimension(d):
 
 
 def _radial_draws(z: np.ndarray, offset: float, sq: float) -> np.ndarray:
-    """The (Z1, C / 2) draws, as a (2, N, 1) batch, under which the radial chain from
-    |offset| retraces the path X_k = offset e_1 + sq (z_0 + ... + z_(k-1)) of the (N, d)
+    """The (Z1, C / 2) draws, as a path-major (2, 1, N) batch, under which the radial chain
+    from |offset| retraces the path X_k = offset e_1 + sq (z_0 + ... + z_(k-1)) of the (N, d)
     normals z: Z1 = z_k . e and C = |z_k - Z1 e|^2, e = X_k / |X_k| (e_1 at 0)."""
-    x, draws = offset * np.eye(1, z.shape[1])[0], np.empty((2, len(z), 1))
+    x, draws = offset * np.eye(1, z.shape[1])[0], np.empty((2, 1, len(z)))
     for k, zk in enumerate(z):
         r = np.linalg.norm(x)
         e = x / r if r else np.eye(1, len(x))[0]
-        draws[0, k, 0] = z1 = float(np.sum(zk * e))
-        draws[1, k, 0] = float(np.sum((zk - z1 * e) ** 2)) / 2.0
+        draws[0, 0, k] = z1 = float(np.sum(zk * e))
+        draws[1, 0, k] = float(np.sum((zk - z1 * e) ** 2)) / 2.0
         x = x + sq * zk
     return draws
 
@@ -706,12 +713,93 @@ def test_midpoint_expectation_is_the_mean_over_bridge_draws(theta, d, eps, offse
     assert abs(value - old.mean()) <= 4.0 * old.std(ddof=1) / math.sqrt(draws)
 
 
+class _StepMajorSingleSampler(mc._SingleSampler):
+    """Reference single action: each group's draws transposed into step-major (2, N, size)
+    buffers, the whole batch scaled in place, and every coefficient of a moment block in
+    one (degree + 1, ...) gather.  The path-major sampler must match it byte for byte."""
+
+    def buffers(self, size):
+        return np.zeros((2, self.steps, size))
+
+    def draw(self, stream, buffers, n, count):
+        buffers[0, :, n:n + count] = stream(0).standard_normal((count, self.steps)).T
+        if self.shape:
+            buffers[1, :, n:n + count] = stream(1).standard_gamma(self.shape, (count, self.steps)).T
+
+    def _moment(self, y):
+        q = y + self.y0
+        u = np.divide(y, q, out=y)
+        u *= mc._CELLS
+        cell = u.astype(np.intp)
+        u -= cell + 0.5
+        g, *coeffs = np.take(self.table, cell, axis=1)[::-1]
+        for coeff in coeffs:
+            g *= u
+            g += coeff
+        if self.theta == 1.0:
+            return np.divide(g, np.sqrt(q, out=q), out=g)
+        q **= -self.theta / 2.0
+        return np.multiply(g, q, out=g)
+
+    def _midpoint_norms(self, draws):
+        z, c = draws
+        s = np.multiply(z, self.sq, out=z)
+        np.multiply(c, 2.0 * self.dt, out=c)
+        offsets, n = len(self.offsets), z.shape[1]
+        rows = max(1, min(self.steps, mc._BATCH_ELEMENTS // (offsets * n)))
+        r = np.empty((rows + 1, offsets, n))
+        r[-1] = np.abs(self.offsets)[:, None]
+        for k0 in range(0, self.steps, rows):
+            k1 = min(k0 + rows, self.steps)
+            radii, sk, ck = r[:k1 - k0 + 1], s[k0:k1], c[k0:k1]
+            radii[0] = r[-1]
+            chain = radii[:, 0] if offsets == 1 else radii
+            for rk, nxt, step, chi in zip(chain, chain[1:], sk, ck):
+                np.add(rk, step, out=nxt)
+                np.multiply(nxt, nxt, out=nxt)
+                np.add(nxt, chi, out=nxt)
+                np.sqrt(nxt, out=nxt)
+            sk *= 0.5
+            ck *= 0.25
+            mu2 = np.add(radii[:-1], sk[:, None], out=radii[:-1])
+            mu2 *= mu2
+            mu2 += ck[:, None]
+            yield k0, radii[-1], mu2
+
+    def __call__(self, buffers, n):
+        out = np.zeros((len(self.offsets), n))
+        for k0, _, mu2 in self._midpoint_norms(buffers[:, :, :n]):
+            terms = self._moment(mu2)
+            terms *= self.fw[k0:k0 + len(terms), None, None]
+            for term in terms:
+                out += term
+        return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+def test_single_sampler_matches_the_step_major_reference_byte_for_byte(d, monkeypatch):
+    # batch_paths + G + 1 paths end in a group of one path and a batch of G + 1; at
+    # d = 1 and epsilon 0 the midpoint moment is infinite and neither sampler is built
+    for offsets, theta, eps, steps in itertools.product(
+            ((0.0,), (0.0, 0.3, 1.0)), (1.0, 1.2), (0.0, 0.1), (16, 64, 256, 512)):
+        if theta >= d and not eps:
+            continue
+        spec = mc.ActionSpec("single", _F, theta, d, 1.0, epsilon=eps)
+        sampler, want = mc._SingleSampler(spec, steps, offsets), _StepMajorSingleSampler(spec, steps, offsets)
+        G = mc._DRAW_ELEMENTS // sampler.draws
+        ens = mc.PathEnsemble(seed=17, paths=sampler.batch_paths + G + 1, steps=steps, horizon=1.0, dim=d)
+        for cores in (1, 3):
+            _cores(monkeypatch, cores)
+            got = mc._run(sampler, ens)
+            assert got.tobytes() == mc._run(want, ens).tobytes(), (offsets, theta, eps, steps, cores)
+
+
 class _RadialNorms(mc._SingleSampler):
     """Single-action sampler that returns each path's |mu_k|^2 (k < N), then |Y_N|^2."""
 
     def __call__(self, buffers, n):
         rows = []
-        for _, end, mu2 in self._midpoint_norms(buffers[:, :, :n]):
+        for _, end, mu2 in self._midpoint_norms(buffers[:, :n]):
             rows.append(mu2[:, 0].copy())
         return np.concatenate(rows + [end ** 2])
 

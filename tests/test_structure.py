@@ -534,20 +534,26 @@ def _defines(node, name: str) -> bool:
 
 def _test_only_exports(package: dict, callers: list) -> list:
     """Each ``__all__`` name, as "module.name", of the package sources {module: source}
-    that no package source names outside the name's own module-level definition and no
-    caller source names at all."""
+    that no caller source names at all and no package source names outside the
+    module-level definitions of the name and of the names found so far, scanned again
+    until no name is added: a chain of names that only each other and tests reach is
+    listed whole.  In ``__all__`` order."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     outside = _named(ast.parse(source) for source in callers)
-    found = []
-    for module, tree in trees.items():
-        exported = [elt.value for node in tree.body if _defines(node, "__all__")
-                    for elt in node.value.elts]
-        for name in exported:
-            used = _named(node for other, t in trees.items() for node in t.body
-                          if not (other == module and _defines(node, name)))
-            if name not in used | outside:
-                found.append(f"{module}.{name}")
-    return found
+    exported = [(module, elt.value) for module, tree in trees.items() for node in tree.body
+                if _defines(node, "__all__") for elt in node.value.elts]
+
+    def reached(module: str, name: str, gone: set) -> bool:
+        """Whether a package source names ``name`` outside the definitions of it and of ``gone``."""
+        gone = gone | {(module, name)}
+        return name in _named(node for other, tree in trees.items() for node in tree.body
+                              if not any(other == m and _defines(node, n) for m, n in gone))
+
+    found = set()
+    while more := {(m, n) for m, n in exported
+                   if (m, n) not in found and n not in outside and not reached(m, n, found)}:
+        found |= more
+    return [f"{m}.{n}" for m, n in exported if (m, n) in found]
 
 
 def test_guard_sees_test_only_exports():
@@ -562,7 +568,20 @@ def test_guard_sees_test_only_exports():
                      "        return Cls()\n"),
                "b": "from .a import used\n"}
     callers = ["from fkbound import a\na.by_caller()\n"]
-    assert _test_only_exports(package, callers) == ["a.only_tested", "a.Cls"]
+    # LIMIT's one package caller is only_tested
+    assert _test_only_exports(package, callers) == ["a.only_tested", "a.Cls", "a.LIMIT"]
+
+
+def test_guard_lists_a_chain_of_test_only_exports_whole():
+    # inner's one package caller is outer, which only tests reach: the first scan finds
+    # outer, the second inner
+    package = {"a": ('__all__ = ["inner", "outer", "used"]\n'
+                     "def inner(): pass\n"
+                     "def outer():\n"
+                     "    return inner()\n"
+                     "def used(): pass\n"),
+               "b": "from .a import used\n"}
+    assert _test_only_exports(package, []) == ["a.inner", "a.outer"]
 
 
 def test_only_the_derivative_trio_is_exported_for_tests_alone():
